@@ -11,6 +11,8 @@ performance degradation ratios.
 from __future__ import annotations
 
 import concurrent.futures
+import csv
+import io
 import itertools
 import math
 import statistics
@@ -219,7 +221,17 @@ def run_experiment(config: RunConfig) -> ExperimentReport:
     return report
 
 
+def _one_line(reason: str) -> str:
+    return " ".join(reason.split())
+
+
 def serialize_report(report: ExperimentReport) -> str:
+    """Key-value text form of a report.
+
+    An instance whose runs all failed has no aggregates and is marked
+    ``failed``.  A failed run's line carries its reason, with whitespace
+    collapsed, after the seconds field.
+    """
     lines = [
         REPORT_TAG,
         f"algorithm : {report.algorithm}",
@@ -227,23 +239,31 @@ def serialize_report(report: ExperimentReport) -> str:
         f"base_seed : {report.base_seed}",
     ]
     for res in report.results:
-        lines.append(
-            f"instance {res.name} : ave {res.ave!r} std {res.std!r} "
-            f"best {res.best!r} ave_time {res.ave_time!r}"
-        )
+        if res.costs:
+            lines.append(
+                f"instance {res.name} : ave {res.ave!r} std {res.std!r} "
+                f"best {res.best!r} ave_time {res.ave_time!r}"
+            )
+        else:
+            lines.append(f"instance {res.name} : failed ave_time {res.ave_time!r}")
         for rec in res.runs:
             cost = "failed" if rec.cost is None else repr(rec.cost)
-            lines.append(f"run {res.name} {rec.seed} {cost} {rec.seconds!r}")
+            reason = _one_line(rec.error) if rec.cost is None else ""
+            lines.append(f"run {res.name} {rec.seed} {cost} {rec.seconds!r} {reason}".rstrip())
     return "\n".join(lines) + "\n"
 
 
 def report_csv(report: ExperimentReport) -> str:
-    lines = ["instance,seed,cost,seconds"]
+    """One row per run; a failed run has an empty cost and its reason in ``error``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["instance", "seed", "cost", "seconds", "error"])
     for res in report.results:
         for rec in res.runs:
             cost = "" if rec.cost is None else repr(rec.cost)
-            lines.append(f"{res.name},{rec.seed},{cost},{rec.seconds!r}")
-    return "\n".join(lines) + "\n"
+            reason = _one_line(rec.error) if rec.cost is None else ""
+            writer.writerow([res.name, rec.seed, cost, repr(rec.seconds), reason])
+    return out.getvalue()
 
 
 def write_report(report: ExperimentReport, path: str) -> None:
@@ -270,12 +290,14 @@ def read_report(text: str) -> ExperimentReport:
             runs_by_instance.setdefault(name, [])
             if name not in order:
                 order.append(name)
+            failed = cost == "failed"
             runs_by_instance[name].append(
                 RunRecord(
                     seed=seed,
-                    cost=None if cost == "failed" else float(cost),
+                    cost=None if failed else float(cost),
                     seconds=seconds,
-                    error="recorded-failure" if cost == "failed" else "",
+                    # reports written before reasons were kept have none
+                    error=(" ".join(parts[5:]) or "recorded-failure") if failed else "",
                 )
             )
         else:
@@ -324,12 +346,30 @@ def _ranks(values: Sequence[float]) -> list[float]:
     return ranks
 
 
+def _subset_sum_counts(values: Sequence[int], size: int) -> np.ndarray:
+    """counts[s]: how many ``size``-subsets of ``values`` (positive ints) sum to s.
+
+    Dynamic programming over the values, one row per subset size.  Counts
+    are floats: exact up to 2**53, relatively accurate beyond.
+    """
+    width = sum(sorted(values)[-size:]) + 1  # no subset sums higher
+    counts = np.zeros((size + 1, width))
+    counts[0, 0] = 1.0
+    for i, v in enumerate(values):
+        for j in range(min(i + 1, size), 0, -1):
+            counts[j, v:] += counts[j - 1, :width - v]
+    return counts[size]
+
+
 def rank_sum_p_value(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
     """Two-sided rank-sum test; returns (rank sum of a, p value).
 
-    Uses exact enumeration over assignments when either sample has fewer
-    than 10 observations, and the tie-corrected normal approximation
-    otherwise.
+    Uses the exact permutation distribution of the rank sum when either
+    sample has fewer than 10 observations, and the tie-corrected normal
+    approximation otherwise.  The exact distribution is counted over
+    doubled midranks, which are integers, so tied values stay exact.  It
+    is counted for the smaller sample; when that is ``b``, its two tails
+    are those of ``a`` swapped, which leaves the two-sided p unchanged.
     """
     n, m = len(a), len(b)
     if n == 0 or m == 0:
@@ -339,16 +379,13 @@ def rank_sum_p_value(a: Sequence[float], b: Sequence[float]) -> tuple[float, flo
     w = sum(ranks[:n])
 
     if min(n, m) < 10:
-        total = 0
-        le = 0
-        ge = 0
-        for combo in itertools.combinations(range(n + m), n):
-            s = sum(ranks[i] for i in combo)
-            total += 1
-            if s <= w + 1e-12:
-                le += 1
-            if s >= w - 1e-12:
-                ge += 1
+        doubled = [int(2.0 * r) for r in ranks]
+        small = doubled[:n] if n <= m else doubled[n:]
+        x = sum(small)
+        counts = _subset_sum_counts(doubled, len(small))
+        total = float(counts.sum())
+        le = float(counts[:x + 1].sum())
+        ge = float(counts[x:].sum())
         p = min(1.0, 2.0 * min(le / total, ge / total))
         return w, p
 

@@ -71,7 +71,6 @@ def _config_from(args, algorithm: str, runs: int, jobs: int = 1, out=None) -> be
 
 
 def _load_instance(args):
-    config = bench.RunConfig(instances=(args.instance,), runs=1)
     text = Path(args.instance).read_text()
     inst = bench.load_instance_text(text, max_customers=getattr(args, "max_customers", None))
     if args.annotation:

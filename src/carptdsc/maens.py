@@ -92,20 +92,15 @@ class _Assessor:
                  evaluator: Optional[RouteEvaluator] = None):
         self.instance = instance
         self.evaluator = evaluator if evaluator is not None else RouteEvaluator(instance, sp)
-        self.capacity = instance.capacity
         self._cache: dict[tuple[int, ...], tuple[float, float]] = {}
 
     def route_stats(self, route: Sequence[int]) -> tuple[float, float]:
         """(total cost, violation) of one route departing at time 0."""
         key = tuple(route)
         hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        ev = self.evaluator.evaluate(key, 0.0)
-        load_excess = max(0.0, self.evaluator.route_load(key) - self.capacity)
-        stats = (ev.total, ev.horizon_violation + load_excess)
-        self._cache[key] = stats
-        return stats
+        if hit is None:
+            hit = self._cache[key] = self.evaluator.walk(self.evaluator.origin, key)
+        return hit
 
     def contrib(self, route: Sequence[int], lam: float) -> float:
         total, violation = self.route_stats(route)
@@ -249,16 +244,25 @@ def _cheapest_insertion(
     instance: Instance,
     lam: float,
 ) -> None:
-    """Insert ``tid`` (or its inverse) where it increases cost least."""
+    """Insert ``tid`` (or its inverse) where it increases cost least.
+
+    Each route is walked once to record its prefix states; a candidate is
+    then walked from the state ahead of its position only, which gives
+    the same cost, bit for bit, as walking the whole candidate route.
+    """
     inv = instance.tasks[tid].inverse_id
     orientations = (tid,) if inv is None else (tid, inv)
+    walk = assessor.evaluator.walk
     best = None  # (delta, route index or None, position, oriented id)
     for ri, route in enumerate(routes):
-        base = assessor.contrib(route, lam)
-        for pos in range(len(route) + 1):
+        prefixes = [assessor.evaluator.origin]
+        total, violation = walk(prefixes[0], route, prefixes)
+        base = total + lam * violation
+        for pos, state in enumerate(prefixes):
+            rest = route[pos:]
             for oid in orientations:
-                cand = route[:pos] + [oid] + route[pos:]
-                delta = assessor.contrib(cand, lam) - base
+                total, violation = walk(state, [oid] + rest)
+                delta = total + lam * violation - base
                 if best is None or delta < best[0]:
                     best = (delta, ri, pos, oid)
     for oid in orientations:  # opening a fresh route is always an option

@@ -21,6 +21,8 @@ from .instance import Instance, ShortestPaths
 
 RoutingPlan = tuple[int, ...]
 DepartureTimes = tuple[float, ...]
+# a route prefix's (time, service-cost sum, deadhead sum, end vertex, load)
+RouteState = tuple[float, float, float, int, float]
 
 
 class PlanError(ValueError):
@@ -123,6 +125,7 @@ class RouteEvaluator:
         self.instance = instance
         self.sp = sp
         self.depot = instance.depot
+        self.origin: RouteState = (0.0, 0.0, 0.0, instance.depot, 0.0)
         n_ids = max(instance.tasks) + 1
         self.tail = [0] * n_ids
         self.head = [0] * n_ids
@@ -142,6 +145,64 @@ class RouteEvaluator:
             self.demand[tid] = task.demand
         self.sp_time = sp.time.tolist()
         self.sp_cost = sp.cost.tolist()
+        # walk() fetches a task's attributes in one lookup; an ID missing
+        # here (unknown, or the depot dummy 0) is rejected
+        self._task_row = {
+            tid: (self.tail[tid], self.head[tid], self.c_min[tid], self.bt[tid],
+                  self.et[tid], self.k[tid], self.demand[tid])
+            for tid in instance.real_task_ids
+        }
+
+    def walk(
+        self,
+        state: RouteState,
+        tasks: Sequence[int],
+        trail: Optional[list[RouteState]] = None,
+    ) -> tuple[float, float]:
+        """Continue a route from ``state`` through ``tasks`` back to the depot.
+
+        Returns (cost, violation): the cost is added up in the order
+        :meth:`evaluate` uses, so it equals ``evaluate(route, t).total``
+        bit for bit when ``state`` is the route's prefix at departure t;
+        the violation is the return's horizon excess plus the load's
+        capacity excess.  If ``trail`` is a list, the state after each
+        task is appended to it, so ``[origin] + trail`` are the prefix
+        states of the route.
+        """
+        cur, services, deadhead, v, load = state
+        sp_time, sp_cost, row_of = self.sp_time, self.sp_cost, self._task_row
+        inf = float("inf")
+        for tid in tasks:
+            row = row_of.get(tid)
+            if row is None:
+                raise PlanError(f"unknown or depot task ID {tid} in route")
+            tail, head, c_min, bt, et, k, demand = row
+            leg_t = sp_time[v][tail]
+            if leg_t == inf:
+                raise PlanError(f"no deadhead path from vertex {v} to task {tid}")
+            deadhead += sp_cost[v][tail]
+            cur += leg_t
+            if cur < bt:
+                sc = c_min + k * (bt - cur)
+            elif cur > et:
+                sc = c_min + k * (cur - et)
+            else:
+                sc = c_min
+            services += sc
+            cur += sc
+            v = head
+            load += demand
+            if trail is not None:
+                trail.append((cur, services, deadhead, v, load))
+        leg_t = sp_time[v][self.depot]
+        if leg_t == inf:
+            raise PlanError(f"no deadhead path from vertex {v} back to the depot")
+        deadhead += sp_cost[v][self.depot]
+        cur += leg_t
+        # max(0.0, x) without the call
+        late = cur - self.instance.horizon
+        over = load - self.instance.capacity
+        return services + deadhead, (late if late > 0.0 else 0.0) + (over if over > 0.0 else 0.0)
 
     def _check_route(self, route: Sequence[int]):
         for tid in route:
@@ -156,6 +217,9 @@ class RouteEvaluator:
         sp_time, sp_cost = self.sp_time, self.sp_cost
         arrivals = [t]
         services: list[float] = []
+        # added up in order: sum() compensates rounding from Python 3.12 on,
+        # and total must equal walk()'s cost bit for bit
+        service_sum = 0.0
         cur = t
         v = self.depot
         deadhead = 0.0
@@ -175,6 +239,7 @@ class RouteEvaluator:
             else:
                 sc = self.c_min[tid]
             services.append(sc)
+            service_sum += sc
             cur += sc
             v = self.head[tid]
         leg_t = sp_time[v][self.depot]
@@ -187,7 +252,7 @@ class RouteEvaluator:
             arrival_times=tuple(arrivals),
             service_costs=tuple(services),
             deadhead_cost=deadhead,
-            total=sum(services) + deadhead,
+            total=service_sum + deadhead,
             horizon_violation=max(0.0, cur - self.instance.horizon),
         )
 

@@ -206,3 +206,117 @@ def test_failed_runs_recorded(tmp_path, monkeypatch):
     assert "failed" in text
     back = read_report(text)
     assert back.results[0].failures == 1
+
+
+def _enumerated_p_value(a, b):
+    """Two-sided exact p by enumerating every assignment of ranks to a."""
+    import itertools
+
+    from carptdsc.bench import _ranks
+
+    n = len(a)
+    ranks = _ranks(list(a) + list(b))
+    w = sum(ranks[:n])
+    le = ge = total = 0
+    for combo in itertools.combinations(range(len(ranks)), n):
+        s = sum(ranks[i] for i in combo)
+        total += 1
+        le += s <= w + 1e-12
+        ge += s >= w - 1e-12
+    return w, min(1.0, 2.0 * min(le / total, ge / total))
+
+
+def test_rank_sum_exact_matches_enumeration_with_ties():
+    rng = __import__("numpy").random.default_rng(11)
+    for _ in range(200):
+        n, m = (int(x) for x in rng.integers(1, 8, size=2))
+        a = [float(x) for x in rng.integers(0, 4, size=n)]
+        b = [float(x) for x in rng.integers(0, 4, size=m)]
+        w, p = rank_sum_p_value(a, b)
+        want_w, want_p = _enumerated_p_value(a, b)
+        assert w == want_w
+        assert p == pytest.approx(want_p, abs=1e-12)
+
+
+@pytest.mark.parametrize("n,m", [(3, 12), (9, 9), (12, 4), (9, 30)])
+def test_rank_sum_exact_matches_scipy_without_ties(n, m):
+    from scipy.stats import mannwhitneyu
+
+    rng = __import__("numpy").random.default_rng(n * 100 + m)
+    for shift in (0.0, 0.7, -1.5):
+        a = list(rng.normal(shift, 1.0, size=n))
+        b = list(rng.normal(0.0, 1.0, size=m))
+        w, p = rank_sum_p_value(a, b)
+        ref = mannwhitneyu(a, b, alternative="two-sided", method="exact")
+        assert ref.statistic == w - n * (n + 1) / 2.0
+        assert p == pytest.approx(ref.pvalue, abs=1e-12)
+
+
+def test_rank_sum_nine_against_fifty_is_fast():
+    import time
+
+    rng = __import__("numpy").random.default_rng(5)
+    a = [float(x) for x in rng.integers(0, 20, size=9)]  # with ties
+    b = [float(x) for x in rng.integers(5, 25, size=50)]
+    start = time.perf_counter()
+    _, p = rank_sum_p_value(a, b)
+    assert time.perf_counter() - start < 1.0
+    assert 0.0 < p < 1.0
+    _, p_swapped = rank_sum_p_value(b, a)
+    assert p_swapped == pytest.approx(p, abs=1e-12)
+
+
+def _failing_report(errors):
+    from carptdsc.bench import ExperimentReport, InstanceResult, RunRecord
+
+    ok = InstanceResult("fine", (RunRecord(0, 5.0, 0.5), RunRecord(1, None, 0.25, errors[0])))
+    dead = InstanceResult("dead", tuple(
+        RunRecord(i, None, 0.1 * (i + 1), err) for i, err in enumerate(errors)))
+    return ExperimentReport("maens-gn", len(errors), 0, (ok, dead))
+
+
+def test_report_with_all_runs_failed_roundtrips(tmp_path):
+    from carptdsc.bench import report_csv
+
+    report = _failing_report(["no feasible plan", "boom"])
+    text = serialize_report(report)  # used to raise StatisticsError
+    assert "instance dead : failed" in text
+    back = read_report(text)
+    assert [res.name for res in back.results] == ["fine", "dead"]
+    dead = back.results[1]
+    assert dead.failures == len(dead.runs) == 2 and dead.costs == []
+    assert back.results[0].costs == [5.0]
+    write_report(report, str(tmp_path / "r.txt"))
+    rows = (tmp_path / "r.txt.csv").read_text().splitlines()
+    assert rows[0] == "instance,seed,cost,seconds,error"
+    assert rows[3:] == ["dead,0,,0.1,no feasible plan", "dead,1,,0.2,boom"]
+    assert report_csv(report) == (tmp_path / "r.txt.csv").read_text()
+
+
+def test_failure_reasons_roundtrip():
+    import csv
+    import io
+
+    from carptdsc.bench import report_csv
+
+    reason = "capacity or horizon\n  may be unsatisfiable, see\tlog"
+    report = _failing_report([reason, "plain"])
+    text = serialize_report(report)
+    assert "run dead 0 failed 0.1 capacity or horizon may be unsatisfiable, see log\n" in text
+    back = read_report(text)
+    errors = [rec.error for res in back.results for rec in res.runs]
+    assert errors == ["", "capacity or horizon may be unsatisfiable, see log",
+                      "capacity or horizon may be unsatisfiable, see log", "plain"]
+    rows = list(csv.DictReader(io.StringIO(report_csv(report))))
+    assert [r["error"] for r in rows] == errors
+    assert [r["cost"] for r in rows] == ["5.0", "", "", ""]
+
+
+def test_report_without_reasons_reads_recorded_failure():
+    text = (
+        "carptdsc-report v1\nalgorithm : a\nruns : 2\nbase_seed : 0\n"
+        "instance one : ave 1.0 std 0.0 best 1.0 ave_time 0.0\n"
+        "run one 0 1.0 0.0\nrun one 1 failed 0.0\n"
+    )
+    runs = read_report(text).results[0].runs
+    assert [r.error for r in runs] == ["", "recorded-failure"]

@@ -1,0 +1,210 @@
+"""The stage-1 route kernel ``RouteEvaluator.walk`` and prefix-state insertion.
+
+``walk`` must give the same (cost, violation), bit for bit, as the full
+forward pass ``evaluate`` plus the load excess; a walk that starts from a
+recorded prefix state must equal a walk of the whole route; and the
+search built on them must reproduce pinned plans.
+"""
+
+import hashlib
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from carptdsc import (
+    Arc,
+    MaensParams,
+    RouteEvaluator,
+    ServiceCostFunction,
+    Task,
+    build_instance,
+    evolve,
+    instance_io,
+    shortest_paths,
+)
+from carptdsc.bench import load_instance_text
+from carptdsc.maens import _Assessor, _cheapest_insertion
+from carptdsc.solution import PlanError
+
+from conftest import DATA, rng_for
+
+
+def _cases():
+    _, static = instance_io.parse_carp((DATA / "gdb1.dat").read_text())
+    cases = {"gdb1": static}
+    for k in (0.3, 2.0, 3.0):
+        cases[f"gdb1-3lp-k{k}"], _ = instance_io.generate_td(static, "3lp", (k,), 3)
+    cases["r101_25"] = load_instance_text((DATA / "r101_25.txt").read_text())
+    out = {}
+    for name, inst in cases.items():
+        sp = shortest_paths(inst)
+        out[name] = (inst, sp, RouteEvaluator(inst, sp))
+    return out
+
+
+CASES = _cases()
+
+
+def _bits(stats):
+    return tuple(float(x).hex() for x in stats)
+
+
+def _full_stats(ev, route):
+    """(cost, violation) the way stage 1 computed it before walk()."""
+    full = ev.evaluate(route, 0.0)
+    load_excess = max(0.0, ev.route_load(route) - ev.instance.capacity)
+    return full.total, full.horizon_violation + load_excess
+
+
+@st.composite
+def _case_route(draw, max_size=20):
+    name = draw(st.sampled_from(sorted(CASES)))
+    inst, _, ev = CASES[name]
+    ids = st.sampled_from(inst.real_task_ids)
+    return ev, draw(st.lists(ids, max_size=max_size)), draw(ids)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_case_route())
+def test_walk_matches_evaluate_bit_for_bit(case):
+    ev, route, _ = case
+    assert _bits(ev.walk(ev.origin, route)) == _bits(_full_stats(ev, route))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_case_route(max_size=15), st.sampled_from([1.0, 7.5, 1e3, 2.0 ** 20]))
+def test_prefix_insertion_delta_matches_full_evaluation(case, lam):
+    ev, route, oid = case
+    prefixes = [ev.origin]
+    total, violation = ev.walk(ev.origin, route, prefixes)
+    assert len(prefixes) == len(route) + 1
+    assert _bits((total, violation)) == _bits(_full_stats(ev, route))
+    base = total + lam * violation
+    for pos, state in enumerate(prefixes):
+        total, violation = ev.walk(state, [oid] + route[pos:])
+        full_total, full_violation = _full_stats(ev, route[:pos] + [oid] + route[pos:])
+        assert (total + lam * violation - base).hex() == (
+            full_total + lam * full_violation - base).hex()
+
+
+def _reference_insertion(routes, tid, assessor, instance, lam):
+    """Cheapest insertion by evaluating every whole candidate route."""
+    inv = instance.tasks[tid].inverse_id
+    orientations = (tid,) if inv is None else (tid, inv)
+    best = None
+    for ri, route in enumerate(routes):
+        base = assessor.contrib(route, lam)
+        for pos in range(len(route) + 1):
+            for oid in orientations:
+                delta = assessor.contrib(route[:pos] + [oid] + route[pos:], lam) - base
+                if best is None or delta < best[0]:
+                    best = (delta, ri, pos, oid)
+    for oid in orientations:
+        delta = assessor.contrib([oid], lam)
+        if best is None or delta < best[0]:
+            best = (delta, None, 0, oid)
+    _, ri, pos, oid = best
+    if ri is None:
+        routes.append([oid])
+    else:
+        routes[ri].insert(pos, oid)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cheapest_insertion_matches_whole_route_reference(name):
+    inst, sp, ev = CASES[name]
+    assessor = _Assessor(inst, sp, evaluator=ev)
+    roots = sorted({inst.pair_root(t) for t in inst.real_task_ids})
+    for seed in range(15):
+        rng = rng_for(seed)
+        order = [roots[int(i)] for i in rng.permutation(len(roots))]
+        missing = order[:4]
+        rest = order[4:]
+        cuts = sorted(int(c) for c in rng.choice(len(rest), size=3, replace=False))
+        routes = [rest[a:b] for a, b in zip([0] + cuts, cuts + [len(rest)]) if rest[a:b]]
+        lam = float(rng.uniform(0.5, 50.0))
+        got = [list(r) for r in routes]
+        want = [list(r) for r in routes]
+        for tid in missing:
+            _cheapest_insertion(got, tid, assessor, inst, lam)
+            _reference_insertion(want, tid, assessor, inst, lam)
+            assert got == want
+
+
+def _broken_instance():
+    """Task 2's tail (vertex 2) cannot be reached from the depot and task
+    3's head (vertex 3) cannot reach the depot."""
+    arcs = [
+        Arc(1, 0, 1, 1, 1, 1), Arc(2, 1, 0, 1, 1, 1),
+        Arc(3, 2, 0, 1, 1, 1), Arc(4, 0, 3, 1, 1, 1),
+    ]
+    tasks = [
+        Task(1, arcs[0], 1.0, ServiceCostFunction(1.0)),
+        Task(2, arcs[2], 1.0, ServiceCostFunction(1.0)),
+        Task(3, arcs[3], 1.0, ServiceCostFunction(1.0)),
+    ]
+    inst = build_instance(4, arcs, tasks, 0, 5.0, 1, 100.0)
+    sp = shortest_paths(inst)
+    return inst, sp, RouteEvaluator(inst, sp)
+
+
+@pytest.mark.parametrize("route", [(1, 99), (0,), (1, 0, 1), (-1,)])
+def test_walk_rejects_unknown_and_depot_ids(route):
+    inst, sp, ev = _broken_instance()
+    with pytest.raises(PlanError, match="unknown or depot task ID"):
+        ev.walk(ev.origin, route)
+    with pytest.raises(PlanError, match="unknown or depot task ID"):
+        _Assessor(inst, sp, evaluator=ev).route_stats(route)
+
+
+@pytest.mark.parametrize("route,where", [
+    ((2,), "from vertex 0 to task 2"),
+    ((1, 2), "from vertex 1 to task 2"),
+    ((3,), "from vertex 3 back to the depot"),
+])
+def test_walk_rejects_unreachable_legs(route, where):
+    inst, sp, ev = _broken_instance()
+    with pytest.raises(PlanError, match=where):
+        ev.walk(ev.origin, route)
+    with pytest.raises(PlanError, match="no deadhead path"):
+        _Assessor(inst, sp, evaluator=ev).route_stats(route)
+    assert ev.walk(ev.origin, (1,)) == (2.0, 0.0)
+
+
+# Plans of the search before it used walk() (gdb1, generator seed 3 for
+# 3LP; 6 generations, pls 0.3): seed, cost, sha1 of repr(trace), plan.
+GOLDEN = {
+    "gdb1": [
+        (0, 320.0, "d67253206614146b",
+         (0, 9, 29, 6, 0, 15, 41, 38, 31, 0, 36, 33, 39, 44, 8, 0, 3, 20, 17, 21,
+          25, 0, 1, 11, 27, 24, 14, 0)),
+        (1, 320.0, "6f36e529fcfc5db0",
+         (0, 9, 32, 29, 6, 0, 26, 20, 17, 12, 0, 36, 33, 37, 42, 16, 0, 3, 21,
+          27, 44, 8, 0, 1, 13, 23, 40, 0)),
+        (2, 320.0, "6f36e529fcfc5db0",
+         (0, 3, 21, 27, 44, 8, 0, 13, 17, 23, 40, 35, 0, 9, 32, 29, 6, 0, 1, 11,
+          19, 25, 0, 15, 41, 38, 34, 0)),
+    ],
+    "gdb1-3lp-k2.0": [
+        (0, 2602.507134698427, "01731b1748481615",
+         (0, 7, 9, 12, 31, 0, 13, 29, 35, 38, 17, 0, 16, 41, 19, 33, 4, 0, 1, 21,
+          27, 25, 44, 0, 39, 24, 6, 0)),
+        (1, 2562.3726289908786, "ab9f9c0651b061a8",
+         (0, 7, 10, 12, 21, 17, 0, 16, 41, 20, 27, 4, 0, 1, 31, 34, 26, 44, 0, 14,
+          23, 37, 0, 39, 5, 30, 35, 0)),
+        (2, 2592.4960231910727, "202f05760a3414d9",
+         (0, 15, 17, 19, 26, 44, 0, 40, 6, 29, 0, 7, 9, 22, 42, 34, 0, 2, 32, 11,
+          28, 4, 0, 13, 23, 35, 37, 0)),
+    ],
+}
+
+
+@pytest.mark.parametrize("name,seed,cost,trace_sha,plan", [
+    (name, *row) for name, rows in GOLDEN.items() for row in rows
+])
+def test_pinned_plans(name, seed, cost, trace_sha, plan):
+    inst, sp, _ = CASES[name]
+    res = evolve(inst, sp, MaensParams(generations=6, pls=0.3, seed=seed))
+    assert res.plan == plan
+    assert res.total_cost == cost
+    assert hashlib.sha1(repr(res.trace).encode()).hexdigest()[:16] == trace_sha
