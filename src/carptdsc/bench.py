@@ -439,6 +439,8 @@ class ReportComparison:
     losses: int
     no_best_a: int
     no_best_b: int
+    # common instances left out because every run of one report failed
+    all_failed: tuple[str, ...]
 
     @property
     def wdl(self) -> tuple[int, int, int]:
@@ -453,17 +455,23 @@ def compare_reports(
 ) -> ReportComparison:
     """Instance-by-instance comparison of two reports (a vs b).
 
-    win/draw/loss counts partition the common instance set.  No.best
-    counts instances where each report attains the better Best value
-    (or better Ave with ``no_best_on_ave``); both score on ties.
+    win/draw/loss counts partition the common instances on which both
+    reports have a successful run; the others are listed in
+    ``all_failed``.  No.best counts instances where each report attains
+    the better Best value (or better Ave with ``no_best_on_ave``); both
+    score on ties.
     """
     by_name_b = {res.name: res for res in b.results}
     rows = []
+    all_failed = []
     wins = draws = losses = 0
     no_best_a = no_best_b = 0
     for res_a in a.results:
         res_b = by_name_b.get(res_a.name)
         if res_b is None:
+            continue
+        if not (res_a.costs and res_b.costs):
+            all_failed.append(res_a.name)
             continue
         verdict = wilcoxon_rank_sum(res_a.costs, res_b.costs, alpha=alpha).verdict
         if verdict == "better":
@@ -494,16 +502,20 @@ def compare_reports(
         losses=losses,
         no_best_a=no_best_a,
         no_best_b=no_best_b,
+        all_failed=tuple(all_failed),
     )
 
 
 def average_pdr(report: ExperimentReport, references: dict[str, float]) -> float:
-    """Mean PDR of per-instance averages against reference values (e.g. LBs)."""
+    """Mean PDR of per-instance averages against reference values (e.g. LBs).
+
+    An instance whose runs all failed has no average and is left out.
+    """
     values = [
         pdr(res.ave, references[res.name])
         for res in report.results
-        if res.name in references
+        if res.name in references and res.costs
     ]
     if not values:
-        raise ValueError("no instance of the report matches a reference value")
+        raise ValueError("no instance with a successful run matches a reference value")
     return statistics.fmean(values)

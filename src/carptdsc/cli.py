@@ -156,6 +156,8 @@ def cmd_stats(args) -> int:
     for row in cmp.rows:
         print(f"{row.name}: ave {row.ave_a:.3f} vs {row.ave_b:.3f} "
               f"pdr {row.pdr_a_vs_b:+.3f}% verdict {row.verdict}")
+    for name in cmp.all_failed:
+        print(f"{name}: every run failed in one report; left out")
     print(f"w-d-l {cmp.wins}-{cmp.draws}-{cmp.losses}")
     print(f"No.best {cmp.no_best_a} vs {cmp.no_best_b}")
     if args.lb:

@@ -13,13 +13,14 @@ provided for verification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .costfn import Family, classify
 from .instance import Instance, ShortestPaths
+from .maens import mix_seed
 from .solution import DepartureTimes, RouteEvaluator, RoutingPlan, split_routes
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # interval shrink factor per iteration
@@ -86,6 +87,18 @@ class NcsParams:
             raise ValueError(f"need at least 2 search processes, got {self.process_count}")
         if self.budget <= 0:
             raise ValueError(f"evaluation budget must be positive, got {self.budget}")
+        # ncs divides by sigma ** 2, so it may not underflow to zero either
+        if self.sigma_init is not None and not (
+            math.isfinite(self.sigma_init)
+            and self.sigma_init > 0.0
+            and self.sigma_init * self.sigma_init > 0.0
+        ):
+            raise ValueError(
+                f"sigma_init must be finite and positive with a nonzero square, "
+                f"got {self.sigma_init}"
+            )
+        if self.epoch_adapt < 1:
+            raise ValueError(f"epoch_adapt must be at least 1, got {self.epoch_adapt}")
 
 
 def gss(obj: ScalarObjective, lo: float, hi: float, epsilon: float) -> tuple[float, float]:
@@ -124,14 +137,6 @@ def gss_eval_bound(lo: float, hi: float, epsilon: float) -> int:
     return math.ceil(math.log(epsilon / (hi - lo)) / math.log(INVPHI)) + 2
 
 
-def _bhattacharyya(m1: float, s1: float, m2: float, s2: float) -> float:
-    """Bhattacharyya distance between two 1-D Gaussians."""
-    v1, v2 = s1 * s1, s2 * s2
-    return 0.25 * (m1 - m2) ** 2 / (v1 + v2) + 0.5 * math.log(
-        (v1 + v2) / (2.0 * s1 * s2)
-    )
-
-
 def ncs(
     obj: ScalarObjective, lo: float, hi: float, params: NcsParams
 ) -> tuple[float, float]:
@@ -142,88 +147,89 @@ def ncs(
     its parent when its normalized fitness over its normalized distance to
     the other processes' distributions falls below a threshold drawn
     around 1, so processes are simultaneously pulled toward good regions
-    and pushed apart.  Step sizes adapt by the 1/5-success rule.  Never
-    exceeds ``params.budget`` objective evaluations; returns the best
-    point evaluated, clamped to [lo, hi] by construction.
+    and pushed apart.  Never exceeds ``params.budget`` objective
+    evaluations; returns the best point evaluated, clamped to [lo, hi] by
+    construction.
+
+    One step size is shared by all processes and adapted every
+    ``epoch_adapt`` epochs by the 1/5-success rule on the success rate
+    pooled over all processes; Tang, Yang & Yao (IEEE JSAC 2016) give
+    each process its own.  With equal variances the log term of the
+    Bhattacharyya distance, log((v + v) / (2 s s)), is log(1) = 0, so the
+    distance to the nearest other process is a scaled squared distance to
+    the nearest other mean.
     """
     if lo >= hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
     rng = np.random.Generator(np.random.PCG64(params.seed))
     span = hi - lo
     nproc = params.process_count
-    sigma0 = params.sigma_init if params.sigma_init is not None else span / 6.0
+    budget = params.budget
+    sigma = params.sigma_init if params.sigma_init is not None else span / 6.0
 
     means: list[float] = []
     fits: list[float] = []
     best_t = math.nan
     best_f = math.inf
-    used = 0
-
-    def evaluate(t: float) -> float:
-        nonlocal used, best_t, best_f
+    for t in (lo + span * rng.random(nproc)).tolist():
+        if len(means) >= budget:
+            return best_t, best_f
         f = obj(t)
-        used += 1
         if f < best_f:
             best_f, best_t = f, t
-        return f
-
-    init_points = lo + span * rng.random(nproc)
-    for t in init_points:
-        if used >= params.budget:
-            return best_t, best_f
-        means.append(float(t))
-        fits.append(evaluate(float(t)))
-    sigmas = [sigma0] * len(means)
+        means.append(t)
+        fits.append(f)
+    used = nproc
 
     epoch = 0
     successes = 0
-    while used < params.budget:
+    while used < budget:
         epoch += 1
-        proposals: list[float] = []
-        proposal_fits: list[float] = []
-        for i in range(len(means)):
-            if used >= params.budget:
-                break
-            t = min(hi, max(lo, means[i] + sigmas[i] * rng.standard_normal()))
-            proposals.append(t)
-            proposal_fits.append(evaluate(t))
-        if not proposals:
-            break
+        count = min(nproc, budget - used)
+        steps = rng.standard_normal(count).tolist()
+        proposals = [min(hi, max(lo, m + sigma * z)) for m, z in zip(means, steps)]
+        proposal_fits = []
+        for t in proposals:
+            f = obj(t)
+            if f < best_f:
+                best_f, best_t = f, t
+            proposal_fits.append(f)
+        used += count
 
-        pool = fits[: len(proposals)] + proposal_fits
+        pool = fits[:count] + proposal_fits
         f_lo, f_hi = min(pool), max(pool)
         f_span = max(f_hi - f_lo, 1e-300)
+        # Bhattacharyya distance of N(t, var) to the nearest N(m, var):
+        # monotone in (t - m) ** 2, so the nearest mean gives the minimum;
+        # the log term is 0.0 unless sigma * sigma is subnormal
+        var = sigma * sigma
+        var2 = var + var
+        offset = 0.5 * math.log(var2 / (2.0 * sigma * sigma))
         dists = []
         for i, t in enumerate(proposals):
-            d = min(
-                _bhattacharyya(t, sigmas[i], means[j], sigmas[j])
-                for j in range(len(means))
-                if j != i
-            )
-            dists.append(d)
+            sq = [(t - m) ** 2 for m in means]
+            del sq[i]
+            dists.append(0.25 * min(sq) / var2 + offset)
         d_hi = max(max(dists), 1e-300)
 
-        progress = used / params.budget
-        for i, t in enumerate(proposals):
+        spread = max(0.1 * (1.0 - used / budget), 0.01)
+        for i, z in enumerate(rng.standard_normal(count).tolist()):
             f_norm = (proposal_fits[i] - f_lo) / f_span
             d_norm = dists[i] / d_hi
-            lam = 1.0 + max(0.1 * (1.0 - progress), 0.01) * rng.standard_normal()
-            if f_norm / max(d_norm, 1e-12) < lam:
-                means[i] = t
+            if f_norm / max(d_norm, 1e-12) < 1.0 + spread * z:
+                means[i] = proposals[i]
                 fits[i] = proposal_fits[i]
                 successes += 1
 
         if epoch % params.epoch_adapt == 0:
-            rate = successes / (params.epoch_adapt * len(means))
+            rate = successes / (params.epoch_adapt * nproc)
             if rate > 0.2:
                 factor = 1.0 / 0.85
             elif rate < 0.2:
                 factor = 0.85
             else:
                 factor = 1.0
-            sigmas = [
-                min(span, max(1e-12 * span, s * factor)) for s in sigmas
-            ]
+            sigma = min(span, max(1e-12 * span, sigma * factor))
             successes = 0
 
     return best_t, best_f
@@ -234,8 +240,10 @@ def grid_oracle(
 ) -> tuple[float, float]:
     """Exhaustive minimum over {lo, lo+step, ...} up to and including hi.
 
-    Ties break toward the smaller departure time.  Verification tool; not
-    meant to be fast.
+    Ties break toward the smaller departure time.  Verification tool: it
+    makes O((hi - lo) / step) evaluations, in one batch through the
+    objective's ``vector_fn`` when it has one (for a route, the in-place
+    ``RouteEvaluator.profile`` sweep).
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
@@ -290,20 +298,8 @@ def optimize_departures(
         else:
             # the ncs stream is keyed to the route content, so a route's
             # departure does not depend on its position in the plan
-            route_params = NcsParams(
-                process_count=ncs_params.process_count,
-                budget=ncs_params.budget,
-                sigma_init=ncs_params.sigma_init,
-                epoch_adapt=ncs_params.epoch_adapt,
-                seed=_route_stream_seed(ncs_params.seed, route),
-            )
+            route_params = replace(ncs_params, seed=mix_seed(ncs_params.seed, route))
             t_star, _ = ncs(obj, 0.0, horizon, route_params)
         departures.append(t_star)
     return tuple(departures)
 
-
-def _route_stream_seed(base: int, route: Sequence[int]) -> int:
-    mixed = base & 0xFFFFFFFF
-    for tid in route:
-        mixed = (mixed * 1_000_003 + tid + 1) & 0xFFFFFFFFFFFF
-    return mixed

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -77,12 +77,17 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _stream(seed: int, *indices: int) -> np.random.Generator:
-    """Independent deterministic RNG stream for a (generation, offspring) slot."""
+def mix_seed(seed: int, indices: Iterable[int]) -> int:
+    """Deterministic 48-bit seed for the stream keyed by ``indices`` under ``seed``."""
     mixed = seed & 0xFFFFFFFF
     for idx in indices:
         mixed = (mixed * 1_000_003 + idx + 1) & 0xFFFFFFFFFFFF
-    return _rng(mixed)
+    return mixed
+
+
+def _stream(seed: int, *indices: int) -> np.random.Generator:
+    """Independent deterministic RNG stream for a (generation, offspring) slot."""
+    return _rng(mix_seed(seed, indices))
 
 
 class _Assessor:

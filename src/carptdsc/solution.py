@@ -281,11 +281,17 @@ class RouteEvaluator:
         return total + sp_cost[v][self.depot]
 
     def profile(self, route: Sequence[int], ts: np.ndarray) -> np.ndarray:
-        """Route cost swept over an array of departure times (vectorized)."""
+        """Route cost swept over an array of departure times (vectorized).
+
+        Equals ``[total(route, t) for t in ts]`` bit for bit.  The sweep
+        advances the arrival times and the cost in place, with two scratch
+        arrays for the ramp terms, so a task allocates no array.
+        """
         self._check_route(route)
-        ts = np.asarray(ts, dtype=float)
-        cur = ts.astype(float, copy=True)
+        cur = np.array(ts, dtype=float)
         total = np.zeros_like(cur)
+        sc = np.empty_like(cur)
+        late = np.empty_like(cur)
         v = self.depot
         for tid in route:
             tail = self.tail[tid]
@@ -294,9 +300,12 @@ class RouteEvaluator:
                 raise PlanError(f"no deadhead path from vertex {v} to task {tid}")
             total += self.sp_cost[v][tail]
             cur += leg_t
-            sc = self.c_min[tid] + self.k[tid] * (
-                np.maximum(self.bt[tid] - cur, 0.0) + np.maximum(cur - self.et[tid], 0.0)
-            )
+            # c_min + k * (max(bt - cur, 0) + max(cur - et, 0)), in place
+            np.maximum(np.subtract(self.bt[tid], cur, out=sc), 0.0, out=sc)
+            np.maximum(np.subtract(cur, self.et[tid], out=late), 0.0, out=late)
+            sc += late
+            sc *= self.k[tid]
+            sc += self.c_min[tid]
             total += sc
             cur += sc
             v = self.head[tid]

@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately written from scratch (explicit segment
-logic, matrix relaxation, exhaustive enumeration) so the implementations
-under test are checked against a second, unrelated path to the answer.
+logic, matrix relaxation, exhaustive enumeration, a per-process search
+with pairwise distances) so the implementations under test are checked
+against a second, unrelated path to the answer.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from carptdsc.solution import RouteEvaluator, split_routes
 
@@ -129,3 +132,101 @@ def brute_force_optimum(instance, sp):
             best_cost = cost
             best_plan = plan
     return best_plan, best_cost
+
+
+def bhattacharyya(m1, s1, m2, s2):
+    """Bhattacharyya distance between two 1-D Gaussians."""
+    v1, v2 = s1 * s1, s2 * s2
+    return 0.25 * (m1 - m2) ** 2 / (v1 + v2) + 0.5 * math.log(
+        (v1 + v2) / (2.0 * s1 * s2)
+    )
+
+
+def reference_ncs(obj, lo, hi, params):
+    """Negatively-correlated search written per process and per draw.
+
+    Keeps one step size per process, draws every normal variate with its
+    own call, and takes each proposal's distance as the minimum pairwise
+    Bhattacharyya distance to the other processes.
+    """
+    if lo >= hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    rng = np.random.Generator(np.random.PCG64(params.seed))
+    span = hi - lo
+    nproc = params.process_count
+    sigma0 = params.sigma_init if params.sigma_init is not None else span / 6.0
+
+    means = []
+    fits = []
+    best_t = math.nan
+    best_f = math.inf
+    used = 0
+
+    def evaluate(t):
+        nonlocal used, best_t, best_f
+        f = obj(t)
+        used += 1
+        if f < best_f:
+            best_f, best_t = f, t
+        return f
+
+    init_points = lo + span * rng.random(nproc)
+    for t in init_points:
+        if used >= params.budget:
+            return best_t, best_f
+        means.append(float(t))
+        fits.append(evaluate(float(t)))
+    sigmas = [sigma0] * len(means)
+
+    epoch = 0
+    successes = 0
+    while used < params.budget:
+        epoch += 1
+        proposals = []
+        proposal_fits = []
+        for i in range(len(means)):
+            if used >= params.budget:
+                break
+            t = min(hi, max(lo, means[i] + sigmas[i] * rng.standard_normal()))
+            proposals.append(t)
+            proposal_fits.append(evaluate(t))
+        if not proposals:
+            break
+
+        pool = fits[: len(proposals)] + proposal_fits
+        f_lo, f_hi = min(pool), max(pool)
+        f_span = max(f_hi - f_lo, 1e-300)
+        dists = []
+        for i, t in enumerate(proposals):
+            d = min(
+                bhattacharyya(t, sigmas[i], means[j], sigmas[j])
+                for j in range(len(means))
+                if j != i
+            )
+            dists.append(d)
+        d_hi = max(max(dists), 1e-300)
+
+        progress = used / params.budget
+        for i, t in enumerate(proposals):
+            f_norm = (proposal_fits[i] - f_lo) / f_span
+            d_norm = dists[i] / d_hi
+            lam = 1.0 + max(0.1 * (1.0 - progress), 0.01) * rng.standard_normal()
+            if f_norm / max(d_norm, 1e-12) < lam:
+                means[i] = t
+                fits[i] = proposal_fits[i]
+                successes += 1
+
+        if epoch % params.epoch_adapt == 0:
+            rate = successes / (params.epoch_adapt * len(means))
+            if rate > 0.2:
+                factor = 1.0 / 0.85
+            elif rate < 0.2:
+                factor = 0.85
+            else:
+                factor = 1.0
+            sigmas = [
+                min(span, max(1e-12 * span, s * factor)) for s in sigmas
+            ]
+            successes = 0
+
+    return best_t, best_f

@@ -320,3 +320,29 @@ def test_report_without_reasons_reads_recorded_failure():
     )
     runs = read_report(text).results[0].runs
     assert [r.error for r in runs] == ["", "recorded-failure"]
+
+
+ALL_FAILED_REPORT = (
+    "carptdsc-report v1\nalgorithm : a\nruns : 2\nbase_seed : 0\n"
+    "instance fine : ave 5.0 std 0.0 best 5.0 ave_time 0.5\n"
+    "run fine 0 5.0 0.5\nrun fine 1 5.0 0.5\n"
+    "instance dead : failed ave_time 0.1\n"
+    "run dead 0 failed 0.1 no feasible plan\nrun dead 1 failed 0.1 no feasible plan\n"
+)
+
+
+def test_compare_reports_leaves_out_all_failed_instances():
+    a = read_report(ALL_FAILED_REPORT)
+    b = read_report(ALL_FAILED_REPORT.replace(" 5.0 0.5", " 6.0 0.5"))
+    cmp = compare_reports(a, b)  # used to raise "both samples must be nonempty"
+    assert cmp.all_failed == ("dead",)
+    assert [row.name for row in cmp.rows] == ["fine"]
+    assert cmp.wins + cmp.draws + cmp.losses == 1
+    assert (cmp.no_best_a, cmp.no_best_b) == (1, 0)
+
+
+def test_average_pdr_skips_all_failed_instances():
+    report = read_report(ALL_FAILED_REPORT)
+    assert average_pdr(report, {"fine": 4.0, "dead": 1.0}) == pytest.approx(25.0)
+    with pytest.raises(ValueError):
+        average_pdr(report, {"dead": 1.0})

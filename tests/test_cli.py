@@ -131,3 +131,24 @@ def test_bad_plan_nonzero_exit(capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+def test_stats_with_an_all_failed_instance(tmp_path, capsys):
+    report = (
+        "carptdsc-report v1\nalgorithm : a\nruns : 2\nbase_seed : 0\n"
+        "instance fine : ave 5.0 std 0.0 best 5.0 ave_time 0.5\n"
+        "run fine 0 5.0 0.5\nrun fine 1 5.0 0.5\n"
+        "instance dead : failed ave_time 0.1\n"
+        "run dead 0 failed 0.1 no feasible plan\nrun dead 1 failed 0.1 boom\n"
+    )
+    path = tmp_path / "r.txt"
+    path.write_text(report)
+    lb_path = tmp_path / "lb.txt"
+    lb_path.write_text("fine 4\ndead 1\n")
+    code, out, err = run_cli(capsys, "stats", str(path), str(path), "--lb", str(lb_path))
+    assert (code, err) == (0, "")
+    assert "fine: ave 5.000 vs 5.000" in out
+    assert "dead: every run failed in one report; left out" in out
+    assert "w-d-l 0-1-0" in out
+    assert "No.best 1 vs 1" in out
+    assert "Ave.PDR vs LB: 25.000% vs 25.000%" in out
