@@ -2,7 +2,7 @@
 time-dependent service costs: a memetic routing stage followed by
 per-route departure-time optimization."""
 
-from .costfn import Family, InstanceKind, ServiceCostFunction, classify, evaluate
+from .costfn import Family, InstanceKind, ServiceCostFunction, classify
 from .departure import (
     GssParams,
     NcsParams,

@@ -17,7 +17,7 @@ import itertools
 import math
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -31,6 +31,7 @@ from .solution import RouteEvaluator, Solution, split_routes
 
 ALGORITHMS = ("maens-gn", "maens-only", "init-only")
 REPORT_TAG = "carptdsc-report v1"
+RUN_LINE = "run <instance> <seed> <cost or failed> <seconds> [reason]"
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ class ExperimentReport:
     results: tuple[InstanceResult, ...]
 
 
-def load_instance_text(text: str, name: str = "", max_customers: Optional[int] = None) -> Instance:
+def load_instance_text(text: str, max_customers: Optional[int] = None) -> Instance:
     """Sniff and parse either supported instance format."""
     stripped = text.lstrip()
     if stripped.upper().startswith("NAME"):
@@ -116,7 +117,8 @@ def load_instance_text(text: str, name: str = "", max_customers: Optional[int] =
     return instance_io.parse_solomon(text, max_customers=max_customers)
 
 
-def _prepare_instance(config: RunConfig, path: str) -> Instance:
+def prepare_instance(config: RunConfig, path: str) -> Instance:
+    """Load ``path`` with the annotation or generated costs ``config`` names."""
     text = Path(path).read_text()
     inst = load_instance_text(text, max_customers=config.max_customers)
     if config.annotation is not None:
@@ -168,7 +170,7 @@ def solve_once_detailed(
 
     solution = Solution(plan=plan, departures=departures)
     cost = RouteEvaluator(instance, sp).solution_cost(solution)
-    return replace(solution, cached_cost=cost), cost, trace
+    return solution, cost, trace
 
 
 def solve_once(instance: Instance, config: RunConfig, seed: int) -> tuple[Solution, float]:
@@ -197,7 +199,7 @@ def run_experiment(config: RunConfig) -> ExperimentReport:
     """
     results = []
     for path in config.instances:
-        instance = _prepare_instance(config, path)
+        instance = prepare_instance(config, path)
         name = instance.name or Path(path).stem
         seeds = [config.base_seed + i for i in range(config.runs)]
         if config.jobs > 1:
@@ -272,13 +274,13 @@ def write_report(report: ExperimentReport, path: str) -> None:
 
 
 def read_report(text: str) -> ExperimentReport:
-    lines = [l.strip() for l in text.splitlines() if l.strip()]
-    if not lines or lines[0] != REPORT_TAG:
+    lines = [(i, l.strip()) for i, l in enumerate(text.splitlines(), start=1) if l.strip()]
+    if not lines or lines[0][1] != REPORT_TAG:
         raise ValueError(f"missing report tag (want {REPORT_TAG!r})")
     header: dict[str, str] = {}
     runs_by_instance: dict[str, list[RunRecord]] = {}
     order: list[str] = []
-    for line in lines[1:]:
+    for number, line in lines[1:]:
         if line.startswith("instance "):
             name = line[len("instance "):].split(" : ")[0]
             if name not in runs_by_instance:
@@ -286,18 +288,21 @@ def read_report(text: str) -> ExperimentReport:
                 order.append(name)
         elif line.startswith("run "):
             parts = line.split()
-            name, seed, cost, seconds = parts[1], int(parts[2]), parts[3], float(parts[4])
+            try:
+                name, seed, cost, seconds = parts[1], int(parts[2]), parts[3], float(parts[4])
+                value = None if cost == "failed" else float(cost)
+            except (IndexError, ValueError):
+                raise ValueError(f"report line {number}: want {RUN_LINE!r}, got {line!r}") from None
             runs_by_instance.setdefault(name, [])
             if name not in order:
                 order.append(name)
-            failed = cost == "failed"
             runs_by_instance[name].append(
                 RunRecord(
                     seed=seed,
-                    cost=None if failed else float(cost),
+                    cost=value,
                     seconds=seconds,
                     # reports written before reasons were kept have none
-                    error=(" ".join(parts[5:]) or "recorded-failure") if failed else "",
+                    error=(" ".join(parts[5:]) or "recorded-failure") if value is None else "",
                 )
             )
         else:
@@ -441,10 +446,6 @@ class ReportComparison:
     no_best_b: int
     # common instances left out because every run of one report failed
     all_failed: tuple[str, ...]
-
-    @property
-    def wdl(self) -> tuple[int, int, int]:
-        return self.wins, self.draws, self.losses
 
 
 def compare_reports(

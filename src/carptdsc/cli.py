@@ -48,14 +48,23 @@ def _slopes(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.replace(",", " ").split())
 
 
-def _config_from(args, algorithm: str, runs: int, jobs: int = 1, out=None) -> bench.RunConfig:
+def _instance_config(args, **run) -> bench.RunConfig:
+    """The instance options of ``args``, plus the run settings ``run``."""
     return bench.RunConfig(
         instances=(args.instance,),
-        algorithm=algorithm,
         annotation=args.annotation,
         family=args.family,
         slope_set=_slopes(args.slope_set),
         gen_seed=args.gen_seed,
+        max_customers=args.max_customers,
+        **run,
+    )
+
+
+def _config_from(args, algorithm: str, runs: int, jobs: int = 1, out=None) -> bench.RunConfig:
+    return _instance_config(
+        args,
+        algorithm=algorithm,
         runs=runs,
         base_seed=args.seed,
         jobs=jobs,
@@ -65,26 +74,14 @@ def _config_from(args, algorithm: str, runs: int, jobs: int = 1, out=None) -> be
         gss_eps=args.gss_eps,
         ncs_budget=args.ncs_budget,
         ncs_procs=args.ncs_procs,
-        max_customers=args.max_customers,
         out=out,
     )
 
 
-def _load_instance(args):
-    text = Path(args.instance).read_text()
-    inst = bench.load_instance_text(text, max_customers=getattr(args, "max_customers", None))
-    if args.annotation:
-        ann = instance_io.read_annotation(Path(args.annotation).read_text())
-        inst = instance_io.apply_annotation(inst, ann)
-    elif getattr(args, "family", None):
-        inst, _ = instance_io.generate_td(inst, args.family, _slopes(args.slope_set), args.gen_seed)
-    return inst
-
-
 def cmd_solve(args) -> int:
-    inst = _load_instance(args)
-    sp = shortest_paths(inst)
     config = _config_from(args, algorithm=args.algorithm, runs=1)
+    inst = bench.prepare_instance(config, args.instance)
+    sp = shortest_paths(inst)
     solution, _, trace = bench.solve_once_detailed(inst, config, args.seed)
     if args.trace:
         if trace is None:
@@ -92,9 +89,10 @@ def cmd_solve(args) -> int:
         lines = ["generation,best_penalized,best_feasible"]
         lines += [f"{g},{bp!r},{bf!r}" for g, bp, bf in trace]
         Path(args.trace).write_text("\n".join(lines) + "\n")
-    sys.stdout.write(format_solution(solution, inst, sp))
+    text = format_solution(solution, inst, sp)
+    sys.stdout.write(text)
     if args.out:
-        Path(args.out).write_text(format_solution(solution, inst, sp))
+        Path(args.out).write_text(text)
     return 0
 
 
@@ -123,7 +121,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    inst = _load_instance(args)
+    inst = bench.prepare_instance(_instance_config(args), args.instance)
     if not math.isfinite(inst.horizon):
         raise ValueError(
             "instance has no finite planning horizon; supply --annotation or --family"

@@ -76,11 +76,6 @@ class InstanceKind:
     k: float
 
 
-def evaluate(fn: ServiceCostFunction, t: float) -> float:
-    """Service cost of ``fn`` at start time ``t``."""
-    return fn.value(t)
-
-
 def classify(instance) -> InstanceKind:
     """Determine the problem family and shared slope magnitude of an instance.
 

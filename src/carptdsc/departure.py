@@ -53,16 +53,18 @@ class ScalarObjective:
         return np.array([self.fn(float(t)) for t in ts])
 
 
-def route_objective(
-    route: Sequence[int], instance: Instance, sp: ShortestPaths
-) -> ScalarObjective:
-    """Route cost (deadhead included) as a function of the departure time."""
-    evaluator = RouteEvaluator(instance, sp)
-    route = tuple(route)
+def _objective(evaluator: RouteEvaluator, route: tuple[int, ...]) -> ScalarObjective:
     return ScalarObjective(
         fn=lambda t: evaluator.total(route, t),
         vector_fn=lambda ts: evaluator.profile(route, ts),
     )
+
+
+def route_objective(
+    route: Sequence[int], instance: Instance, sp: ShortestPaths
+) -> ScalarObjective:
+    """Route cost (deadhead included) as a function of the departure time."""
+    return _objective(RouteEvaluator(instance, sp), tuple(route))
 
 
 @dataclass(frozen=True)
@@ -289,10 +291,7 @@ def optimize_departures(
     evaluator = RouteEvaluator(instance, sp)
     departures: list[float] = []
     for route in routes:
-        obj = ScalarObjective(
-            fn=lambda t, r=route: evaluator.total(r, t),
-            vector_fn=lambda ts, r=route: evaluator.profile(r, ts),
-        )
+        obj = _objective(evaluator, route)
         if kind.k <= 1.0:
             t_star, _ = gss(obj, 0.0, horizon, gss_params.epsilon)
         else:

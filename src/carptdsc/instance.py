@@ -167,44 +167,25 @@ def build_instance(
 
 @dataclass(frozen=True, eq=False)
 class ShortestPaths:
-    """Dense all-pairs travel time/cost matrices with predecessor data.
+    """Dense all-pairs travel time/cost matrices.
 
     ``time[u, v]`` is the minimum travel time from u to v; ``cost[u, v]``
     the travel cost along that time-minimizing path.  Unreachable pairs
-    hold ``inf``.  ``pred[u, v]`` is the predecessor of v on the path from
-    u (-1 for v == u or unreachable).
+    hold ``inf``.
     """
 
     time: np.ndarray
     cost: np.ndarray
-    pred: np.ndarray
 
     def travel(self, u: int, v: int) -> tuple[float, float]:
         return float(self.time[u, v]), float(self.cost[u, v])
-
-    def reachable(self, u: int, v: int) -> bool:
-        return math.isfinite(self.time[u, v])
-
-    def path(self, u: int, v: int) -> list[int]:
-        """Vertex sequence of the stored shortest path from u to v."""
-        if u == v:
-            return [u]
-        if not self.reachable(u, v):
-            raise ValueError(f"no path from {u} to {v}")
-        out = [v]
-        while v != u:
-            v = int(self.pred[u, v])
-            out.append(v)
-        out.reverse()
-        return out
 
 
 def shortest_paths(instance: Instance) -> ShortestPaths:
     """All-pairs shortest paths by Dijkstra from every source vertex.
 
-    Paths minimize travel time; ties are broken by lower travel cost, then
-    by lower predecessor vertex ID, so the result is a pure function of
-    the instance.
+    Paths minimize travel time; ties are broken by lower travel cost, so
+    the result is a pure function of the instance.
     """
     n = instance.num_vertices
     adj: list[list[tuple[int, float, float]]] = [[] for _ in range(n)]
@@ -215,7 +196,6 @@ def shortest_paths(instance: Instance) -> ShortestPaths:
 
     time = np.full((n, n), math.inf)
     cost = np.full((n, n), math.inf)
-    pred = np.full((n, n), -1, dtype=np.int64)
 
     for src in range(n):
         dist_t = time[src]
@@ -234,13 +214,9 @@ def shortest_paths(instance: Instance) -> ShortestPaths:
                 if (nt, nc) < (dist_t[v], dist_c[v]):
                     dist_t[v] = nt
                     dist_c[v] = nc
-                    pred[src, v] = u
                     heapq.heappush(heap, (nt, nc, v))
-                elif nt == dist_t[v] and nc == dist_c[v] and not done[v]:
-                    if 0 <= pred[src, v] and u < pred[src, v]:
-                        pred[src, v] = u
 
-    return ShortestPaths(time=time, cost=cost, pred=pred)
+    return ShortestPaths(time=time, cost=cost)
 
 
 def inverse_of(instance: Instance, task_id: int) -> Optional[int]:

@@ -4,20 +4,23 @@ The search evolves routing plans only; every candidate is evaluated with
 all routes departing at time 0, the reference point of stage 1 (departure
 times are optimized afterwards, per route, by the departure module).
 
-Components: a path-scanning constructor whose nearest-task ties are broken
-by roulette-wheel selection over reciprocal time-dependent service costs,
-a sequence-based crossover, three first-improvement move neighborhoods
-(single insertion, double insertion, swap), and a merge-split large
-neighborhood that dissolves routes and rebuilds them via the constructor
-plus a minimum-cost splitting pass.  Capacity and horizon violations are
-penalized with an adaptive coefficient; the final answer is the best
-feasible plan found.
+Components: one path-scanning builder whose nearest-task ties are broken
+by roulette-wheel selection over reciprocal time-dependent service costs
+(it builds the initial plans under the vehicle capacity, and merge-split's
+task ordering without one), a sequence-based crossover, three
+first-improvement move neighborhoods (moving a segment of one or two
+tasks, which may be reversed with every task inverted, and swap), and a
+merge-split large neighborhood that dissolves routes and rebuilds them via
+the builder plus a minimum-cost splitting pass.  Capacity and horizon
+violations are penalized with an adaptive coefficient; the final answer is
+the best feasible plan found.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -27,6 +30,8 @@ from .solution import RouteEvaluator, RoutingPlan, join_routes, split_routes
 
 SCORE_FLOOR = 1e-9  # guards the reciprocal score on degenerate zero costs
 IMPROVE_EPS = 1e-9
+MERGE_SPLIT_ROUTES = 2  # routes dissolved and rebuilt by one merge-split
+LS_MAX_SWEEPS = 30  # rounds of the basic move neighborhoods per local search
 
 
 class SolverError(RuntimeError):
@@ -50,10 +55,7 @@ class MaensParams:
     psize: int = 10
     generations: int = 50
     pls: float = 0.1
-    offspring_per_gen: Optional[int] = None  # defaults to psize
-    ms_route_count: int = 2
     penalty_period: int = 5  # generations between penalty doubling/halving
-    ls_max_sweeps: int = 30
     seed: int = 0
 
     def __post_init__(self):
@@ -73,10 +75,6 @@ class EvolveResult:
     trace: list[tuple[int, float, float]] = field(default_factory=list)
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
-
-
 def mix_seed(seed: int, indices: Iterable[int]) -> int:
     """Deterministic 48-bit seed for the stream keyed by ``indices`` under ``seed``."""
     mixed = seed & 0xFFFFFFFF
@@ -87,7 +85,7 @@ def mix_seed(seed: int, indices: Iterable[int]) -> int:
 
 def _stream(seed: int, *indices: int) -> np.random.Generator:
     """Independent deterministic RNG stream for a (generation, offspring) slot."""
-    return _rng(mix_seed(seed, indices))
+    return np.random.Generator(np.random.PCG64(mix_seed(seed, indices)))
 
 
 class _Assessor:
@@ -95,7 +93,6 @@ class _Assessor:
 
     def __init__(self, instance: Instance, sp: ShortestPaths,
                  evaluator: Optional[RouteEvaluator] = None):
-        self.instance = instance
         self.evaluator = evaluator if evaluator is not None else RouteEvaluator(instance, sp)
         self._cache: dict[tuple[int, ...], tuple[float, float]] = {}
 
@@ -130,6 +127,16 @@ def _default_lambda(instance: Instance, reference_cost: float) -> float:
     return max(1.0, reference_cost / max(1.0, instance.capacity))
 
 
+def _scores(
+    instance: Instance, candidates: Sequence[int], current_time: float
+) -> list[float]:
+    """Reciprocal service cost of each candidate at ``current_time``."""
+    return [
+        1.0 / max(instance.tasks[tid].cost_fn.value(current_time), SCORE_FLOOR)
+        for tid in candidates
+    ]
+
+
 def select_next_task(
     instance: Instance,
     candidates: Sequence[int],
@@ -144,10 +151,7 @@ def select_next_task(
     """
     if not candidates:
         raise ValueError("no candidates to select from")
-    scores = [
-        1.0 / max(instance.tasks[tid].cost_fn.value(current_time), SCORE_FLOOR)
-        for tid in candidates
-    ]
+    scores = _scores(instance, candidates, current_time)
     pick = rng.random() * sum(scores)
     acc = 0.0
     for tid, score in zip(candidates, scores):
@@ -161,36 +165,33 @@ def selection_probabilities(
     instance: Instance, candidates: Sequence[int], current_time: float
 ) -> list[float]:
     """Closed-form roulette probabilities used by :func:`select_next_task`."""
-    scores = [
-        1.0 / max(instance.tasks[tid].cost_fn.value(current_time), SCORE_FLOOR)
-        for tid in candidates
-    ]
+    scores = _scores(instance, candidates, current_time)
     total = sum(scores)
     return [s / total for s in scores]
 
 
-def init_individual(
+def _path_scan(
     instance: Instance,
-    sp: ShortestPaths,
+    ev: RouteEvaluator,
+    roots: Iterable[int],
+    capacity: float,
     rng: np.random.Generator,
-    evaluator: Optional[RouteEvaluator] = None,
-) -> RoutingPlan:
-    """Path-scanning construction of one routing plan.
+) -> list[list[int]]:
+    """Path-scanning routes over the tasks of ``roots`` (pair roots).
 
     Routes are built one at a time from the depot at departure time 0,
-    repeatedly adding the capacity-feasible unserved task nearest (by
-    shortest-path travel time) to the current route end.  A task and its
-    inverse are both candidates; ties are broken by
-    :func:`select_next_task`.  A route closes when no unserved task fits
-    the remaining capacity.
+    repeatedly adding the unserved task that fits the remaining
+    ``capacity`` and is nearest (by shortest-path travel time) to the
+    current route end.  A task and its inverse are both candidates; ties
+    are broken by :func:`select_next_task`.  A route closes when no
+    unserved task fits or none can be reached.
     """
-    ev = evaluator if evaluator is not None else RouteEvaluator(instance, sp)
     sp_time = ev.sp_time
     tail, head = ev.tail, ev.head
     demand = ev.demand
     depot = instance.depot
 
-    unserved: set[int] = set(instance.pair_root(t) for t in instance.real_task_ids)
+    unserved: set[int] = set(roots)
     candidates_of: dict[int, tuple[int, ...]] = {}
     for root in unserved:
         inv = instance.tasks[root].inverse_id
@@ -207,7 +208,7 @@ def init_individual(
                 tid
                 for root in unserved
                 for tid in candidates_of[root]
-                if demand[tid] + load <= instance.capacity
+                if demand[tid] + load <= capacity
             ]
             if not feasible:
                 break
@@ -228,18 +229,19 @@ def init_individual(
         if not route:
             raise SolverError("constructor could not place any remaining task")
         routes.append(route)
-    return join_routes(routes)
+    return routes
 
 
-def _coverage_ok(plan: RoutingPlan, instance: Instance) -> bool:
-    seen: set[int] = set()
-    for route in split_routes(plan):
-        for tid in route:
-            root = instance.pair_root(tid)
-            if root in seen:
-                return False
-            seen.add(root)
-    return seen == {instance.pair_root(t) for t in instance.real_task_ids}
+def init_individual(
+    instance: Instance,
+    sp: ShortestPaths,
+    rng: np.random.Generator,
+    evaluator: Optional[RouteEvaluator] = None,
+) -> RoutingPlan:
+    """Path-scanning construction of one routing plan (see :func:`_path_scan`)."""
+    ev = evaluator if evaluator is not None else RouteEvaluator(instance, sp)
+    roots = {instance.pair_root(t) for t in instance.real_task_ids}
+    return join_routes(_path_scan(instance, ev, roots, instance.capacity, rng))
 
 
 def _cheapest_insertion(
@@ -301,18 +303,14 @@ def crossover(
     """
     if assessor is None:
         assessor = _Assessor(instance, sp)
-    routes1 = [list(r) for r in split_routes(parent1)]
-    routes2 = [list(r) for r in split_routes(parent2)]
+    routes1 = split_routes(parent1)
+    routes2 = split_routes(parent2)
     r1 = int(rng.integers(len(routes1)))
     c1 = int(rng.integers(len(routes1[r1]) + 1))
     r2 = int(rng.integers(len(routes2)))
     c2 = int(rng.integers(len(routes2[r2]) + 1))
 
-    routes = (
-        [list(r) for r in routes1[:r1]]
-        + [routes1[r1][:c1] + routes2[r2][c2:]]
-        + [list(r) for r in routes2[r2 + 1:]]
-    )
+    routes = routes1[:r1] + [routes1[r1][:c1] + routes2[r2][c2:]] + routes2[r2 + 1:]
 
     seen: set[int] = set()
     deduped: list[list[int]] = []
@@ -341,80 +339,28 @@ def crossover(
     return join_routes(routes)
 
 
-def _scan_single_insertion(routes, assessor, instance, lam, rng) -> bool:
-    """Move one task to another position/orientation; first improvement."""
-    positions = [(ri, pi) for ri, r in enumerate(routes) for pi in range(len(r))]
+def _scan_insertion(routes, assessor, instance, lam, rng, length) -> bool:
+    """Move ``length`` consecutive tasks to another position; first improvement.
+
+    The segment moves as it is or, when every task in it has an inverse,
+    reversed with each task inverted.
+    """
+    positions = [
+        (ri, pi) for ri, r in enumerate(routes) for pi in range(len(r) - length + 1)
+    ]
     for src in rng.permutation(len(positions)):
         ri, pi = positions[src]
         route = routes[ri]
-        tid = route[pi]
-        inv = instance.tasks[tid].inverse_id
-        orientations = (tid,) if inv is None else (tid, inv)
-        removed = route[:pi] + route[pi + 1:]
+        forward = route[pi:pi + length]
+        backward = [instance.tasks[tid].inverse_id for tid in reversed(forward)]
+        segments = [forward] if None in backward else [forward, backward]
+        removed = route[:pi] + route[pi + length:]
         base_src = assessor.contrib(route, lam)
         removed_contrib = assessor.contrib(removed, lam) if removed else 0.0
         targets = [(rj, qj) for rj, r in enumerate(routes)
                    for qj in range(len(r) + 1) if rj != ri]
         targets += [(ri, qj) for qj in range(len(removed) + 1)]
         targets.append((-1, 0))  # fresh route
-        for tgt in rng.permutation(len(targets)):
-            rj, qj = targets[tgt]
-            for oid in orientations:
-                if rj == ri:
-                    cand = removed[:qj] + [oid] + removed[qj:]
-                    delta = assessor.contrib(cand, lam) - base_src
-                elif rj == -1:
-                    delta = (
-                        removed_contrib - base_src + assessor.contrib([oid], lam)
-                    )
-                else:
-                    base_tgt = assessor.contrib(routes[rj], lam)
-                    cand_tgt = routes[rj][:qj] + [oid] + routes[rj][qj:]
-                    delta = (
-                        removed_contrib - base_src
-                        + assessor.contrib(cand_tgt, lam) - base_tgt
-                    )
-                if delta < -IMPROVE_EPS:
-                    if rj == ri:
-                        routes[ri] = removed[:qj] + [oid] + removed[qj:]
-                    elif rj == -1:
-                        routes[ri] = removed
-                        routes.append([oid])
-                    else:
-                        routes[rj].insert(qj, oid)
-                        routes[ri] = removed
-                    if not routes[ri]:
-                        routes.pop(ri)
-                    routes[:] = [r for r in routes if r]
-                    return True
-    return False
-
-
-def _scan_double_insertion(routes, assessor, instance, lam, rng) -> bool:
-    """Move two consecutive tasks together; the pair may be reversed."""
-    positions = [
-        (ri, pi)
-        for ri, r in enumerate(routes)
-        for pi in range(len(r) - 1)
-    ]
-    if not positions:
-        return False
-    for src in rng.permutation(len(positions)):
-        ri, pi = positions[src]
-        route = routes[ri]
-        a, b = route[pi], route[pi + 1]
-        inv_a = instance.tasks[a].inverse_id
-        inv_b = instance.tasks[b].inverse_id
-        segments = [[a, b]]
-        if inv_a is not None and inv_b is not None:
-            segments.append([inv_b, inv_a])
-        removed = route[:pi] + route[pi + 2:]
-        base_src = assessor.contrib(route, lam)
-        removed_contrib = assessor.contrib(removed, lam) if removed else 0.0
-        targets = [(rj, qj) for rj, r in enumerate(routes)
-                   for qj in range(len(r) + 1) if rj != ri]
-        targets += [(ri, qj) for qj in range(len(removed) + 1)]
-        targets.append((-1, 0))
         for tgt in rng.permutation(len(targets)):
             rj, qj = targets[tgt]
             for seg in segments:
@@ -486,39 +432,6 @@ def _scan_swap(routes, assessor, instance, lam, rng) -> bool:
     return False
 
 
-def _giant_ordering(
-    task_roots: Sequence[int],
-    instance: Instance,
-    assessor: _Assessor,
-    rng: np.random.Generator,
-) -> list[int]:
-    """Path-scanning ordering of a task subset, ignoring capacity."""
-    ev = assessor.evaluator
-    sp_time = ev.sp_time
-    unserved = set(task_roots)
-    seq: list[int] = []
-    cur_v = instance.depot
-    cur_t = 0.0
-    while unserved:
-        feasible = []
-        for root in unserved:
-            inv = instance.tasks[root].inverse_id
-            feasible.append(root)
-            if inv is not None:
-                feasible.append(inv)
-        dmin = min(sp_time[cur_v][ev.tail[t]] for t in feasible)
-        nearest = sorted(
-            t for t in feasible if sp_time[cur_v][ev.tail[t]] <= dmin + 1e-9
-        )
-        chosen = select_next_task(instance, nearest, cur_t + dmin, rng)
-        cur_t += sp_time[cur_v][ev.tail[chosen]]
-        cur_t += instance.tasks[chosen].cost_fn.value(cur_t)
-        cur_v = ev.head[chosen]
-        seq.append(chosen)
-        unserved.discard(instance.pair_root(chosen))
-    return seq
-
-
 def _split_sequence(
     seq: list[int], assessor: _Assessor, instance: Instance, lam: float
 ) -> list[list[int]]:
@@ -552,17 +465,21 @@ def _split_sequence(
     return routes
 
 
-def _merge_split(routes, assessor, instance, lam, rng, count) -> bool:
-    """Dissolve ``count`` routes and rebuild them; keep if improving."""
+def _merge_split(routes, assessor, instance, lam, rng) -> bool:
+    """Dissolve ``MERGE_SPLIT_ROUTES`` routes and rebuild them; keep if improving."""
     if len(routes) < 2:
         return False
-    count = min(count, len(routes))
+    count = min(MERGE_SPLIT_ROUTES, len(routes))
     picked = sorted(int(i) for i in rng.choice(len(routes), size=count, replace=False))
     roots = [
         instance.pair_root(tid) for ri in picked for tid in routes[ri]
     ]
     old_contrib = sum(assessor.contrib(routes[ri], lam) for ri in picked)
-    seq = _giant_ordering(roots, instance, assessor, rng)
+    seq = [
+        tid
+        for route in _path_scan(instance, assessor.evaluator, roots, math.inf, rng)
+        for tid in route
+    ]
     rebuilt = _split_sequence(seq, assessor, instance, lam)
     new_contrib = sum(assessor.contrib(r, lam) for r in rebuilt)
     if new_contrib - old_contrib < -IMPROVE_EPS:
@@ -573,6 +490,10 @@ def _merge_split(routes, assessor, instance, lam, rng, count) -> bool:
     return False
 
 
+# the basic move neighborhoods: single insertion, double insertion, swap
+_MOVES = (partial(_scan_insertion, length=1), partial(_scan_insertion, length=2), _scan_swap)
+
+
 def local_search(
     individual: Individual,
     instance: Instance,
@@ -580,8 +501,6 @@ def local_search(
     rng: np.random.Generator,
     lam: Optional[float] = None,
     assessor: Optional[_Assessor] = None,
-    ms_route_count: int = 2,
-    max_sweeps: int = 30,
 ) -> Individual:
     """Accept-only-improving refinement of one individual.
 
@@ -600,18 +519,17 @@ def local_search(
         used = 0
         while used < budget:
             used += 1
-            scans = [_scan_single_insertion, _scan_double_insertion, _scan_swap]
             moved = False
-            for si in rng.permutation(len(scans)):
-                while scans[si](routes, assessor, instance, lam, rng):
+            for si in rng.permutation(len(_MOVES)):
+                while _MOVES[si](routes, assessor, instance, lam, rng):
                     moved = True
             if not moved:
                 break
         return used
 
-    used = converge_basic(max_sweeps)
-    if _merge_split(routes, assessor, instance, lam, rng, ms_route_count):
-        converge_basic(max(1, max_sweeps - used))
+    used = converge_basic(LS_MAX_SWEEPS)
+    if _merge_split(routes, assessor, instance, lam, rng):
+        converge_basic(max(1, LS_MAX_SWEEPS - used))
 
     result = assessor.assess(join_routes(routes), lam)
     if result.penalized_cost <= individual.penalized_cost:
@@ -623,16 +541,14 @@ def evolve(
     instance: Instance,
     sp: ShortestPaths,
     params: MaensParams,
-    evaluator: Optional[RouteEvaluator] = None,
 ) -> EvolveResult:
     """Run the memetic search and return the best feasible plan found.
 
-    Deterministic for a fixed seed; every offspring slot owns an RNG
-    stream derived from (seed, generation, slot), so results do not
-    depend on evaluation order.
+    Each generation makes ``psize`` offspring.  Deterministic for a fixed
+    seed; every offspring slot owns an RNG stream derived from (seed,
+    generation, slot), so results do not depend on evaluation order.
     """
-    assessor = _Assessor(instance, sp, evaluator=evaluator)
-    opg = params.offspring_per_gen if params.offspring_per_gen is not None else params.psize
+    assessor = _Assessor(instance, sp)
 
     population: list[Individual] = []
     seen: set[RoutingPlan] = set()
@@ -665,7 +581,7 @@ def evolve(
     trace: list[tuple[int, float, float]] = []
     for gen in range(1, params.generations + 1):
         offspring: list[Individual] = []
-        for slot in range(opg):
+        for slot in range(params.psize):
             rng = _stream(params.seed, gen, slot)
             if len(population) >= 2:
                 i, j = rng.choice(len(population), size=2, replace=False)
@@ -675,11 +591,7 @@ def evolve(
             child_plan = crossover(p1, p2, instance, sp, rng, assessor=assessor, lam=lam)
             child = assessor.assess(child_plan, lam)
             if rng.random() < params.pls:
-                child = local_search(
-                    child, instance, sp, rng, lam=lam, assessor=assessor,
-                    ms_route_count=params.ms_route_count,
-                    max_sweeps=params.ls_max_sweeps,
-                )
+                child = local_search(child, instance, sp, rng, lam=lam, assessor=assessor)
             offspring.append(child)
 
         pool = population + offspring

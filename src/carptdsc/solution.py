@@ -33,7 +33,6 @@ class PlanError(ValueError):
 class Solution:
     plan: RoutingPlan
     departures: DepartureTimes
-    cached_cost: Optional[float] = None  # convenience only; evaluation recomputes
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,6 @@ class RouteEval:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    depot_endpoints: bool         # routes begin and end at the depot
     no_duplicate_service: bool    # no task served twice
     no_inverse_service: bool      # no task served together with its inverse
     all_tasks_served: bool        # served set covers every task up to inversion
@@ -69,8 +67,7 @@ class FeasibilityReport:
     @property
     def feasible(self) -> bool:
         return (
-            self.depot_endpoints
-            and self.no_duplicate_service
+            self.no_duplicate_service
             and self.no_inverse_service
             and self.all_tasks_served
             and self.capacity_respected
@@ -123,7 +120,6 @@ class RouteEvaluator:
 
     def __init__(self, instance: Instance, sp: ShortestPaths):
         self.instance = instance
-        self.sp = sp
         self.depot = instance.depot
         self.origin: RouteState = (0.0, 0.0, 0.0, instance.depot, 0.0)
         n_ids = max(instance.tasks) + 1
@@ -312,9 +308,6 @@ class RouteEvaluator:
         total += self.sp_cost[v][self.depot]
         return total
 
-    def route_load(self, route: Sequence[int]) -> float:
-        return sum(self.demand[tid] for tid in route)
-
     def solution_cost(self, solution: Solution) -> float:
         routes = split_routes(solution.plan)
         if len(routes) != len(solution.departures):
@@ -371,7 +364,8 @@ def check_feasibility(
     horizon_tasks_ok = True
     horizon_return_ok = True
     for route, t in zip(routes, solution.departures):
-        excess.append(max(0.0, evaluator.route_load(route) - instance.capacity))
+        load = sum(evaluator.demand[tid] for tid in route)
+        excess.append(max(0.0, load - instance.capacity))
         if t < 0:  # violates the lower end of the time window
             horizon_tasks_ok = False
         ev = evaluator.evaluate(route, max(t, 0.0))
@@ -383,7 +377,6 @@ def check_feasibility(
             horizon_return_ok = False
 
     return FeasibilityReport(
-        depot_endpoints=True,  # guaranteed by the 0-delimited encoding
         no_duplicate_service=not duplicates,
         no_inverse_service=not inverse_clash,
         all_tasks_served=not missing,

@@ -154,14 +154,6 @@ def test_average_pdr():
         average_pdr(report, {"other": 1.0})
 
 
-def test_solve_once_caches_cost():
-    from carptdsc.bench import load_instance_text, solve_once
-
-    inst = load_instance_text((DATA / "gdb1.dat").read_text())
-    solution, cost = solve_once(inst, _desk_config(None), seed=5)
-    assert solution.cached_cost == cost
-
-
 def test_config_validation():
     with pytest.raises(ValueError, match="at least one run"):
         RunConfig(instances=("x",), runs=0)

@@ -152,3 +152,27 @@ def test_stats_with_an_all_failed_instance(tmp_path, capsys):
     assert "w-d-l 0-1-0" in out
     assert "No.best 1 vs 1" in out
     assert "Ave.PDR vs LB: 25.000% vs 25.000%" in out
+
+
+@pytest.mark.parametrize("bad", ["run gdb1 0", "run gdb1 zero 320.0 0.5", "run gdb1 0 320.0 fast"])
+def test_stats_names_a_malformed_run_line(tmp_path, capsys, bad):
+    path = tmp_path / "r.txt"
+    path.write_text(
+        "carptdsc-report v1\nalgorithm : a\nruns : 1\nbase_seed : 0\n\n"
+        f"instance gdb1 : ave 320.0 std 0.0 best 320.0 ave_time 0.5\n{bad}\n"
+    )
+    code, _, err = run_cli(capsys, "stats", str(path), str(path))
+    assert code == 1
+    assert "report line 7:" in err
+    assert "run <instance> <seed> <cost or failed> <seconds> [reason]" in err
+    assert repr(bad) in err
+
+
+def test_solve_out_file_matches_stdout(tmp_path, capsys):
+    out_path = tmp_path / "sol.txt"
+    code, out, _ = run_cli(
+        capsys, "solve", "--instance", GDB1, "--algorithm", "init-only",
+        "--seed", "3", "--out", str(out_path),
+    )
+    assert code == 0
+    assert out_path.read_text() == out

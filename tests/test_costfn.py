@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from carptdsc import Family, ServiceCostFunction, classify, evaluate
+from carptdsc import Family, ServiceCostFunction, classify
 from carptdsc.costfn import HeterogeneousSlopeError
 
 from conftest import make_fig4_instance, make_tie_instance, random_static_instance, rng_for
@@ -16,16 +16,16 @@ F3 = ServiceCostFunction(1.0, 14.0, 16.0, 2.0)
 
 
 def test_worked_values():
-    assert evaluate(F1, 0.0) == 3.0          # (1-0)*2 + 1
-    assert evaluate(F2, 3.0) == 15.0
-    assert evaluate(F3, 18.0) == 5.0
+    assert F1.value(0.0) == 3.0          # (1-0)*2 + 1
+    assert F2.value(3.0) == 15.0
+    assert F3.value(18.0) == 5.0
 
 
 def test_flat_segment_exact_at_breakpoints():
     f = ServiceCostFunction(2.5, 4.0, 7.0, 0.5)
-    assert evaluate(f, 4.0) == 2.5
-    assert evaluate(f, 7.0) == 2.5
-    assert evaluate(f, 5.5) == 2.5
+    assert f.value(4.0) == 2.5
+    assert f.value(7.0) == 2.5
+    assert f.value(5.5) == 2.5
 
 
 @pytest.mark.parametrize(
@@ -40,12 +40,12 @@ def test_flat_segment_exact_at_breakpoints():
     ],
 )
 def test_example_points(fn, t, want):
-    assert evaluate(fn, t) == want
+    assert fn.value(t) == want
 
 
 def test_negative_time_rejected():
     with pytest.raises(ValueError):
-        evaluate(F1, -0.1)
+        F1.value(-0.1)
     with pytest.raises(ValueError):
         F1.values([-1.0, 2.0])
 

@@ -18,7 +18,7 @@ from carptdsc import (
     shortest_paths,
     split_routes,
 )
-from carptdsc.maens import _Assessor, selection_probabilities
+from carptdsc.maens import _Assessor, _scan_insertion, selection_probabilities
 from carptdsc.instance_io import generate_td
 
 from conftest import (
@@ -207,6 +207,41 @@ def test_local_search_never_worsens():
         out = local_search(ind, inst, sp, rng_for(seed), lam=50.0, assessor=assessor)
         assert out.penalized_cost <= ind.penalized_cost + 1e-9
         assert coverage_ok(out.plan, inst)
+
+
+def make_one_way_pair_instance(inverses=True):
+    """Tasks 1 (1->2) and 3 (2->3) on a path 1-2-3 whose ends the depot
+    reaches one way only: 0->3 and 1->0 cost 1, everything else 5."""
+    arcs = [Arc(1, 1, 2, 5, 5, 5), Arc(2, 2, 1, 5, 5, 5), Arc(3, 2, 3, 5, 5, 5),
+            Arc(4, 3, 2, 5, 5, 5), Arc(5, 0, 3, 1, 1, 1), Arc(6, 1, 0, 1, 1, 1)]
+    fn = ServiceCostFunction(1.0)
+    if inverses:
+        tasks = [Task(1, arcs[0], 1.0, fn, 2), Task(2, arcs[1], 1.0, fn, 1),
+                 Task(3, arcs[2], 1.0, fn, 4), Task(4, arcs[3], 1.0, fn, 3)]
+    else:
+        tasks = [Task(1, arcs[0], 1.0, fn), Task(3, arcs[2], 1.0, fn)]
+    inst = build_instance(4, arcs, tasks, 0, 10.0, 1, 1e9)
+    return inst, shortest_paths(inst)
+
+
+def test_pair_move_reversed_and_inverted_is_the_only_improvement():
+    """Route (1, 3) deadheads 0->3->2->1 and 3->2->1->0 (22); served as
+    (4, 2), the pair reversed with each task inverted, it deadheads 0->3
+    and 1->0 (2).  Every move of the pair as it is leaves the cost alone."""
+    inst, sp = make_one_way_pair_instance()
+    assessor = _Assessor(inst, sp)
+    assert assessor.route_stats((1, 3)) == (24.0, 0.0)
+    assert assessor.route_stats((4, 2)) == (4.0, 0.0)
+    for seed in range(5):
+        routes = [[1, 3]]
+        assert _scan_insertion(routes, assessor, inst, 1.0, rng_for(seed), length=2)
+        assert routes == [[4, 2]]
+        assert not _scan_insertion(routes, assessor, inst, 1.0, rng_for(seed), length=2)
+    one_way, one_way_sp = make_one_way_pair_instance(inverses=False)
+    routes = [[1, 3]]
+    assert not _scan_insertion(routes, _Assessor(one_way, one_way_sp), one_way, 1.0,
+                               rng_for(0), length=2)
+    assert routes == [[1, 3]]
 
 
 def test_local_search_fixed_point_at_optimum():

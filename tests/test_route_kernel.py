@@ -26,7 +26,7 @@ from carptdsc.bench import load_instance_text
 from carptdsc.maens import _Assessor, _cheapest_insertion
 from carptdsc.solution import PlanError
 
-from conftest import DATA, rng_for
+from conftest import DATA, random_static_file, rng_for
 
 
 def _cases():
@@ -52,7 +52,7 @@ def _bits(stats):
 def _full_stats(ev, route):
     """(cost, violation) the way stage 1 computed it before walk()."""
     full = ev.evaluate(route, 0.0)
-    load_excess = max(0.0, ev.route_load(route) - ev.instance.capacity)
+    load_excess = max(0.0, sum(ev.demand[t] for t in route) - ev.instance.capacity)
     return full.total, full.horizon_violation + load_excess
 
 
@@ -205,6 +205,49 @@ GOLDEN = {
 def test_pinned_plans(name, seed, cost, trace_sha, plan):
     inst, sp, _ = CASES[name]
     res = evolve(inst, sp, MaensParams(generations=6, pls=0.3, seed=seed))
+    assert res.plan == plan
+    assert res.total_cost == cost
+    assert hashlib.sha1(repr(res.trace).encode()).hexdigest()[:16] == trace_sha
+
+
+def _long_route_instance():
+    """Generated CARP DAT instance: 22 tasks, two routes of 10-12 tasks."""
+    f = random_static_file(rng_for(7), n_vertices=12, n_extra_edges=12,
+                           n_required=22, capacity=27.0, name="long")
+    _, inst = instance_io.parse_carp(instance_io.serialize_carp(f))
+    return inst, shortest_paths(inst)
+
+
+# Local search on every offspring (pls 1.0, 4 generations) exercises the
+# move scans and merge-split; pinned from the code that still had two
+# path-scanning builders and two insertion scans: seed, cost, sha1 of
+# repr(trace), plan.
+LS_GOLDEN = {
+    "long": [
+        (0, 139.0, "4a376c664dbd8a35",
+         (0, 22, 7, 20, 40, 31, 25, 44, 30, 41, 24, 35, 3, 0, 9, 6, 34, 18, 2, 16,
+          12, 27, 14, 37, 0)),
+        (1, 139.0, "4a376c664dbd8a35",
+         (0, 16, 19, 8, 1, 24, 35, 29, 43, 26, 13, 28, 3, 0, 9, 6, 34, 12, 41, 32,
+          39, 18, 37, 21, 0)),
+    ],
+    "gdb1-3lp-k2.0": [
+        (0, 2538.1997802479937, "651819b1fa4aa2a8",
+         (0, 39, 24, 6, 0, 7, 10, 12, 21, 17, 0, 15, 41, 19, 28, 4, 0, 1, 31, 34,
+          26, 44, 0, 14, 29, 35, 37, 0)),
+        (1, 2604.4548145338113, "95164ae2ca1f4816",
+         (0, 7, 9, 36, 0, 39, 24, 29, 6, 0, 14, 37, 18, 33, 44, 0, 2, 31, 21, 27,
+          25, 0, 16, 11, 42, 20, 4, 0)),
+    ],
+}
+
+
+@pytest.mark.parametrize("name,seed,cost,trace_sha,plan", [
+    (name, *row) for name, rows in LS_GOLDEN.items() for row in rows
+])
+def test_pinned_local_search_plans(name, seed, cost, trace_sha, plan):
+    inst, sp = _long_route_instance() if name == "long" else CASES[name][:2]
+    res = evolve(inst, sp, MaensParams(generations=4, pls=1.0, seed=seed))
     assert res.plan == plan
     assert res.total_cost == cost
     assert hashlib.sha1(repr(res.trace).encode()).hexdigest()[:16] == trace_sha
