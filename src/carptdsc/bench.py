@@ -45,12 +45,12 @@ class RunConfig:
     runs: int = 20
     base_seed: int = 0
     jobs: int = 1
-    psize: int = 10
-    generations: int = 50
-    pls: float = 0.1
-    gss_eps: Optional[float] = None
-    ncs_budget: int = 2000
-    ncs_procs: int = 10
+    psize: int = MaensParams.psize
+    generations: int = MaensParams.generations
+    pls: float = MaensParams.pls
+    gss_eps: Optional[float] = None  # None: optimize_departures's default
+    ncs_budget: int = NcsParams.budget
+    ncs_procs: int = NcsParams.process_count
     max_customers: Optional[int] = None  # Solomon truncation
     out: Optional[str] = None
 
@@ -136,12 +136,7 @@ def solve_once_detailed(
 ) -> tuple[Solution, float, Optional[list[tuple[int, float, float]]]]:
     """One seeded run; returns (solution, cost, stage-1 trace or None)."""
     sp = shortest_paths(instance)
-    horizon = instance.horizon
-    gss_params = (
-        GssParams(epsilon=config.gss_eps)
-        if config.gss_eps is not None
-        else (GssParams(epsilon=1e-3 * horizon) if math.isfinite(horizon) else None)
-    )
+    gss_params = None if config.gss_eps is None else GssParams(epsilon=config.gss_eps)
     ncs_params = NcsParams(
         process_count=config.ncs_procs, budget=config.ncs_budget, seed=seed
     )
@@ -278,6 +273,7 @@ def read_report(text: str) -> ExperimentReport:
     if not lines or lines[0][1] != REPORT_TAG:
         raise ValueError(f"missing report tag (want {REPORT_TAG!r})")
     header: dict[str, str] = {}
+    numbers = {"runs": 0, "base_seed": 0}
     runs_by_instance: dict[str, list[RunRecord]] = {}
     order: list[str] = []
     for number, line in lines[1:]:
@@ -291,6 +287,8 @@ def read_report(text: str) -> ExperimentReport:
             try:
                 name, seed, cost, seconds = parts[1], int(parts[2]), parts[3], float(parts[4])
                 value = None if cost == "failed" else float(cost)
+                if not (math.isfinite(seconds) and (value is None or math.isfinite(value))):
+                    raise ValueError("non-finite cost or seconds")
             except (IndexError, ValueError):
                 raise ValueError(f"report line {number}: want {RUN_LINE!r}, got {line!r}") from None
             runs_by_instance.setdefault(name, [])
@@ -306,12 +304,20 @@ def read_report(text: str) -> ExperimentReport:
                 )
             )
         else:
-            key, _, value = line.partition(":")
-            header[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line.partition(":"))
+            if key in numbers:
+                try:
+                    numbers[key] = int(value)
+                except ValueError:
+                    raise ValueError(
+                        f"report line {number}: want '{key} : <integer>', got {line!r}"
+                    ) from None
+            else:
+                header[key] = value
     return ExperimentReport(
         algorithm=header.get("algorithm", "?"),
-        runs=int(header.get("runs", "0")),
-        base_seed=int(header.get("base_seed", "0")),
+        runs=numbers["runs"],
+        base_seed=numbers["base_seed"],
         results=tuple(
             InstanceResult(name=n, runs=tuple(runs_by_instance[n])) for n in order
         ),

@@ -19,67 +19,69 @@ import sys
 from pathlib import Path
 
 from . import bench, instance_io
+from .bench import RunConfig
 from .departure import grid_oracle, route_objective
 from .instance import shortest_paths
 from .solution import RouteEvaluator, Solution, format_solution, split_routes
-
-
-def _add_instance_args(p: argparse.ArgumentParser):
-    p.add_argument("--instance", required=True, help="instance file (CARP DAT or Solomon)")
-    p.add_argument("--annotation", help="time-dependent annotation sidecar")
-    p.add_argument("--family", choices=["2lp", "3lp"], help="generate an annotation instead")
-    p.add_argument("--slope-set", default="0.3,0.5,1,2,3",
-                   help="comma-separated slope magnitudes for 3LP generation")
-    p.add_argument("--gen-seed", type=int, default=0, help="generator seed")
-    p.add_argument("--max-customers", type=int, help="truncate a Solomon file")
-
-
-def _add_solver_args(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--psize", type=int, default=10)
-    p.add_argument("--generations", type=int, default=50)
-    p.add_argument("--pls", type=float, default=0.1)
-    p.add_argument("--gss-eps", type=float, help="gss interval threshold (default 1e-3 * horizon)")
-    p.add_argument("--ncs-budget", type=int, default=2000)
-    p.add_argument("--ncs-procs", type=int, default=10)
 
 
 def _slopes(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.replace(",", " ").split())
 
 
-def _instance_config(args, **run) -> bench.RunConfig:
+def _add_instance_args(p: argparse.ArgumentParser, generate: bool = False):
+    p.add_argument("--instance", required=True, help="instance file (CARP DAT or Solomon)")
+    if not generate:
+        p.add_argument("--annotation", help="time-dependent annotation sidecar")
+    p.add_argument("--family", choices=["2lp", "3lp"], required=generate,
+                   help="generate a time-dependent cost layer of this family")
+    p.add_argument("--slope-set", type=_slopes, default=RunConfig.slope_set,
+                   help="comma-separated slope magnitudes for 3LP generation")
+    p.add_argument("--gen-seed", type=int, default=RunConfig.gen_seed, help="generator seed")
+    p.add_argument("--max-customers", type=int, help="truncate a Solomon file")
+
+
+def _add_solver_args(p: argparse.ArgumentParser):
+    p.add_argument("--seed", type=int, default=RunConfig.base_seed)
+    p.add_argument("--psize", type=int, default=RunConfig.psize)
+    p.add_argument("--generations", type=int, default=RunConfig.generations)
+    p.add_argument("--pls", type=float, default=RunConfig.pls)
+    p.add_argument("--gss-eps", type=float, help="gss interval threshold (default 1e-3 * horizon)")
+    p.add_argument("--ncs-budget", type=int, default=RunConfig.ncs_budget)
+    p.add_argument("--ncs-procs", type=int, default=RunConfig.ncs_procs)
+
+
+def _instance_config(args, **run) -> RunConfig:
     """The instance options of ``args``, plus the run settings ``run``."""
-    return bench.RunConfig(
+    return RunConfig(
         instances=(args.instance,),
         annotation=args.annotation,
         family=args.family,
-        slope_set=_slopes(args.slope_set),
+        slope_set=args.slope_set,
         gen_seed=args.gen_seed,
         max_customers=args.max_customers,
         **run,
     )
 
 
-def _config_from(args, algorithm: str, runs: int, jobs: int = 1, out=None) -> bench.RunConfig:
+def _config_from(args, **run) -> RunConfig:
+    """The instance and solver options of ``args``, plus the run settings ``run``."""
     return _instance_config(
         args,
-        algorithm=algorithm,
-        runs=runs,
+        algorithm=args.algorithm,
         base_seed=args.seed,
-        jobs=jobs,
         psize=args.psize,
         generations=args.generations,
         pls=args.pls,
         gss_eps=args.gss_eps,
         ncs_budget=args.ncs_budget,
         ncs_procs=args.ncs_procs,
-        out=out,
+        **run,
     )
 
 
 def cmd_solve(args) -> int:
-    config = _config_from(args, algorithm=args.algorithm, runs=1)
+    config = _config_from(args, runs=1)
     inst = bench.prepare_instance(config, args.instance)
     sp = shortest_paths(inst)
     solution, _, trace = bench.solve_once_detailed(inst, config, args.seed)
@@ -97,8 +99,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    config = _config_from(args, algorithm=args.algorithm, runs=args.runs,
-                          jobs=args.jobs, out=args.out)
+    config = _config_from(args, runs=args.runs, jobs=args.jobs, out=args.out)
     report = bench.run_experiment(config)
     sys.stdout.write(bench.serialize_report(report))
     failures = sum(res.failures for res in report.results)
@@ -111,7 +112,7 @@ def cmd_bench(args) -> int:
 def cmd_generate(args) -> int:
     inst = bench.load_instance_text(Path(args.instance).read_text(),
                                     max_customers=args.max_customers)
-    _, ann = instance_io.generate_td(inst, args.family, _slopes(args.slope_set), args.gen_seed)
+    _, ann = instance_io.generate_td(inst, args.family, args.slope_set, args.gen_seed)
     text = instance_io.serialize_annotation(ann)
     if args.out:
         Path(args.out).write_text(text)
@@ -176,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="one seeded run")
     _add_instance_args(p)
     _add_solver_args(p)
-    p.add_argument("--algorithm", choices=bench.ALGORITHMS, default="maens-gn")
+    p.add_argument("--algorithm", choices=bench.ALGORITHMS, default=RunConfig.algorithm)
     p.add_argument("--trace", help="write the per-generation best-cost trace CSV here")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_solve)
@@ -184,18 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="repeated-run benchmark protocol")
     _add_instance_args(p)
     _add_solver_args(p)
-    p.add_argument("--algorithm", choices=bench.ALGORITHMS, default="maens-gn")
-    p.add_argument("--runs", type=int, default=20)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--algorithm", choices=bench.ALGORITHMS, default=RunConfig.algorithm)
+    p.add_argument("--runs", type=int, default=RunConfig.runs)
+    p.add_argument("--jobs", type=int, default=RunConfig.jobs)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("generate", help="create an annotation sidecar")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--family", choices=["2lp", "3lp"], required=True)
-    p.add_argument("--slope-set", default="0.3,0.5,1,2,3")
-    p.add_argument("--gen-seed", type=int, default=0)
-    p.add_argument("--max-customers", type=int)
+    _add_instance_args(p, generate=True)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_generate)
 

@@ -79,13 +79,13 @@ class InstanceKind:
 def classify(instance) -> InstanceKind:
     """Determine the problem family and shared slope magnitude of an instance.
 
-    Two-segment iff every real task has bt = et = 0.  All real tasks must
+    Two-segment iff every task has bt = et = 0.  All tasks must
     share one slope magnitude; mixed slopes raise
     :class:`HeterogeneousSlopeError`.
     """
-    fns = [instance.tasks[tid].cost_fn for tid in instance.real_task_ids]
+    fns = [task.cost_fn for task in instance.tasks.values()]
     if not fns:
-        raise ValueError("instance has no real tasks to classify")
+        raise ValueError("instance has no tasks to classify")
     ks = sorted({fn.k for fn in fns})
     if ks[-1] - ks[0] > 1e-12:
         raise HeterogeneousSlopeError(

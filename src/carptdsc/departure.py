@@ -24,6 +24,8 @@ from .maens import mix_seed
 from .solution import DepartureTimes, RouteEvaluator, RoutingPlan, split_routes
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # interval shrink factor per iteration
+NCS_SIGMA_DIVISOR = 6.0  # ncs's first step size is the interval length over this
+NCS_EPOCH_ADAPT = 10     # ncs adapts its step size every this many epochs
 
 
 class ScalarObjective:
@@ -80,8 +82,6 @@ class GssParams:
 class NcsParams:
     process_count: int = 10
     budget: int = 2000
-    sigma_init: Optional[float] = None  # defaults to (hi - lo) / 6
-    epoch_adapt: int = 10
     seed: int = 0
 
     def __post_init__(self):
@@ -89,18 +89,6 @@ class NcsParams:
             raise ValueError(f"need at least 2 search processes, got {self.process_count}")
         if self.budget <= 0:
             raise ValueError(f"evaluation budget must be positive, got {self.budget}")
-        # ncs divides by sigma ** 2, so it may not underflow to zero either
-        if self.sigma_init is not None and not (
-            math.isfinite(self.sigma_init)
-            and self.sigma_init > 0.0
-            and self.sigma_init * self.sigma_init > 0.0
-        ):
-            raise ValueError(
-                f"sigma_init must be finite and positive with a nonzero square, "
-                f"got {self.sigma_init}"
-            )
-        if self.epoch_adapt < 1:
-            raise ValueError(f"epoch_adapt must be at least 1, got {self.epoch_adapt}")
 
 
 def gss(obj: ScalarObjective, lo: float, hi: float, epsilon: float) -> tuple[float, float]:
@@ -153,8 +141,8 @@ def ncs(
     evaluations; returns the best point evaluated, clamped to [lo, hi] by
     construction.
 
-    One step size is shared by all processes and adapted every
-    ``epoch_adapt`` epochs by the 1/5-success rule on the success rate
+    One step size, starting at (hi - lo) / 6, is shared by all processes
+    and adapted every 10 epochs by the 1/5-success rule on the success rate
     pooled over all processes; Tang, Yang & Yao (IEEE JSAC 2016) give
     each process its own.  With equal variances the log term of the
     Bhattacharyya distance, log((v + v) / (2 s s)), is log(1) = 0, so the
@@ -167,7 +155,7 @@ def ncs(
     span = hi - lo
     nproc = params.process_count
     budget = params.budget
-    sigma = params.sigma_init if params.sigma_init is not None else span / 6.0
+    sigma = span / NCS_SIGMA_DIVISOR
 
     means: list[float] = []
     fits: list[float] = []
@@ -223,8 +211,8 @@ def ncs(
                 fits[i] = proposal_fits[i]
                 successes += 1
 
-        if epoch % params.epoch_adapt == 0:
-            rate = successes / (params.epoch_adapt * nproc)
+        if epoch % NCS_EPOCH_ADAPT == 0:
+            rate = successes / (NCS_EPOCH_ADAPT * nproc)
             if rate > 0.2:
                 factor = 1.0 / 0.85
             elif rate < 0.2:

@@ -49,20 +49,15 @@ class Instance:
     name: str
     num_vertices: int
     arcs: tuple[Arc, ...]
-    tasks: Mapping[int, Task]  # includes the depot dummy task 0
+    tasks: Mapping[int, Task]
     depot: int
     capacity: float
     fleet_size: int
     horizon: float
-    vertex_labels: Optional[tuple[str, ...]] = None
-    real_task_ids: tuple[int, ...] = field(init=False)
+    real_task_ids: tuple[int, ...] = field(init=False)  # every task ID, sorted
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "real_task_ids",
-            tuple(sorted(tid for tid in self.tasks if tid != 0)),
-        )
+        object.__setattr__(self, "real_task_ids", tuple(sorted(self.tasks)))
 
     @property
     def num_tasks(self) -> int:
@@ -89,9 +84,8 @@ def build_instance(
     fleet_size: int,
     horizon: float,
     name: str = "",
-    vertex_labels: Optional[Sequence[str]] = None,
 ) -> Instance:
-    """Validate and assemble an instance, installing the depot dummy task 0."""
+    """Validate and assemble an instance; 0 is not a task ID but the plan separator."""
     if vertices <= 0:
         raise InstanceError(f"vertex count must be positive, got {vertices}")
     if not 0 <= depot < vertices:
@@ -109,6 +103,8 @@ def build_instance(
             )
         if arc.travel_time < 0 or arc.travel_cost < 0:
             raise InstanceError(f"arc {arc.id} has negative travel time or cost")
+    if not tasks:
+        raise InstanceError("instance has no tasks")
 
     task_map: dict[int, Task] = {}
     for task in tasks:
@@ -143,15 +139,6 @@ def build_instance(
                     f"inverse link of tasks {task.id}/{twin.id} is not symmetric"
                 )
 
-    depot_arc = Arc(id=0, tail=depot, head=depot, length=0.0, travel_time=0.0, travel_cost=0.0)
-    task_map[0] = Task(
-        id=0,
-        arc=depot_arc,
-        demand=0.0,
-        cost_fn=ServiceCostFunction(c_min=0.0),
-        inverse_id=None,
-    )
-
     return Instance(
         name=name,
         num_vertices=vertices,
@@ -161,7 +148,6 @@ def build_instance(
         capacity=float(capacity),
         fleet_size=int(fleet_size),
         horizon=float(horizon),
-        vertex_labels=tuple(vertex_labels) if vertex_labels is not None else None,
     )
 
 

@@ -65,14 +65,6 @@ class StaticInstanceFile:
 
 
 @dataclass(frozen=True)
-class SolomonFile:
-    vehicles: int
-    capacity: float
-    # rows: (id, x, y, demand, ready, due, service); row 0 is the depot
-    rows: tuple[tuple[int, float, float, float, float, float, float], ...]
-
-
-@dataclass(frozen=True)
 class TdAnnotation:
     """Per-task cost-function layer for one static instance."""
 
@@ -199,9 +191,6 @@ def carp_to_instance(f: StaticInstanceFile) -> Instance:
             f"{len(labels)} distinct vertices referenced, header says {f.vertices}"
         )
     index = {label: idx for idx, label in enumerate(labels)}
-    # Unreferenced vertices (if any) keep the header count honest.
-    for extra in range(len(labels), f.vertices):
-        index[f"unused-{extra}"] = extra
 
     arcs: list[Arc] = []
     tasks: list[Task] = []
@@ -234,8 +223,6 @@ def carp_to_instance(f: StaticInstanceFile) -> Instance:
         fleet_size=f.vehicles,
         horizon=math.inf,
         name=f.name,
-        vertex_labels=[str(l) for l in labels]
-        + [f"unused-{x}" for x in range(len(labels), f.vertices)],
     )
 
 
@@ -244,8 +231,12 @@ def parse_carp(text: str) -> tuple[StaticInstanceFile, Instance]:
     return f, carp_to_instance(f)
 
 
-def read_solomon(text: str) -> SolomonFile:
-    """Parse the classic Solomon layout (or a bare numeric table)."""
+def parse_solomon(text: str, max_customers: Optional[int] = None) -> Instance:
+    """Parse the classic Solomon layout (or a bare numeric table).
+
+    Row 0 is the depot; ``max_customers``, when given, keeps only that many
+    customers, the first in the file.
+    """
     numeric_rows: list[list[float]] = []
     for raw in text.splitlines():
         parts = raw.split()
@@ -264,9 +255,7 @@ def read_solomon(text: str) -> SolomonFile:
     rows = []
     for r in numeric_rows:
         if len(r) == 7:
-            rows.append(
-                (int(r[0]), r[1], r[2], r[3], r[4], r[5], r[6])
-            )
+            rows.append((int(r[0]), *r[1:]))
         elif len(r) != 2:
             raise ParseError(f"malformed customer row: {r}")
     if not rows or rows[0][0] != 0:
@@ -274,13 +263,6 @@ def read_solomon(text: str) -> SolomonFile:
     for row in rows:
         if not all(math.isfinite(x) for x in row[1:3]):
             raise ParseError(f"non-finite coordinates in row {row}")
-    return SolomonFile(vehicles=vehicles, capacity=capacity, rows=tuple(rows))
-
-
-def solomon_to_instance(
-    f: SolomonFile, max_customers: Optional[int] = None, name: str = "solomon"
-) -> Instance:
-    rows = f.rows
     if max_customers is not None:
         rows = rows[: max_customers + 1]
     n = len(rows)  # depot + customers
@@ -298,7 +280,7 @@ def solomon_to_instance(
 
     tasks: list[Task] = []
     for vid in range(1, n):
-        cid, _, _, demand, ready, due, service = rows[vid]
+        _, _, _, demand, ready, due, service = rows[vid]
         arc_id += 1
         arc = Arc(arc_id, vid, vid, 0.0, 0.0, 0.0)
         fn = ServiceCostFunction(c_min=service, bt=ready, et=due, k=1.0)
@@ -310,16 +292,11 @@ def solomon_to_instance(
         arcs=arcs,
         tasks=tasks,
         depot=0,
-        capacity=f.capacity,
-        fleet_size=f.vehicles,
+        capacity=capacity,
+        fleet_size=vehicles,
         horizon=depot_due,
-        name=name,
-        vertex_labels=[str(r[0]) for r in rows],
+        name="solomon",
     )
-
-
-def parse_solomon(text: str, max_customers: Optional[int] = None) -> Instance:
-    return solomon_to_instance(read_solomon(text), max_customers=max_customers)
 
 
 def apply_annotation(instance: Instance, ann: TdAnnotation) -> Instance:
@@ -349,7 +326,6 @@ def apply_annotation(instance: Instance, ann: TdAnnotation) -> Instance:
         fleet_size=instance.fleet_size,
         horizon=ann.horizon,
         name=instance.name,
-        vertex_labels=instance.vertex_labels,
     )
 
 

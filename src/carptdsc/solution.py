@@ -142,11 +142,11 @@ class RouteEvaluator:
         self.sp_time = sp.time.tolist()
         self.sp_cost = sp.cost.tolist()
         # walk() fetches a task's attributes in one lookup; an ID missing
-        # here (unknown, or the depot dummy 0) is rejected
+        # here (unknown, or the plan separator 0) is rejected
         self._task_row = {
             tid: (self.tail[tid], self.head[tid], self.c_min[tid], self.bt[tid],
                   self.et[tid], self.k[tid], self.demand[tid])
-            for tid in instance.real_task_ids
+            for tid in instance.tasks
         }
 
     def walk(
@@ -201,9 +201,19 @@ class RouteEvaluator:
         return services + deadhead, (late if late > 0.0 else 0.0) + (over if over > 0.0 else 0.0)
 
     def _check_route(self, route: Sequence[int]):
-        for tid in route:
-            if tid == 0 or tid not in self.instance.tasks:
-                raise PlanError(f"unknown or depot task ID {tid} in route")
+        # walk() raises PlanError for an unknown task ID or an unreachable leg
+        self.walk(self.origin, route)
+
+    def routes(self, solution: Solution) -> list[tuple[int, ...]]:
+        """The routes of ``solution``, each checked once as :meth:`walk` checks it."""
+        routes = split_routes(solution.plan)
+        if len(routes) != len(solution.departures):
+            raise ValueError(
+                f"{len(solution.departures)} departure times for {len(routes)} routes"
+            )
+        for route in routes:
+            self._check_route(route)
+        return routes
 
     def evaluate(self, route: Sequence[int], t: float) -> RouteEval:
         """Full evaluation with arrival times and per-task service costs."""
@@ -221,11 +231,8 @@ class RouteEvaluator:
         deadhead = 0.0
         for tid in route:
             tail = self.tail[tid]
-            leg_t = sp_time[v][tail]
-            if leg_t == float("inf"):
-                raise PlanError(f"no deadhead path from vertex {v} to task {tid}")
             deadhead += sp_cost[v][tail]
-            cur += leg_t
+            cur += sp_time[v][tail]
             arrivals.append(cur)
             bt, et = self.bt[tid], self.et[tid]
             if cur < bt:
@@ -238,11 +245,8 @@ class RouteEvaluator:
             service_sum += sc
             cur += sc
             v = self.head[tid]
-        leg_t = sp_time[v][self.depot]
-        if leg_t == float("inf"):
-            raise PlanError(f"no deadhead path from vertex {v} back to the depot")
         deadhead += sp_cost[v][self.depot]
-        cur += leg_t
+        cur += sp_time[v][self.depot]
         arrivals.append(cur)
         return RouteEval(
             arrival_times=tuple(arrivals),
@@ -291,11 +295,8 @@ class RouteEvaluator:
         v = self.depot
         for tid in route:
             tail = self.tail[tid]
-            leg_t = self.sp_time[v][tail]
-            if leg_t == float("inf"):
-                raise PlanError(f"no deadhead path from vertex {v} to task {tid}")
             total += self.sp_cost[v][tail]
-            cur += leg_t
+            cur += self.sp_time[v][tail]
             # c_min + k * (max(bt - cur, 0) + max(cur - et, 0)), in place
             np.maximum(np.subtract(self.bt[tid], cur, out=sc), 0.0, out=sc)
             np.maximum(np.subtract(cur, self.et[tid], out=late), 0.0, out=late)
@@ -309,13 +310,9 @@ class RouteEvaluator:
         return total
 
     def solution_cost(self, solution: Solution) -> float:
-        routes = split_routes(solution.plan)
-        if len(routes) != len(solution.departures):
-            raise ValueError(
-                f"{len(solution.departures)} departure times for {len(routes)} routes"
-            )
         return sum(
-            self.total(route, t) for route, t in zip(routes, solution.departures)
+            self.total(route, t)
+            for route, t in zip(self.routes(solution), solution.departures)
         )
 
 
@@ -335,20 +332,14 @@ def check_feasibility(
     solution: Solution, instance: Instance, sp: ShortestPaths
 ) -> FeasibilityReport:
     """Evaluate every constraint; violations are report content, not errors."""
-    routes = split_routes(solution.plan)
-    if len(routes) != len(solution.departures):
-        raise ValueError(
-            f"{len(solution.departures)} departure times for {len(routes)} routes"
-        )
     evaluator = RouteEvaluator(instance, sp)
+    routes = evaluator.routes(solution)
 
     seen_pairs: dict[int, int] = {}
     duplicates: list[int] = []
     inverse_clash = False
     for route in routes:
         for tid in route:
-            if tid not in instance.tasks or tid == 0:
-                raise PlanError(f"unknown task ID {tid} in plan")
             root = instance.pair_root(tid)
             if root in seen_pairs:
                 duplicates.append(tid)
@@ -394,7 +385,7 @@ def format_solution(
 ) -> str:
     """Line-oriented text form: one route line per route plus a total line."""
     evaluator = RouteEvaluator(instance, sp)
-    routes = split_routes(solution.plan)
+    routes = evaluator.routes(solution)
     lines = []
     total = 0.0
     for i, (route, t) in enumerate(zip(routes, solution.departures), start=1):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from carptdsc.departure import NCS_EPOCH_ADAPT, NCS_SIGMA_DIVISOR
 from carptdsc.solution import RouteEvaluator, split_routes
 
 
@@ -154,7 +155,7 @@ def reference_ncs(obj, lo, hi, params):
     rng = np.random.Generator(np.random.PCG64(params.seed))
     span = hi - lo
     nproc = params.process_count
-    sigma0 = params.sigma_init if params.sigma_init is not None else span / 6.0
+    sigma0 = span / NCS_SIGMA_DIVISOR
 
     means = []
     fits = []
@@ -216,8 +217,8 @@ def reference_ncs(obj, lo, hi, params):
                 fits[i] = proposal_fits[i]
                 successes += 1
 
-        if epoch % params.epoch_adapt == 0:
-            rate = successes / (params.epoch_adapt * len(means))
+        if epoch % NCS_EPOCH_ADAPT == 0:
+            rate = successes / (NCS_EPOCH_ADAPT * len(means))
             if rate > 0.2:
                 factor = 1.0 / 0.85
             elif rate < 0.2:

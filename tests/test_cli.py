@@ -154,7 +154,10 @@ def test_stats_with_an_all_failed_instance(tmp_path, capsys):
     assert "Ave.PDR vs LB: 25.000% vs 25.000%" in out
 
 
-@pytest.mark.parametrize("bad", ["run gdb1 0", "run gdb1 zero 320.0 0.5", "run gdb1 0 320.0 fast"])
+@pytest.mark.parametrize("bad", [
+    "run gdb1 0", "run gdb1 zero 320.0 0.5", "run gdb1 0 320.0 fast",
+    "run gdb1 0 nan 0.5", "run gdb1 0 -inf 0.5", "run gdb1 0 320.0 inf", "run gdb1 0 failed nan",
+])
 def test_stats_names_a_malformed_run_line(tmp_path, capsys, bad):
     path = tmp_path / "r.txt"
     path.write_text(
@@ -166,6 +169,36 @@ def test_stats_names_a_malformed_run_line(tmp_path, capsys, bad):
     assert "report line 7:" in err
     assert "run <instance> <seed> <cost or failed> <seconds> [reason]" in err
     assert repr(bad) in err
+
+
+def test_stats_names_a_bad_header_line(tmp_path, capsys):
+    path = tmp_path / "r.txt"
+    path.write_text("carptdsc-report v1\nalgorithm : a\nruns : two\nbase_seed : 0\n")
+    code, _, err = run_cli(capsys, "stats", str(path), str(path))
+    assert code == 1
+    assert "report line 3: want 'runs : <integer>', got 'runs : two'" in err
+
+
+NO_TASKS_DAT = """NAME : empty
+VERTICES : 2
+REQUIRED_EDGES : 0
+NON_REQUIRED_EDGES : 1
+VEHICLES : 1
+CAPACITY : 5
+REQUIRED_EDGE_LIST :
+NON_REQUIRED_EDGE_LIST :
+( 1, 2) cost 3
+DEPOT : 1
+"""
+
+
+@pytest.mark.parametrize("extra", [(), ("--family", "3lp")])
+def test_solve_rejects_an_instance_without_tasks(tmp_path, capsys, extra):
+    path = tmp_path / "empty.dat"
+    path.write_text(NO_TASKS_DAT)
+    code, out, err = run_cli(capsys, "solve", "--instance", str(path), *extra)
+    assert (code, out) == (1, "")
+    assert err == "error: instance has no tasks\n"
 
 
 def test_solve_out_file_matches_stdout(tmp_path, capsys):

@@ -252,15 +252,3 @@ def test_ncs_oracle_agreement_sample():
         if got <= 1.02 * want:
             hits += 1
     assert hits >= 18
-
-
-@pytest.mark.parametrize("sigma_init", [0.0, -1.0, math.nan, math.inf, 1e-200])
-def test_ncs_params_reject_bad_sigma_init(sigma_init):
-    with pytest.raises(ValueError, match="sigma_init"):
-        NcsParams(sigma_init=sigma_init)
-
-
-@pytest.mark.parametrize("epoch_adapt", [0, -3])
-def test_ncs_params_reject_bad_epoch_adapt(epoch_adapt):
-    with pytest.raises(ValueError, match="epoch_adapt"):
-        NcsParams(epoch_adapt=epoch_adapt)

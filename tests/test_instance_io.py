@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import pytest
 
 from carptdsc import (
     Family,
+    apply_annotation,
     classify,
     generate_td,
     parse_carp,
@@ -13,7 +15,7 @@ from carptdsc import (
     serialize_carp,
     shortest_paths,
 )
-from carptdsc.instance_io import ParseError, read_carp, read_solomon
+from carptdsc.instance_io import ParseError, read_carp
 
 from conftest import random_static_file, rng_for
 
@@ -103,14 +105,6 @@ def test_solomon_window_mapping(r101_text):
     assert task.demand == 10.0
 
 
-def test_solomon_depot_dummy(r101_text):
-    inst = parse_solomon(r101_text)
-    dummy = inst.tasks[0]
-    assert dummy.demand == 0.0
-    assert dummy.cost_fn.c_min == 0.0
-    assert dummy.arc.tail == inst.depot
-
-
 def test_solomon_euclidean_deadheads(r101_text):
     inst = parse_solomon(r101_text)
     sp = shortest_paths(inst)
@@ -133,7 +127,7 @@ def test_solomon_malformed_row(r101_text):
         "    5      15         30         26         34",
     )
     with pytest.raises(ParseError):
-        read_solomon(bad)
+        parse_solomon(bad)
 
 
 def test_generate_2lp(gdb1_text):
@@ -214,3 +208,39 @@ def test_annotation_roundtrip(gdb1_text):
 def test_annotation_version_tag(gdb1_text):
     with pytest.raises(ParseError, match="format tag"):
         read_annotation("family : 3lp\n")
+
+
+
+def _pinned_view(inst):
+    """Plain header fields, then a digest of repr(arcs) and repr of the tasks by ID."""
+    body = repr((inst.arcs, [inst.tasks[tid] for tid in inst.real_task_ids]))
+    return (inst.name, inst.num_vertices, inst.depot, inst.capacity, inst.fleet_size,
+            inst.horizon, len(inst.arcs), inst.real_task_ids,
+            hashlib.sha256(body.encode()).hexdigest()[:16])
+
+
+def _annotated_gdb1(gdb1_text, r101_text):
+    _, static = parse_carp(gdb1_text)
+    _, ann = generate_td(static, "3lp", (0.3, 0.5, 1.0, 2.0, 3.0), seed=4)
+    return apply_annotation(static, read_annotation(serialize_annotation(ann)))
+
+
+# The parsed instances of the two-step Solomon parser, whose task map also
+# held a depot entry 0: name, vertices, depot, capacity, fleet size,
+# horizon, arc count, task IDs, digest
+PINNED_INSTANCES = [
+    (lambda g, r: parse_carp(g)[1],
+     ("gdb1", 12, 0, 5.0, 5, math.inf, 44, tuple(range(1, 45)), "5d6bb6e7d24ece3b")),
+    (lambda g, r: parse_solomon(r),
+     ("solomon", 26, 0, 200.0, 25, 230.0, 650, tuple(range(1, 26)), "ee5ba0614c94bc59")),
+    (lambda g, r: parse_solomon(r, max_customers=10),
+     ("solomon", 11, 0, 200.0, 25, 230.0, 110, tuple(range(1, 11)), "26581e8f642737db")),
+    (_annotated_gdb1,
+     ("gdb1", 12, 0, 5.0, 5, 796.0, 44, tuple(range(1, 45)), "b621868396575e0c")),
+]
+
+
+@pytest.mark.parametrize("build,want", PINNED_INSTANCES,
+                         ids=["gdb1", "r101_25", "r101_25-10", "gdb1-3lp-annotated"])
+def test_pinned_parsed_instances(gdb1_text, r101_text, build, want):
+    assert _pinned_view(build(gdb1_text, r101_text)) == want

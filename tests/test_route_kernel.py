@@ -16,10 +16,15 @@ from carptdsc import (
     MaensParams,
     RouteEvaluator,
     ServiceCostFunction,
+    Solution,
     Task,
     build_instance,
+    check_feasibility,
+    evaluate_solution,
     evolve,
+    format_solution,
     instance_io,
+    join_routes,
     shortest_paths,
 )
 from carptdsc.bench import load_instance_text
@@ -169,6 +174,39 @@ def test_walk_rejects_unreachable_legs(route, where):
     with pytest.raises(PlanError, match="no deadhead path"):
         _Assessor(inst, sp, evaluator=ev).route_stats(route)
     assert ev.walk(ev.origin, (1,)) == (2.0, 0.0)
+
+
+def _solution_costs(inst, sp, ev, sol):
+    """Every entry point that costs or checks a whole solution."""
+    return [
+        lambda: evaluate_solution(sol, inst, sp),
+        lambda: ev.solution_cost(sol),
+        lambda: format_solution(sol, inst, sp),
+        lambda: check_feasibility(sol, inst, sp),
+    ]
+
+
+@pytest.mark.parametrize("route,message", [
+    ((1, 99), "unknown or depot task ID 99"),
+    ((2,), "from vertex 0 to task 2"),
+    ((1, 2), "from vertex 1 to task 2"),
+    ((3,), "from vertex 3 back to the depot"),
+])
+def test_solution_costs_reject_what_walk_rejects(route, message):
+    inst, sp, ev = _broken_instance()
+    sol = Solution(join_routes([(1,), route]), (0.0, 0.0))
+    for cost in _solution_costs(inst, sp, ev, sol):
+        with pytest.raises(PlanError, match=message):
+            cost()
+
+
+@pytest.mark.parametrize("tid", [45, 99])
+def test_solution_costs_reject_unknown_gdb1_ids(tid):
+    inst, sp, ev = CASES["gdb1"]
+    sol = Solution((0, 1, 3, 0, 5, tid, 0), (0.0, 0.0))
+    for cost in _solution_costs(inst, sp, ev, sol):
+        with pytest.raises(PlanError, match=f"unknown or depot task ID {tid} in route"):
+            cost()
 
 
 # Plans of the search before it used walk() (gdb1, generator seed 3 for

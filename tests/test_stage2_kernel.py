@@ -64,14 +64,7 @@ def _ncs_case(draw):
         st.integers(2, 40).map(lambda e: e * nproc),
         st.integers(nproc + 1, 40 * nproc),
     ))
-    sigma = draw(st.sampled_from([None, 1e-9, 1.0, 2.0]))
-    params = NcsParams(
-        process_count=nproc,
-        budget=budget,
-        sigma_init=None if sigma is None else sigma * inst.horizon,
-        epoch_adapt=draw(st.integers(1, 10)),
-        seed=draw(st.integers(0, 2**48)),
-    )
+    params = NcsParams(process_count=nproc, budget=budget, seed=draw(st.integers(0, 2**48)))
     return inst, ev, route, params
 
 
