@@ -4,7 +4,6 @@ per-route departure-time optimization."""
 
 from .costfn import Family, InstanceKind, ServiceCostFunction, classify
 from .departure import (
-    GssParams,
     NcsParams,
     ScalarObjective,
     grid_oracle,
@@ -20,7 +19,6 @@ from .instance import (
     ShortestPaths,
     Task,
     build_instance,
-    inverse_of,
     shortest_paths,
 )
 from .instance_io import (

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import instance_io
-from .departure import GssParams, NcsParams, optimize_departures
+from .departure import NcsParams, optimize_departures
 from .instance import Instance, shortest_paths
 from .maens import MaensParams, evolve, init_individual
 from .solution import RouteEvaluator, Solution, split_routes
@@ -57,6 +57,8 @@ class RunConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError(f"need at least one run, got {self.runs}")
+        if self.gss_eps is not None and not 0 < self.gss_eps < math.inf:
+            raise ValueError(f"gss_eps must be finite and positive, got {self.gss_eps}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
 
@@ -136,7 +138,6 @@ def solve_once_detailed(
 ) -> tuple[Solution, float, Optional[list[tuple[int, float, float]]]]:
     """One seeded run; returns (solution, cost, stage-1 trace or None)."""
     sp = shortest_paths(instance)
-    gss_params = None if config.gss_eps is None else GssParams(epsilon=config.gss_eps)
     ncs_params = NcsParams(
         process_count=config.ncs_procs, budget=config.ncs_budget, seed=seed
     )
@@ -158,7 +159,7 @@ def solve_once_detailed(
 
     if config.algorithm == "maens-gn":
         departures = optimize_departures(
-            plan, instance, sp, gss_params=gss_params, ncs_params=ncs_params
+            plan, instance, sp, gss_eps=config.gss_eps, ncs_params=ncs_params
         )
     else:
         departures = tuple(0.0 for _ in split_routes(plan))
@@ -168,16 +169,10 @@ def solve_once_detailed(
     return solution, cost, trace
 
 
-def solve_once(instance: Instance, config: RunConfig, seed: int) -> tuple[Solution, float]:
-    """One seeded run of the configured algorithm; returns (solution, cost)."""
-    solution, cost, _ = solve_once_detailed(instance, config, seed)
-    return solution, cost
-
-
 def _run_record(instance: Instance, config: RunConfig, seed: int) -> RunRecord:
     start = time.perf_counter()
     try:
-        _, cost = solve_once(instance, config, seed)
+        _, cost, _ = solve_once_detailed(instance, config, seed)
         return RunRecord(seed=seed, cost=cost, seconds=time.perf_counter() - start)
     except Exception as exc:  # failed run: recorded, not fatal
         return RunRecord(

@@ -161,10 +161,19 @@ def cmd_stats(args) -> int:
     print(f"No.best {cmp.no_best_a} vs {cmp.no_best_b}")
     if args.lb:
         refs = {}
-        for line in Path(args.lb).read_text().splitlines():
+        for number, line in enumerate(Path(args.lb).read_text().splitlines(), start=1):
             parts = line.split()
-            if len(parts) == 2:
-                refs[parts[0]] = float(parts[1])
+            if not parts:
+                continue
+            try:
+                name, value = parts
+                bound = float(value)
+            except ValueError:  # not two fields, or not a number
+                bound = math.nan
+            if not math.isfinite(bound):
+                raise ValueError(f"lb line {number}: want '<instance> <lower bound>', "
+                                 f"got {line.strip()!r}")
+            refs[name] = bound
         print(f"Ave.PDR vs LB: {bench.average_pdr(rep_a, refs):.3f}% "
               f"vs {bench.average_pdr(rep_b, refs):.3f}%")
     return 0

@@ -13,8 +13,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 
 class Family(enum.Enum):
     """Problem family, determined by the shape of the task cost functions."""
@@ -58,16 +56,6 @@ class ServiceCostFunction:
         if t > self.et:
             return self.c_min + self.k * (t - self.et)
         return self.c_min
-
-    def values(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`value` over an array of start times."""
-        ts = np.asarray(ts, dtype=float)
-        if np.any(ts < 0):
-            raise ValueError("service start times must be >= 0")
-        # bt <= et, so at most one of the two ramp terms is active per entry.
-        return self.c_min + self.k * (
-            np.maximum(self.bt - ts, 0.0) + np.maximum(ts - self.et, 0.0)
-        )
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -57,8 +58,7 @@ class ScalarObjective:
 
 def _objective(evaluator: RouteEvaluator, route: tuple[int, ...]) -> ScalarObjective:
     return ScalarObjective(
-        fn=lambda t: evaluator.total(route, t),
-        vector_fn=lambda ts: evaluator.profile(route, ts),
+        fn=partial(evaluator.total, route), vector_fn=partial(evaluator.profile, route)
     )
 
 
@@ -67,15 +67,6 @@ def route_objective(
 ) -> ScalarObjective:
     """Route cost (deadhead included) as a function of the departure time."""
     return _objective(RouteEvaluator(instance, sp), tuple(route))
-
-
-@dataclass(frozen=True)
-class GssParams:
-    epsilon: float
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -101,7 +92,7 @@ def gss(obj: ScalarObjective, lo: float, hi: float, epsilon: float) -> tuple[flo
     """
     if lo >= hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     c = hi - (hi - lo) * INVPHI
     d = lo + (hi - lo) * INVPHI
@@ -252,7 +243,7 @@ def optimize_departures(
     plan: RoutingPlan,
     instance: Instance,
     sp: ShortestPaths,
-    gss_params: Optional[GssParams] = None,
+    gss_eps: Optional[float] = None,
     ncs_params: Optional[NcsParams] = None,
 ) -> DepartureTimes:
     """Optimal (or near-optimal) departure time for every route of ``plan``.
@@ -261,7 +252,7 @@ def optimize_departures(
     instances are routed to gss when the slope magnitude is <= 1 and to
     ncs otherwise, each route independently on [0, horizon].  Per-route
     ncs seeds derive from the route index, so the result is independent
-    of optimization order.
+    of optimization order.  ``gss_eps`` defaults to 1e-3 of the horizon.
     """
     routes = split_routes(plan)
     kind = classify(instance)
@@ -271,8 +262,8 @@ def optimize_departures(
     horizon = instance.horizon
     if not math.isfinite(horizon):
         raise ValueError("departure optimization needs a finite planning horizon")
-    if gss_params is None:
-        gss_params = GssParams(epsilon=1e-3 * horizon)
+    if gss_eps is None:
+        gss_eps = 1e-3 * horizon
     if ncs_params is None:
         ncs_params = NcsParams()
 
@@ -281,7 +272,7 @@ def optimize_departures(
     for route in routes:
         obj = _objective(evaluator, route)
         if kind.k <= 1.0:
-            t_star, _ = gss(obj, 0.0, horizon, gss_params.epsilon)
+            t_star, _ = gss(obj, 0.0, horizon, gss_eps)
         else:
             # the ncs stream is keyed to the route content, so a route's
             # departure does not depend on its position in the plan

@@ -60,11 +60,6 @@ class Instance:
         object.__setattr__(self, "real_task_ids", tuple(sorted(self.tasks)))
 
     @property
-    def num_tasks(self) -> int:
-        """Number of directed required-arc records (inverse twins counted twice)."""
-        return len(self.real_task_ids)
-
-    @property
     def num_required(self) -> int:
         """Number of tasks up to inversion (an inverse pair counts once)."""
         return len({self.pair_root(tid) for tid in self.real_task_ids})
@@ -163,9 +158,6 @@ class ShortestPaths:
     time: np.ndarray
     cost: np.ndarray
 
-    def travel(self, u: int, v: int) -> tuple[float, float]:
-        return float(self.time[u, v]), float(self.cost[u, v])
-
 
 def shortest_paths(instance: Instance) -> ShortestPaths:
     """All-pairs shortest paths by Dijkstra from every source vertex.
@@ -203,11 +195,3 @@ def shortest_paths(instance: Instance) -> ShortestPaths:
                     heapq.heappush(heap, (nt, nc, v))
 
     return ShortestPaths(time=time, cost=cost)
-
-
-def inverse_of(instance: Instance, task_id: int) -> Optional[int]:
-    """ID of the opposite-direction twin of ``task_id``, or None."""
-    task = instance.tasks.get(task_id)
-    if task is None:
-        raise InstanceError(f"unknown task ID {task_id}")
-    return task.inverse_id

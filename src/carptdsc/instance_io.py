@@ -295,7 +295,6 @@ def parse_solomon(text: str, max_customers: Optional[int] = None) -> Instance:
         capacity=capacity,
         fleet_size=vehicles,
         horizon=depot_due,
-        name="solomon",
     )
 
 

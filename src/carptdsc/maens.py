@@ -32,6 +32,7 @@ SCORE_FLOOR = 1e-9  # guards the reciprocal score on degenerate zero costs
 IMPROVE_EPS = 1e-9
 MERGE_SPLIT_ROUTES = 2  # routes dissolved and rebuilt by one merge-split
 LS_MAX_SWEEPS = 30  # rounds of the basic move neighborhoods per local search
+PENALTY_PERIOD = 5  # generations between penalty doubling/halving
 
 
 class SolverError(RuntimeError):
@@ -55,7 +56,6 @@ class MaensParams:
     psize: int = 10
     generations: int = 50
     pls: float = 0.1
-    penalty_period: int = 5  # generations between penalty doubling/halving
     seed: int = 0
 
     def __post_init__(self):
@@ -407,28 +407,18 @@ def _scan_swap(routes, assessor, instance, lam, rng) -> bool:
         inv_b = instance.tasks[b].inverse_id
         a_opts = (a,) if inv_a is None else (a, inv_a)
         b_opts = (b,) if inv_b is None else (b, inv_b)
-        if ri == rj:
-            base = assessor.contrib(routes[ri], lam)
-            for bo in b_opts:
-                for ao in a_opts:
-                    cand = list(routes[ri])
-                    cand[pi], cand[pj] = bo, ao
-                    if assessor.contrib(cand, lam) - base < -IMPROVE_EPS:
-                        routes[ri] = cand
-                        return True
-        else:
-            base = assessor.contrib(routes[ri], lam) + assessor.contrib(routes[rj], lam)
-            for bo in b_opts:
-                for ao in a_opts:
-                    cand_i = list(routes[ri])
-                    cand_j = list(routes[rj])
-                    cand_i[pi] = bo
-                    cand_j[pj] = ao
-                    new = assessor.contrib(cand_i, lam) + assessor.contrib(cand_j, lam)
-                    if new - base < -IMPROVE_EPS:
-                        routes[ri] = cand_i
-                        routes[rj] = cand_j
-                        return True
+        touched = sorted({ri, rj})  # sum() of two floats rounds as a + b, also on 3.12+
+        base = sum(assessor.contrib(routes[r], lam) for r in touched)
+        for bo in b_opts:
+            for ao in a_opts:
+                cand = {r: list(routes[r]) for r in touched}
+                cand[ri][pi] = bo
+                cand[rj][pj] = ao
+                new = sum(assessor.contrib(c, lam) for c in cand.values())
+                if new - base < -IMPROVE_EPS:
+                    for r, c in cand.items():
+                        routes[r] = c
+                    return True
     return False
 
 
@@ -623,7 +613,7 @@ def evolve(
             best_feasible.total_cost if best_feasible is not None else math.nan,
         ))
 
-        if gen % params.penalty_period == 0:
+        if gen % PENALTY_PERIOD == 0:
             lam = min(lam * 2.0, lam_ceil) if not population[0].feasible else max(
                 lam / 2.0, lam_floor
             )

@@ -49,7 +49,7 @@ def simulate_route(route, depart, instance, sp):
     arrivals = []
     for tid in route:
         task = instance.tasks[tid]
-        leg_time, leg_cost = sp.travel(at, task.arc.tail)
+        leg_time, leg_cost = sp.time[at, task.arc.tail], sp.cost[at, task.arc.tail]
         clock += leg_time
         deadhead_cost += leg_cost
         arrivals.append(clock)
@@ -58,7 +58,7 @@ def simulate_route(route, depart, instance, sp):
         service_total += sc
         clock += sc
         at = task.arc.head
-    leg_time, leg_cost = sp.travel(at, instance.depot)
+    leg_time, leg_cost = sp.time[at, instance.depot], sp.cost[at, instance.depot]
     clock += leg_time
     deadhead_cost += leg_cost
     return SimResult(arrivals, service_total, deadhead_cost, clock)

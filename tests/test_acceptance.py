@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from carptdsc import (
-    GssParams,
     MaensParams,
     NcsParams,
     RouteEvaluator,

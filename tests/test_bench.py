@@ -177,11 +177,25 @@ def test_compare_reports_partition_two_instances():
     assert cmp.no_best_a + cmp.no_best_b >= 2
 
 
+def test_solomon_instances_named_by_file_stem(tmp_path):
+    paths = []
+    for stem in ("a", "b"):
+        path = tmp_path / f"{stem}.txt"
+        path.write_text((DATA / "r101_25.txt").read_text())
+        paths.append(str(path))
+    out = tmp_path / "report.txt"
+    run_experiment(
+        RunConfig(instances=tuple(paths), algorithm="init-only", runs=1, out=str(out))
+    )
+    back = read_report(out.read_text())
+    assert [(res.name, len(res.runs)) for res in back.results] == [("a", 1), ("b", 1)]
+
+
 def test_failed_runs_recorded(tmp_path, monkeypatch):
     import carptdsc.bench as bench_mod
 
     calls = {"n": 0}
-    original = bench_mod.solve_once
+    original = bench_mod.solve_once_detailed
 
     def flaky(instance, config, seed):
         calls["n"] += 1
@@ -189,7 +203,7 @@ def test_failed_runs_recorded(tmp_path, monkeypatch):
             raise RuntimeError("boom")
         return original(instance, config, seed)
 
-    monkeypatch.setattr(bench_mod, "solve_once", flaky)
+    monkeypatch.setattr(bench_mod, "solve_once_detailed", flaky)
     report = run_experiment(_desk_config(None, runs=3))
     res = report.results[0]
     assert res.failures == 1

@@ -144,7 +144,7 @@ def test_stats_with_an_all_failed_instance(tmp_path, capsys):
     path = tmp_path / "r.txt"
     path.write_text(report)
     lb_path = tmp_path / "lb.txt"
-    lb_path.write_text("fine 4\ndead 1\n")
+    lb_path.write_text("fine 4\n\ndead 1\n")
     code, out, err = run_cli(capsys, "stats", str(path), str(path), "--lb", str(lb_path))
     assert (code, err) == (0, "")
     assert "fine: ave 5.000 vs 5.000" in out
@@ -169,6 +169,20 @@ def test_stats_names_a_malformed_run_line(tmp_path, capsys, bad):
     assert "report line 7:" in err
     assert "run <instance> <seed> <cost or failed> <seconds> [reason]" in err
     assert repr(bad) in err
+
+
+@pytest.mark.parametrize("bad", ["gdb1 abc", "gdb1 316 extra", "gdb1 inf", "gdb1"])
+def test_stats_names_a_malformed_lb_line(tmp_path, capsys, bad):
+    path = tmp_path / "r.txt"
+    path.write_text(
+        "carptdsc-report v1\nalgorithm : a\nruns : 1\nbase_seed : 0\n"
+        "instance gdb1 : ave 320.0 std 0.0 best 320.0 ave_time 0.5\nrun gdb1 0 320.0 0.5\n"
+    )
+    lb_path = tmp_path / "lb.txt"
+    lb_path.write_text(f"gdb1 316\n\n{bad}\n")
+    code, _, err = run_cli(capsys, "stats", str(path), str(path), "--lb", str(lb_path))
+    assert code == 1
+    assert err == f"error: lb line 3: want '<instance> <lower bound>', got {bad!r}\n"
 
 
 def test_stats_names_a_bad_header_line(tmp_path, capsys):
@@ -199,6 +213,16 @@ def test_solve_rejects_an_instance_without_tasks(tmp_path, capsys, extra):
     code, out, err = run_cli(capsys, "solve", "--instance", str(path), *extra)
     assert (code, out) == (1, "")
     assert err == "error: instance has no tasks\n"
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+def test_solve_rejects_a_bad_gss_eps(capsys, eps):
+    code, out, err = run_cli(
+        capsys, "solve", "--instance", GDB1, "--family", "3lp", "--slope-set", "0.5",
+        "--gen-seed", "3", "--psize", "4", "--generations", "2", "--gss-eps", eps,
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: gss_eps must be finite and positive, got {float(eps)}\n"
 
 
 def test_solve_out_file_matches_stdout(tmp_path, capsys):

@@ -46,8 +46,6 @@ def test_example_points(fn, t, want):
 def test_negative_time_rejected():
     with pytest.raises(ValueError):
         F1.value(-0.1)
-    with pytest.raises(ValueError):
-        F1.values([-1.0, 2.0])
 
 
 def test_invalid_shapes_rejected():
@@ -88,15 +86,6 @@ def test_two_segment_non_decreasing(c, k, t1, t2):
     fn = ServiceCostFunction(c, 0.0, 0.0, k)
     lo, hi = sorted((t1, t2))
     assert fn.value(lo) <= fn.value(hi) + 1e-12
-
-
-def test_vectorized_matches_scalar():
-    import numpy as np
-
-    ts = np.linspace(0.0, 30.0, 301)
-    got = F2.values(ts)
-    want = [F2.value(float(t)) for t in ts]
-    assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_classify_two_segment():

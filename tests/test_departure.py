@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from carptdsc import (
-    GssParams,
     NcsParams,
     ScalarObjective,
     grid_oracle,
@@ -59,6 +58,8 @@ def test_gss_rejects_bad_interval():
         gss(quadratic(), 5.0, 5.0, 1e-3)
     with pytest.raises(ValueError):
         gss(quadratic(), 0.0, 1.0, -1e-3)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        gss(quadratic(), 0.0, 1.0, math.nan)
 
 
 def test_gss_evaluation_bound():
@@ -161,9 +162,7 @@ def test_dispatcher_small_slope_matches_oracle():
     rng = rng_for(23)
     inst, route, sp = chain_route_instance(rng, 4, 0.5, "aligned")
     plan = join_routes([route])
-    deps = optimize_departures(
-        plan, inst, sp, gss_params=GssParams(epsilon=1e-7 * inst.horizon)
-    )
+    deps = optimize_departures(plan, inst, sp, gss_eps=1e-7 * inst.horizon)
     evaluator = RouteEvaluator(inst, sp)
     got = evaluator.total(route, deps[0])
     _, want = grid_oracle(

@@ -9,7 +9,6 @@ from carptdsc import (
     ServiceCostFunction,
     Task,
     build_instance,
-    inverse_of,
     parse_carp,
     shortest_paths,
 )
@@ -27,14 +26,13 @@ def two_vertex_instance(demand=3.0, capacity=5.0):
 
 def test_minimal_instance():
     inst = two_vertex_instance()
-    assert inst.num_tasks == 1
     assert set(inst.tasks) == {1}
 
 
 def test_gdb1_task_count(gdb1_text):
     _, inst = parse_carp(gdb1_text)
     assert inst.num_required == 22
-    assert inst.num_tasks == 44
+    assert len(inst.tasks) == 44
 
 
 def test_duplicate_task_id_rejected():
@@ -76,7 +74,7 @@ def test_sp_self_distance_zero():
 def test_sp_single_arc():
     inst = two_vertex_instance()
     sp = shortest_paths(inst)
-    assert sp.travel(0, 1) == (2.0, 2.0)
+    assert (sp.time[0, 1], sp.cost[0, 1]) == (2.0, 2.0)
 
 
 def test_sp_matches_floyd_warshall_oracle():
@@ -119,17 +117,11 @@ def test_sp_deterministic_rebuild():
 def test_inverse_involution(gdb1_text):
     _, inst = parse_carp(gdb1_text)
     for tid in inst.real_task_ids:
-        inv = inverse_of(inst, tid)
+        inv = inst.tasks[tid].inverse_id
         assert inv is not None
-        assert inverse_of(inst, inv) == tid
+        assert inst.tasks[inv].inverse_id == tid
 
 
 def test_inverse_one_way_none():
     inst = two_vertex_instance()
-    assert inverse_of(inst, 1) is None
-
-
-def test_inverse_unknown_task():
-    inst = two_vertex_instance()
-    with pytest.raises(InstanceError):
-        inverse_of(inst, 99)
+    assert inst.tasks[1].inverse_id is None

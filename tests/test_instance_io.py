@@ -25,7 +25,7 @@ def test_gdb1_parse_counts(gdb1_text):
     assert f.vertices == 12
     assert len(f.required_edges) == 22
     assert inst.num_required == 22
-    assert inst.num_tasks == 44
+    assert len(inst.tasks) == 44
     assert inst.capacity == 5.0
     assert inst.fleet_size == 5
     assert math.isinf(inst.horizon)
@@ -83,7 +83,7 @@ def test_carp_cost_equals_time(gdb1_text):
 
 def test_solomon_parse_counts(r101_text):
     inst = parse_solomon(r101_text)
-    assert inst.num_tasks == 25
+    assert len(inst.tasks) == 25
     assert inst.capacity == 200.0
     assert inst.fleet_size == 25
     assert inst.horizon == 230.0
@@ -91,7 +91,7 @@ def test_solomon_parse_counts(r101_text):
 
 def test_solomon_truncation(r101_text):
     inst = parse_solomon(r101_text, max_customers=10)
-    assert inst.num_tasks == 10
+    assert len(inst.tasks) == 10
 
 
 def test_solomon_window_mapping(r101_text):
@@ -109,9 +109,9 @@ def test_solomon_euclidean_deadheads(r101_text):
     inst = parse_solomon(r101_text)
     sp = shortest_paths(inst)
     # depot (35,35) to customer 2 (35,17): distance 18, full precision
-    assert sp.travel(0, 2) == (18.0, 18.0)
+    assert (sp.time[0, 2], sp.cost[0, 2]) == (18.0, 18.0)
     d01 = math.dist((35.0, 35.0), (41.0, 49.0))
-    assert sp.travel(0, 1) == (d01, d01)
+    assert (sp.time[0, 1], sp.cost[0, 1]) == (d01, d01)
 
 
 def test_solomon_classification(r101_text):
@@ -226,15 +226,16 @@ def _annotated_gdb1(gdb1_text, r101_text):
 
 
 # The parsed instances of the two-step Solomon parser, whose task map also
-# held a depot entry 0: name, vertices, depot, capacity, fleet size,
-# horizon, arc count, task IDs, digest
+# held a depot entry 0: name (none for Solomon files, which bench names by
+# file stem), vertices, depot, capacity, fleet size, horizon, arc count,
+# task IDs, digest
 PINNED_INSTANCES = [
     (lambda g, r: parse_carp(g)[1],
      ("gdb1", 12, 0, 5.0, 5, math.inf, 44, tuple(range(1, 45)), "5d6bb6e7d24ece3b")),
     (lambda g, r: parse_solomon(r),
-     ("solomon", 26, 0, 200.0, 25, 230.0, 650, tuple(range(1, 26)), "ee5ba0614c94bc59")),
+     ("", 26, 0, 200.0, 25, 230.0, 650, tuple(range(1, 26)), "ee5ba0614c94bc59")),
     (lambda g, r: parse_solomon(r, max_customers=10),
-     ("solomon", 11, 0, 200.0, 25, 230.0, 110, tuple(range(1, 11)), "26581e8f642737db")),
+     ("", 11, 0, 200.0, 25, 230.0, 110, tuple(range(1, 11)), "26581e8f642737db")),
     (_annotated_gdb1,
      ("gdb1", 12, 0, 5.0, 5, 796.0, 44, tuple(range(1, 45)), "b621868396575e0c")),
 ]

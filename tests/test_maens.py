@@ -18,6 +18,7 @@ from carptdsc import (
     shortest_paths,
     split_routes,
 )
+from carptdsc import maens
 from carptdsc.maens import _Assessor, _scan_insertion, selection_probabilities
 from carptdsc.instance_io import generate_td
 
@@ -300,14 +301,12 @@ def test_evolve_best_so_far_non_increasing():
     assert all(b <= a + 1e-9 for a, b in zip(feas, feas[1:]))
 
 
-def test_evolve_elitism_fixed_penalty():
+def test_evolve_elitism_fixed_penalty(monkeypatch):
     """With the penalty frozen, the population best never worsens."""
+    monkeypatch.setattr(maens, "PENALTY_PERIOD", 10_000)
     rng = rng_for(41)
     inst, sp = random_static_instance(rng)
-    res = evolve(
-        inst, sp,
-        MaensParams(psize=6, generations=25, seed=6, penalty_period=10_000),
-    )
+    res = evolve(inst, sp, MaensParams(psize=6, generations=25, seed=6))
     best = [row[1] for row in res.trace]
     assert all(b <= a + 1e-9 for a, b in zip(best, best[1:]))
 
