@@ -11,6 +11,7 @@ both problem families.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 
@@ -40,6 +41,9 @@ class ServiceCostFunction:
     k: float = 0.0
 
     def __post_init__(self):
+        for name in ("c_min", "bt", "et", "k"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.c_min < 0:
             raise ValueError(f"c_min must be >= 0, got {self.c_min}")
         if self.k < 0:

@@ -111,13 +111,6 @@ def gss(obj: ScalarObjective, lo: float, hi: float, epsilon: float) -> tuple[flo
     return mid, obj(mid)
 
 
-def gss_eval_bound(lo: float, hi: float, epsilon: float) -> int:
-    """Closed-form bound on gss evaluations beyond the initial pair."""
-    if epsilon >= hi - lo:
-        return 2
-    return math.ceil(math.log(epsilon / (hi - lo)) / math.log(INVPHI)) + 2
-
-
 def ncs(
     obj: ScalarObjective, lo: float, hi: float, params: NcsParams
 ) -> tuple[float, float]:
@@ -226,8 +219,8 @@ def grid_oracle(
     objective's ``vector_fn`` when it has one (for a route, the in-place
     ``RouteEvaluator.profile`` sweep).
     """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be finite and positive, got {step}")
     if lo > hi:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
     count = int(math.floor((hi - lo) / step + 1e-9))

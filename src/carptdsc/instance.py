@@ -85,9 +85,10 @@ def build_instance(
         raise InstanceError(f"vertex count must be positive, got {vertices}")
     if not 0 <= depot < vertices:
         raise InstanceError(f"depot vertex {depot} outside range [0, {vertices})")
-    if horizon <= 0:
+    # "not x > 0" also rejects NaN; an infinite horizon means none is set
+    if not horizon > 0:
         raise InstanceError(f"planning horizon must be positive, got {horizon}")
-    if capacity <= 0:
+    if not capacity > 0:
         raise InstanceError(f"vehicle capacity must be positive, got {capacity}")
 
     for arc in arcs:

@@ -91,9 +91,8 @@ def _stream(seed: int, *indices: int) -> np.random.Generator:
 class _Assessor:
     """Cached route statistics and penalized-cost bookkeeping."""
 
-    def __init__(self, instance: Instance, sp: ShortestPaths,
-                 evaluator: Optional[RouteEvaluator] = None):
-        self.evaluator = evaluator if evaluator is not None else RouteEvaluator(instance, sp)
+    def __init__(self, evaluator: RouteEvaluator):
+        self.evaluator = evaluator
         self._cache: dict[tuple[int, ...], tuple[float, float]] = {}
 
     def route_stats(self, route: Sequence[int]) -> tuple[float, float]:
@@ -123,20 +122,6 @@ class _Assessor:
         )
 
 
-def _default_lambda(instance: Instance, reference_cost: float) -> float:
-    return max(1.0, reference_cost / max(1.0, instance.capacity))
-
-
-def _scores(
-    instance: Instance, candidates: Sequence[int], current_time: float
-) -> list[float]:
-    """Reciprocal service cost of each candidate at ``current_time``."""
-    return [
-        1.0 / max(instance.tasks[tid].cost_fn.value(current_time), SCORE_FLOOR)
-        for tid in candidates
-    ]
-
-
 def select_next_task(
     instance: Instance,
     candidates: Sequence[int],
@@ -151,7 +136,10 @@ def select_next_task(
     """
     if not candidates:
         raise ValueError("no candidates to select from")
-    scores = _scores(instance, candidates, current_time)
+    scores = [
+        1.0 / max(instance.tasks[tid].cost_fn.value(current_time), SCORE_FLOOR)
+        for tid in candidates
+    ]
     pick = rng.random() * sum(scores)
     acc = 0.0
     for tid, score in zip(candidates, scores):
@@ -159,15 +147,6 @@ def select_next_task(
         if pick < acc:
             return tid
     return candidates[-1]
-
-
-def selection_probabilities(
-    instance: Instance, candidates: Sequence[int], current_time: float
-) -> list[float]:
-    """Closed-form roulette probabilities used by :func:`select_next_task`."""
-    scores = _scores(instance, candidates, current_time)
-    total = sum(scores)
-    return [s / total for s in scores]
 
 
 def _path_scan(
@@ -287,10 +266,9 @@ def crossover(
     parent1: RoutingPlan,
     parent2: RoutingPlan,
     instance: Instance,
-    sp: ShortestPaths,
     rng: np.random.Generator,
-    assessor: Optional[_Assessor] = None,
-    lam: Optional[float] = None,
+    assessor: _Assessor,
+    lam: float,
 ) -> RoutingPlan:
     """Sequence-based crossover.
 
@@ -299,10 +277,9 @@ def crossover(
     served twice (directly or via their inverse) are dropped after their
     first occurrence, and tasks lost in the exchange are reinserted at
     their cheapest positions.  The child may violate capacity; that is
-    left to the penalty mechanism.
+    left to the penalty mechanism.  ``lam`` weighs the violation in the
+    insertion costs.
     """
-    if assessor is None:
-        assessor = _Assessor(instance, sp)
     routes1 = split_routes(parent1)
     routes2 = split_routes(parent2)
     r1 = int(rng.integers(len(routes1)))
@@ -329,9 +306,6 @@ def crossover(
     missing = sorted(required - seen)
     if missing:
         order = list(rng.permutation(len(missing)))
-        if lam is None:
-            lam = _default_lambda(instance, sum(
-                assessor.route_stats(r)[0] for r in routes) or 1.0)
         for idx in order:
             _cheapest_insertion(routes, missing[idx], assessor, instance, lam)
     if not routes:
@@ -407,17 +381,20 @@ def _scan_swap(routes, assessor, instance, lam, rng) -> bool:
         inv_b = instance.tasks[b].inverse_id
         a_opts = (a,) if inv_a is None else (a, inv_a)
         b_opts = (b,) if inv_b is None else (b, inv_b)
-        touched = sorted({ri, rj})  # sum() of two floats rounds as a + b, also on 3.12+
-        base = sum(assessor.contrib(routes[r], lam) for r in touched)
+        same = ri == rj
+        base = assessor.contrib(routes[ri], lam) + (
+            0.0 if same else assessor.contrib(routes[rj], lam))
         for bo in b_opts:
             for ao in a_opts:
-                cand = {r: list(routes[r]) for r in touched}
-                cand[ri][pi] = bo
-                cand[rj][pj] = ao
-                new = sum(assessor.contrib(c, lam) for c in cand.values())
+                cand_i = list(routes[ri])
+                cand_j = cand_i if same else list(routes[rj])
+                cand_i[pi] = bo
+                cand_j[pj] = ao
+                new = assessor.contrib(cand_i, lam) + (
+                    0.0 if same else assessor.contrib(cand_j, lam))
                 if new - base < -IMPROVE_EPS:
-                    for r, c in cand.items():
-                        routes[r] = c
+                    routes[ri] = cand_i
+                    routes[rj] = cand_j
                     return True
     return False
 
@@ -487,10 +464,9 @@ _MOVES = (partial(_scan_insertion, length=1), partial(_scan_insertion, length=2)
 def local_search(
     individual: Individual,
     instance: Instance,
-    sp: ShortestPaths,
     rng: np.random.Generator,
-    lam: Optional[float] = None,
-    assessor: Optional[_Assessor] = None,
+    assessor: _Assessor,
+    lam: float,
 ) -> Individual:
     """Accept-only-improving refinement of one individual.
 
@@ -498,11 +474,8 @@ def local_search(
     random order) to convergence, applies merge-split once, and, if that
     helped, converges the basic moves again.  The result never has a
     worse penalized cost than the input, and coverage is preserved.
+    ``individual`` must have been assessed at ``lam``.
     """
-    if assessor is None:
-        assessor = _Assessor(instance, sp)
-    if lam is None:
-        lam = _default_lambda(instance, individual.total_cost)
     routes = [list(r) for r in split_routes(individual.plan)]
 
     def converge_basic(budget: int) -> int:
@@ -538,7 +511,7 @@ def evolve(
     seed; every offspring slot owns an RNG stream derived from (seed,
     generation, slot), so results do not depend on evaluation order.
     """
-    assessor = _Assessor(instance, sp)
+    assessor = _Assessor(RouteEvaluator(instance, sp))
 
     population: list[Individual] = []
     seen: set[RoutingPlan] = set()
@@ -558,7 +531,8 @@ def evolve(
     while len(population) < params.psize:  # tiny instances: allow duplicates
         population.append(population[len(population) % len(seen)])
 
-    lam = _default_lambda(instance, min(ind.total_cost for ind in population))
+    # the penalty coefficient starts at the best cost per unit of capacity
+    lam = max(1.0, min(ind.total_cost for ind in population) / max(1.0, instance.capacity))
     lam_floor, lam_ceil = lam / 1024.0, lam * 2.0 ** 20
     population = [assessor.assess(ind.plan, lam) for ind in population]
     population.sort(key=lambda ind: (ind.penalized_cost, ind.plan))
@@ -578,10 +552,10 @@ def evolve(
                 p1, p2 = population[int(i)].plan, population[int(j)].plan
             else:
                 p1 = p2 = population[0].plan
-            child_plan = crossover(p1, p2, instance, sp, rng, assessor=assessor, lam=lam)
+            child_plan = crossover(p1, p2, instance, rng, assessor, lam)
             child = assessor.assess(child_plan, lam)
             if rng.random() < params.pls:
-                child = local_search(child, instance, sp, rng, lam=lam, assessor=assessor)
+                child = local_search(child, instance, rng, assessor, lam)
             offspring.append(child)
 
         pool = population + offspring

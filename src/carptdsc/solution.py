@@ -7,7 +7,9 @@ A solution pairs the plan with one departure time per route.
 Route cost follows the arrival-time recurrence: service and travel costs
 equal service and travel times, no waiting is allowed, so each task's
 time of beginning of service is the departure time plus all preceding
-service costs and shortest-path travel times.
+service costs and shortest-path travel times.  ``RouteEvaluator.walk``
+is the one forward pass for stage 1, ``evaluate`` and the feasibility
+checks; ``total`` and ``profile`` are stage 2's scalar and vector sweeps.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ class RouteEval:
     """
 
     arrival_times: tuple[float, ...]
-    service_costs: tuple[float, ...]
-    deadhead_cost: float
     total: float
     horizon_violation: float
 
@@ -116,6 +116,13 @@ class RouteEvaluator:
     Precomputes flat per-task attribute arrays and plain nested lists for
     the travel matrices, keeping the forward pass cheap inside search
     loops.  Evaluation is a pure function of (route, departure time).
+
+    :meth:`walk` is the route kernel: stage 1 scores routes with it,
+    :meth:`evaluate` reads its states, and every route check goes
+    through it.  Stage 2 keeps two sweeps of its own: :meth:`total`, a
+    scalar pass that is faster than a walk and adds services and deadhead
+    in one running sum (so it can differ from a walk in the last bits),
+    and :meth:`profile`, the same pass vectorized over departure times.
     """
 
     def __init__(self, instance: Instance, sp: ShortestPaths):
@@ -157,13 +164,11 @@ class RouteEvaluator:
     ) -> tuple[float, float]:
         """Continue a route from ``state`` through ``tasks`` back to the depot.
 
-        Returns (cost, violation): the cost is added up in the order
-        :meth:`evaluate` uses, so it equals ``evaluate(route, t).total``
-        bit for bit when ``state`` is the route's prefix at departure t;
-        the violation is the return's horizon excess plus the load's
-        capacity excess.  If ``trail`` is a list, the state after each
-        task is appended to it, so ``[origin] + trail`` are the prefix
-        states of the route.
+        Returns (cost, violation): the cost is the service-cost sum plus
+        the deadhead sum, each added up in route order; the violation is
+        the return's horizon excess plus the load's capacity excess.  If
+        ``trail`` is a list, the state after each task is appended to it,
+        so ``[origin] + trail`` are the prefix states of the route.
         """
         cur, services, deadhead, v, load = state
         sp_time, sp_cost, row_of = self.sp_time, self.sp_cost, self._task_row
@@ -200,10 +205,6 @@ class RouteEvaluator:
         over = load - self.instance.capacity
         return services + deadhead, (late if late > 0.0 else 0.0) + (over if over > 0.0 else 0.0)
 
-    def _check_route(self, route: Sequence[int]):
-        # walk() raises PlanError for an unknown task ID or an unreachable leg
-        self.walk(self.origin, route)
-
     def routes(self, solution: Solution) -> list[tuple[int, ...]]:
         """The routes of ``solution``, each checked once as :meth:`walk` checks it."""
         routes = split_routes(solution.plan)
@@ -212,48 +213,29 @@ class RouteEvaluator:
                 f"{len(solution.departures)} departure times for {len(routes)} routes"
             )
         for route in routes:
-            self._check_route(route)
+            self.walk(self.origin, route)
         return routes
 
     def evaluate(self, route: Sequence[int], t: float) -> RouteEval:
-        """Full evaluation with arrival times and per-task service costs."""
+        """Arrival times, cost and horizon excess of ``route`` departing at ``t``.
+
+        A view over one :meth:`walk` from the departure state: each
+        service start is the state before it plus the deadhead leg's
+        time, the same addition :meth:`walk` makes, and so is the return.
+        """
         if t < 0:
             raise ValueError(f"departure time must be >= 0, got {t}")
-        self._check_route(route)
-        sp_time, sp_cost = self.sp_time, self.sp_cost
+        trail: list[RouteState] = [(t, 0.0, 0.0, self.depot, 0.0)]
+        total, _ = self.walk(trail[0], route, trail)
+        sp_time, tail = self.sp_time, self.tail
         arrivals = [t]
-        services: list[float] = []
-        # added up in order: sum() compensates rounding from Python 3.12 on,
-        # and total must equal walk()'s cost bit for bit
-        service_sum = 0.0
-        cur = t
-        v = self.depot
-        deadhead = 0.0
-        for tid in route:
-            tail = self.tail[tid]
-            deadhead += sp_cost[v][tail]
-            cur += sp_time[v][tail]
-            arrivals.append(cur)
-            bt, et = self.bt[tid], self.et[tid]
-            if cur < bt:
-                sc = self.c_min[tid] + self.k[tid] * (bt - cur)
-            elif cur > et:
-                sc = self.c_min[tid] + self.k[tid] * (cur - et)
-            else:
-                sc = self.c_min[tid]
-            services.append(sc)
-            service_sum += sc
-            cur += sc
-            v = self.head[tid]
-        deadhead += sp_cost[v][self.depot]
-        cur += sp_time[v][self.depot]
-        arrivals.append(cur)
+        arrivals += [cur + sp_time[v][tail[tid]] for (cur, _, _, v, _), tid in zip(trail, route)]
+        cur, _, _, v, _ = trail[-1]
+        arrivals.append(cur + sp_time[v][self.depot])
         return RouteEval(
             arrival_times=tuple(arrivals),
-            service_costs=tuple(services),
-            deadhead_cost=deadhead,
-            total=service_sum + deadhead,
-            horizon_violation=max(0.0, cur - self.instance.horizon),
+            total=total,
+            horizon_violation=max(0.0, arrivals[-1] - self.instance.horizon),
         )
 
     def total(self, route: Sequence[int], t: float) -> float:
@@ -287,7 +269,7 @@ class RouteEvaluator:
         advances the arrival times and the cost in place, with two scratch
         arrays for the ramp terms, so a task allocates no array.
         """
-        self._check_route(route)
+        self.walk(self.origin, route)  # rejects what walk() rejects
         cur = np.array(ts, dtype=float)
         total = np.zeros_like(cur)
         sc = np.empty_like(cur)

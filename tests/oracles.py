@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from carptdsc.departure import NCS_EPOCH_ADAPT, NCS_SIGMA_DIVISOR
+from carptdsc.departure import INVPHI, NCS_EPOCH_ADAPT, NCS_SIGMA_DIVISOR
+from carptdsc.maens import SCORE_FLOOR
 from carptdsc.solution import RouteEvaluator, split_routes
 
 
@@ -26,6 +27,23 @@ def piecewise_cost(c_min, bt, et, k, t):
         return c_min
     else:
         return c_min + (t - et) * k
+
+
+def selection_probabilities(instance, candidates, current_time):
+    """Closed-form roulette probabilities of ``select_next_task``."""
+    scores = [
+        1.0 / max(instance.tasks[tid].cost_fn.value(current_time), SCORE_FLOOR)
+        for tid in candidates
+    ]
+    total = sum(scores)
+    return [s / total for s in scores]
+
+
+def gss_eval_bound(lo, hi, epsilon):
+    """Closed-form bound on gss evaluations beyond the initial pair."""
+    if epsilon >= hi - lo:
+        return 2
+    return math.ceil(math.log(epsilon / (hi - lo)) / math.log(INVPHI)) + 2
 
 
 @dataclass

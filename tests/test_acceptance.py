@@ -275,7 +275,7 @@ def test_criterion_10_operator_coverage_invariant():
     applications = 0
     rng_master = rng_for(1009)
     inst, sp = random_static_instance(rng_master, n_vertices=7, n_required=5)
-    assessor = _Assessor(inst, sp)
+    assessor = _Assessor(RouteEvaluator(inst, sp))
     evaluator = assessor.evaluator
 
     plans = []
@@ -288,14 +288,14 @@ def test_criterion_10_operator_coverage_invariant():
     for s in range(5000):
         rng = rng_for(80_000 + s)
         i, j = rng.integers(0, len(plans), size=2)
-        child = crossover(plans[int(i)], plans[int(j)], inst, sp, rng, assessor=assessor)
+        child = crossover(plans[int(i)], plans[int(j)], inst, rng, assessor, 25.0)
         applications += 1
         if not coverage_ok(child, inst):
             violations += 1
     for s in range(1000):
         rng = rng_for(90_000 + s)
         ind = assessor.assess(plans[s % len(plans)], lam=25.0)
-        out = local_search(ind, inst, sp, rng, lam=25.0, assessor=assessor)
+        out = local_search(ind, inst, rng, assessor, 25.0)
         applications += 1
         if not coverage_ok(out.plan, inst):
             violations += 1

@@ -233,3 +233,47 @@ def test_solve_out_file_matches_stdout(tmp_path, capsys):
     )
     assert code == 0
     assert out_path.read_text() == out
+
+
+QUICK = ("--generations", "1", "--psize", "2")
+
+
+def _nan_horizon_annotation(tmp_path):
+    path = tmp_path / "gdb1.ann"
+    main(["generate", "--instance", GDB1, "--family", "3lp", "--slope-set", "2",
+          "--gen-seed", "3", "--out", str(path)])
+    lines = ["horizon : nan" if line.startswith("horizon") else line
+             for line in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    return ["solve", "--instance", GDB1, "--annotation", str(path), "--algorithm", "maens-only",
+            *QUICK]
+
+
+def _nan_capacity_instance(tmp_path):
+    path = tmp_path / "gdb1.dat"
+    path.write_text(Path(GDB1).read_text().replace("CAPACITY : 5", "CAPACITY : nan"))
+    return ["solve", "--instance", str(path), *QUICK]
+
+
+def _oracle(step):
+    return ["oracle", "--instance", GDB1, "--family", "3lp", "--slope-set", "2",
+            "--gen-seed", "3", "--plan", "0 1 3 0 5 0", "--oracle-step", step]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--instance", GDB1, "--family", "3lp", "--slope-set", "nan", *QUICK],
+     "k must be finite, got nan"),
+    (["solve", "--instance", GDB1, "--family", "3lp", "--slope-set", "inf", *QUICK],
+     "k must be finite, got inf"),
+    (_oracle("nan"), "step must be finite and positive, got nan"),
+    (_oracle("inf"), "step must be finite and positive, got inf"),
+    (_nan_horizon_annotation, "planning horizon must be positive, got nan"),
+    (_nan_capacity_instance, "vehicle capacity must be positive, got nan"),
+], ids=["slope-nan", "slope-inf", "oracle-step-nan", "oracle-step-inf",
+        "horizon-nan", "capacity-nan"])
+def test_non_finite_inputs_are_rejected(tmp_path, capsys, argv, message):
+    if callable(argv):
+        argv = argv(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"

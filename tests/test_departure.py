@@ -12,11 +12,11 @@ from carptdsc import (
     optimize_departures,
     route_objective,
 )
-from carptdsc.departure import gss_eval_bound
 from carptdsc.instance_io import generate_td
 from carptdsc.solution import RouteEvaluator, join_routes, split_routes
 
 from conftest import chain_route_instance, make_fig4_instance, random_route, random_static_instance, rng_for
+from oracles import gss_eval_bound
 
 
 def quadratic(center=5.0):

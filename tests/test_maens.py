@@ -19,7 +19,8 @@ from carptdsc import (
     split_routes,
 )
 from carptdsc import maens
-from carptdsc.maens import _Assessor, _scan_insertion, selection_probabilities
+from carptdsc.maens import _Assessor, _scan_insertion
+from carptdsc.solution import RouteEvaluator
 from carptdsc.instance_io import generate_td
 
 from conftest import (
@@ -27,7 +28,11 @@ from conftest import (
     random_static_instance,
     rng_for,
 )
-from oracles import brute_force_optimum
+from oracles import brute_force_optimum, selection_probabilities
+
+
+def make_assessor(inst, sp):
+    return _Assessor(RouteEvaluator(inst, sp))
 
 
 def coverage_ok(plan, instance):
@@ -167,30 +172,31 @@ def test_crossover_identical_parents_preserve_tasks():
     rng = rng_for(55)
     inst, sp = random_static_instance(rng)
     plan = init_individual(inst, sp, rng)
-    child = crossover(plan, plan, inst, sp, rng)
+    child = crossover(plan, plan, inst, rng, make_assessor(inst, sp), 1.0)
     assert coverage_ok(child, inst)
 
 
 def test_crossover_random_parents_coverage():
     rng = rng_for(66)
     inst, sp = random_static_instance(rng)
+    assessor = make_assessor(inst, sp)
     for _ in range(50):
         p1 = init_individual(inst, sp, rng)
         p2 = init_individual(inst, sp, rng)
-        child = crossover(p1, p2, inst, sp, rng)
+        child = crossover(p1, p2, inst, rng, assessor, 1.0)
         assert coverage_ok(child, inst)
 
 
 def test_crossover_capacity_violation_penalized():
     """Parents engineered so the recombined route exceeds capacity."""
     inst, sp = make_desk_instance()
-    assessor = _Assessor(inst, sp)
+    assessor = make_assessor(inst, sp)
     # both parents pack tasks into two tight routes in opposite pairings
     p1 = (0, 1, 3, 0, 5, 7, 0)
     p2 = (0, 5, 1, 0, 3, 7, 0)
     seen_violation = False
     for seed in range(40):
-        child = crossover(p1, p2, inst, sp, rng_for(seed), assessor=assessor)
+        child = crossover(p1, p2, inst, rng_for(seed), assessor, 1.0)
         assert coverage_ok(child, inst)
         ind = assessor.assess(child, lam=10.0)
         if ind.violation > 0:
@@ -201,11 +207,11 @@ def test_crossover_capacity_violation_penalized():
 def test_local_search_never_worsens():
     rng = rng_for(77)
     inst, sp = random_static_instance(rng)
-    assessor = _Assessor(inst, sp)
+    assessor = make_assessor(inst, sp)
     for seed in range(10):
         plan = init_individual(inst, sp, rng_for(seed))
         ind = assessor.assess(plan, lam=50.0)
-        out = local_search(ind, inst, sp, rng_for(seed), lam=50.0, assessor=assessor)
+        out = local_search(ind, inst, rng_for(seed), assessor, 50.0)
         assert out.penalized_cost <= ind.penalized_cost + 1e-9
         assert coverage_ok(out.plan, inst)
 
@@ -230,7 +236,7 @@ def test_pair_move_reversed_and_inverted_is_the_only_improvement():
     (4, 2), the pair reversed with each task inverted, it deadheads 0->3
     and 1->0 (2).  Every move of the pair as it is leaves the cost alone."""
     inst, sp = make_one_way_pair_instance()
-    assessor = _Assessor(inst, sp)
+    assessor = make_assessor(inst, sp)
     assert assessor.route_stats((1, 3)) == (24.0, 0.0)
     assert assessor.route_stats((4, 2)) == (4.0, 0.0)
     for seed in range(5):
@@ -240,7 +246,7 @@ def test_pair_move_reversed_and_inverted_is_the_only_improvement():
         assert not _scan_insertion(routes, assessor, inst, 1.0, rng_for(seed), length=2)
     one_way, one_way_sp = make_one_way_pair_instance(inverses=False)
     routes = [[1, 3]]
-    assert not _scan_insertion(routes, _Assessor(one_way, one_way_sp), one_way, 1.0,
+    assert not _scan_insertion(routes, make_assessor(one_way, one_way_sp), one_way, 1.0,
                                rng_for(0), length=2)
     assert routes == [[1, 3]]
 
@@ -269,10 +275,10 @@ def test_local_search_fixed_point_at_optimum():
     inst = build_instance(3, arcs, tasks, 0, 5.0, 1, 1e9)
     sp = shortest_paths(inst)
     best_plan, best_cost = brute_force_optimum(inst, sp)
-    assessor = _Assessor(inst, sp)
+    assessor = make_assessor(inst, sp)
     ind = assessor.assess(best_plan, lam=10.0)
     assert ind.total_cost == pytest.approx(best_cost)
-    out = local_search(ind, inst, sp, rng_for(3), lam=10.0, assessor=assessor)
+    out = local_search(ind, inst, rng_for(3), assessor, 10.0)
     assert out.total_cost == pytest.approx(best_cost)
 
 
@@ -339,7 +345,7 @@ def test_operator_coverage_mass():
     """A large randomized batch of operator applications keeps coverage."""
     rng = rng_for(51)
     inst, sp = random_static_instance(rng)
-    assessor = _Assessor(inst, sp)
+    assessor = make_assessor(inst, sp)
     plans = [init_individual(inst, sp, rng_for(1000 + s)) for s in range(20)]
     for plan in plans:
         assert coverage_ok(plan, inst)
@@ -347,7 +353,7 @@ def test_operator_coverage_mass():
     for s in range(300):
         rng_s = rng_for(2000 + s)
         i, j = rng_s.integers(0, len(plans), size=2)
-        child = crossover(plans[int(i)], plans[int(j)], inst, sp, rng_s, assessor=assessor)
+        child = crossover(plans[int(i)], plans[int(j)], inst, rng_s, assessor, 1.0)
         if not coverage_ok(child, inst):
             violations += 1
     assert violations == 0

@@ -1,8 +1,9 @@
 """The stage-1 route kernel ``RouteEvaluator.walk`` and prefix-state insertion.
 
-``walk`` must give the same (cost, violation), bit for bit, as the full
-forward pass ``evaluate`` plus the load excess; a walk that starts from a
-recorded prefix state must equal a walk of the whole route; and the
+``walk`` must give the same (cost, violation), bit for bit, as the
+step-by-step event walk ``oracles.simulate_route`` plus the load excess,
+and ``evaluate`` the same arrival times and cost; a walk that starts from
+a recorded prefix state must equal a walk of the whole route; and the
 search built on them must reproduce pinned plans.
 """
 
@@ -32,6 +33,7 @@ from carptdsc.maens import _Assessor, _cheapest_insertion
 from carptdsc.solution import PlanError
 
 from conftest import DATA, random_static_file, rng_for
+from oracles import simulate_route
 
 
 def _cases():
@@ -54,40 +56,54 @@ def _bits(stats):
     return tuple(float(x).hex() for x in stats)
 
 
-def _full_stats(ev, route):
-    """(cost, violation) the way stage 1 computed it before walk()."""
-    full = ev.evaluate(route, 0.0)
-    load_excess = max(0.0, sum(ev.demand[t] for t in route) - ev.instance.capacity)
-    return full.total, full.horizon_violation + load_excess
+def _full_stats(inst, sp, route):
+    """(cost, violation) of ``route`` departing at 0, by the event walk."""
+    sim = simulate_route(route, 0.0, inst, sp)
+    load = 0.0
+    for tid in route:
+        load += inst.tasks[tid].demand
+    return sim.total, max(0.0, sim.finish - inst.horizon) + max(0.0, load - inst.capacity)
 
 
 @st.composite
 def _case_route(draw, max_size=20):
-    name = draw(st.sampled_from(sorted(CASES)))
-    inst, _, ev = CASES[name]
-    ids = st.sampled_from(inst.real_task_ids)
-    return ev, draw(st.lists(ids, max_size=max_size)), draw(ids)
+    """((instance, shortest paths, evaluator), route, one more task ID)."""
+    case = CASES[draw(st.sampled_from(sorted(CASES)))]
+    ids = st.sampled_from(case[0].real_task_ids)
+    return case, draw(st.lists(ids, max_size=max_size)), draw(ids)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_case_route())
-def test_walk_matches_evaluate_bit_for_bit(case):
-    ev, route, _ = case
-    assert _bits(ev.walk(ev.origin, route)) == _bits(_full_stats(ev, route))
+def test_walk_matches_the_event_walk_bit_for_bit(case_route):
+    (inst, sp, ev), route, _ = case_route
+    assert _bits(ev.walk(ev.origin, route)) == _bits(_full_stats(inst, sp, route))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_case_route(), st.floats(0.0, 1.0, exclude_min=True))
+def test_evaluate_matches_the_event_walk_bit_for_bit(case_route, fraction):
+    (inst, sp, ev), route, _ = case_route
+    t = fraction * (inst.horizon if inst.horizon < float("inf") else 1e3)
+    got = ev.evaluate(route, t)
+    sim = simulate_route(route, t, inst, sp)
+    assert _bits(got.arrival_times) == _bits([t, *sim.arrivals, sim.finish])
+    assert got.total.hex() == float(sim.total).hex()
+    assert got.horizon_violation == max(0.0, sim.finish - inst.horizon)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_case_route(max_size=15), st.sampled_from([1.0, 7.5, 1e3, 2.0 ** 20]))
-def test_prefix_insertion_delta_matches_full_evaluation(case, lam):
-    ev, route, oid = case
+def test_prefix_insertion_delta_matches_full_evaluation(case_route, lam):
+    (inst, sp, ev), route, oid = case_route
     prefixes = [ev.origin]
     total, violation = ev.walk(ev.origin, route, prefixes)
     assert len(prefixes) == len(route) + 1
-    assert _bits((total, violation)) == _bits(_full_stats(ev, route))
+    assert _bits((total, violation)) == _bits(_full_stats(inst, sp, route))
     base = total + lam * violation
     for pos, state in enumerate(prefixes):
         total, violation = ev.walk(state, [oid] + route[pos:])
-        full_total, full_violation = _full_stats(ev, route[:pos] + [oid] + route[pos:])
+        full_total, full_violation = _full_stats(inst, sp, route[:pos] + [oid] + route[pos:])
         assert (total + lam * violation - base).hex() == (
             full_total + lam * full_violation - base).hex()
 
@@ -118,7 +134,7 @@ def _reference_insertion(routes, tid, assessor, instance, lam):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cheapest_insertion_matches_whole_route_reference(name):
     inst, sp, ev = CASES[name]
-    assessor = _Assessor(inst, sp, evaluator=ev)
+    assessor = _Assessor(ev)
     roots = sorted({inst.pair_root(t) for t in inst.real_task_ids})
     for seed in range(15):
         rng = rng_for(seed)
@@ -159,7 +175,7 @@ def test_walk_rejects_unknown_and_depot_ids(route):
     with pytest.raises(PlanError, match="unknown or depot task ID"):
         ev.walk(ev.origin, route)
     with pytest.raises(PlanError, match="unknown or depot task ID"):
-        _Assessor(inst, sp, evaluator=ev).route_stats(route)
+        _Assessor(ev).route_stats(route)
 
 
 @pytest.mark.parametrize("route,where", [
@@ -172,7 +188,7 @@ def test_walk_rejects_unreachable_legs(route, where):
     with pytest.raises(PlanError, match=where):
         ev.walk(ev.origin, route)
     with pytest.raises(PlanError, match="no deadhead path"):
-        _Assessor(inst, sp, evaluator=ev).route_stats(route)
+        _Assessor(ev).route_stats(route)
     assert ev.walk(ev.origin, (1,)) == (2.0, 0.0)
 
 

@@ -58,10 +58,9 @@ def test_split_join_roundtrip(routes):
 def test_fig4_service_sums(fig4):
     inst, sp = fig4
     for t, want in [(0.0, 23.0), (1.0, 25.0), (2.0, 21.0), (10.0, 115.0)]:
-        ev = evaluate_route((1, 2, 3), t, inst, sp)
-        assert ev.total == want
-        assert ev.deadhead_cost == 0.0
-        assert sum(ev.service_costs) == want
+        sim = simulate_route((1, 2, 3), t, inst, sp)
+        assert (sim.deadhead_cost, sim.service_total) == (0.0, want)
+        assert evaluate_route((1, 2, 3), t, inst, sp).total == want
 
 
 def test_empty_route_total_zero(fig4):
@@ -75,7 +74,7 @@ def test_route_eval_fields_consistent(fig4):
     inst, sp = fig4
     ev = evaluate_route((1, 2, 3), 1.0, inst, sp)
     assert ev.arrival_times[0] == 1.0
-    assert ev.total == pytest.approx(sum(ev.service_costs) + ev.deadhead_cost)
+    assert ev.total == simulate_route((1, 2, 3), 1.0, inst, sp).total
     assert len(ev.arrival_times) == 5  # depot, three tasks, return
 
 
@@ -89,7 +88,7 @@ def test_route_eval_matches_event_walk_oracle():
         ev = evaluate_route(route, t, inst3, sp)
         sim = simulate_route(route, t, inst3, sp)
         assert ev.total == pytest.approx(sim.total, rel=1e-12)
-        assert ev.deadhead_cost == pytest.approx(sim.deadhead_cost, rel=1e-12)
+        assert ev.horizon_violation == pytest.approx(max(0.0, sim.finish - inst3.horizon))
         assert list(ev.arrival_times[1:-1]) == pytest.approx(sim.arrivals)
         assert ev.arrival_times[-1] == pytest.approx(sim.finish)
 
@@ -168,8 +167,10 @@ def test_departure_count_mismatch(fig4):
 def test_deadhead_independent_of_departure():
     rng = rng_for(9)
     inst, route, sp = chain_route_instance(rng, 5, 2.0, "general")
-    evals = [evaluate_route(route, t, inst, sp) for t in (0.0, 3.0, 11.0)]
-    assert len({e.deadhead_cost for e in evals}) == 1
+    sims = [simulate_route(route, t, inst, sp) for t in (0.0, 3.0, 11.0)]
+    assert len({sim.deadhead_cost for sim in sims}) == 1
+    for t, sim in zip((0.0, 3.0, 11.0), sims):
+        assert evaluate_route(route, t, inst, sp).total == sim.total
 
 
 def test_feasibility_duplicate(fig4):
