@@ -13,6 +13,7 @@ provided for verification.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -27,6 +28,7 @@ from .solution import DepartureTimes, RouteEvaluator, RoutingPlan, split_routes
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # interval shrink factor per iteration
 NCS_SIGMA_DIVISOR = 6.0  # ncs's first step size is the interval length over this
 NCS_EPOCH_ADAPT = 10     # ncs adapts its step size every this many epochs
+ORACLE_SLICE = 16384     # grid_oracle sweeps its grid this many points at a time
 
 
 class ScalarObjective:
@@ -131,7 +133,9 @@ def ncs(
     each process its own.  With equal variances the log term of the
     Bhattacharyya distance, log((v + v) / (2 s s)), is log(1) = 0, so the
     distance to the nearest other process is a scaled squared distance to
-    the nearest other mean.
+    the nearest other mean, read off the means sorted once per epoch.
+    Each batch of points is evaluated through ``obj.fn`` and counted in
+    ``obj.evaluations``.
     """
     if lo >= hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -141,19 +145,13 @@ def ncs(
     budget = params.budget
     sigma = span / NCS_SIGMA_DIVISOR
 
-    means: list[float] = []
-    fits: list[float] = []
-    best_t = math.nan
-    best_f = math.inf
-    for t in (lo + span * rng.random(nproc)).tolist():
-        if len(means) >= budget:
-            return best_t, best_f
-        f = obj(t)
-        if f < best_f:
-            best_f, best_t = f, t
-        means.append(t)
-        fits.append(f)
-    used = nproc
+    fn = obj.fn
+    means = (lo + span * rng.random(nproc)).tolist()[:budget]
+    fits = [fn(t) for t in means]
+    used = len(means)
+    obj.evaluations += used
+    best_f = min(fits)
+    best_t = means[fits.index(best_f)] if best_f < math.inf else math.nan
 
     epoch = 0
     successes = 0
@@ -162,13 +160,12 @@ def ncs(
         count = min(nproc, budget - used)
         steps = rng.standard_normal(count).tolist()
         proposals = [min(hi, max(lo, m + sigma * z)) for m, z in zip(means, steps)]
-        proposal_fits = []
-        for t in proposals:
-            f = obj(t)
-            if f < best_f:
-                best_f, best_t = f, t
-            proposal_fits.append(f)
+        proposal_fits = [fn(t) for t in proposals]
         used += count
+        obj.evaluations += count
+        f = min(proposal_fits)
+        if f < best_f:
+            best_f, best_t = f, proposals[proposal_fits.index(f)]
 
         pool = fits[:count] + proposal_fits
         f_lo, f_hi = min(pool), max(pool)
@@ -179,11 +176,19 @@ def ncs(
         var = sigma * sigma
         var2 = var + var
         offset = 0.5 * math.log(var2 / (2.0 * sigma * sigma))
+        # the nearest other mean is t's nearer sorted neighbour on either
+        # side that is not its own parent; the infinite ends are never
+        # nearer than the other finite means
+        order = sorted(range(nproc), key=means.__getitem__)
+        ranked = [-math.inf] + [means[j] for j in order] + [math.inf]
+        order = [-1] + order + [-1]
         dists = []
         for i, t in enumerate(proposals):
-            sq = [(t - m) ** 2 for m in means]
-            del sq[i]
-            dists.append(0.25 * min(sq) / var2 + offset)
+            r = bisect_left(ranked, t)
+            left = r - 2 if order[r - 1] == i else r - 1
+            right = r + 1 if order[r] == i else r
+            sq = min((t - ranked[left]) ** 2, (t - ranked[right]) ** 2)
+            dists.append(0.25 * sq / var2 + offset)
         d_hi = max(max(dists), 1e-300)
 
         spread = max(0.1 * (1.0 - used / budget), 0.01)
@@ -215,9 +220,10 @@ def grid_oracle(
     """Exhaustive minimum over {lo, lo+step, ...} up to and including hi.
 
     Ties break toward the smaller departure time.  Verification tool: it
-    makes O((hi - lo) / step) evaluations, in one batch through the
-    objective's ``vector_fn`` when it has one (for a route, the in-place
-    ``RouteEvaluator.profile`` sweep).
+    makes O((hi - lo) / step) evaluations, in slices of ``ORACLE_SLICE``
+    points through the objective's ``vector_fn`` when it has one (for a
+    route, the in-place ``RouteEvaluator.profile`` sweep), so the sweep's
+    work arrays stay in cache.
     """
     if not 0 < step < math.inf:
         raise ValueError(f"step must be finite and positive, got {step}")
@@ -225,11 +231,17 @@ def grid_oracle(
         raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
     count = int(math.floor((hi - lo) / step + 1e-9))
     ts = lo + step * np.arange(count + 1)
-    if ts[-1] < hi:
+    if ts[-1] > hi:  # the 1e-9 slack can step just past hi
+        ts[-1] = hi
+    elif ts[-1] < hi:
         ts = np.append(ts, hi)
-    costs = obj.sample(ts)
-    idx = int(np.argmin(costs))
-    return float(ts[idx]), float(costs[idx])
+    best_t, best_f = float(lo), math.inf
+    for start in range(0, len(ts), ORACLE_SLICE):
+        costs = obj.sample(ts[start:start + ORACLE_SLICE])
+        idx = int(np.argmin(costs))
+        if costs[idx] < best_f:
+            best_t, best_f = float(ts[start + idx]), float(costs[idx])
+    return best_t, best_f
 
 
 def optimize_departures(

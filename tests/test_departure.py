@@ -12,6 +12,7 @@ from carptdsc import (
     optimize_departures,
     route_objective,
 )
+from carptdsc.departure import ORACLE_SLICE
 from carptdsc.instance_io import generate_td
 from carptdsc.solution import RouteEvaluator, join_routes, split_routes
 
@@ -86,6 +87,57 @@ def test_grid_oracle_includes_endpoint():
     obj = ScalarObjective(lambda t: -t)
     t, _ = grid_oracle(obj, 0.0, 1.0, 0.3)
     assert t == 1.0
+
+
+@pytest.mark.parametrize("hi,step", [(728.0, 0.07), (786.0, 786.0 / 1e5)])
+def test_grid_oracle_clamps_overshoot_to_hi(hi, step):
+    # hi / step falls just short of an integer, the 1e-9 slack rounds the
+    # point count up, and step * count is one ulp past hi
+    t, cost = grid_oracle(ScalarObjective(lambda t: -t), 0.0, hi, step)
+    assert (t, cost) == (hi, -hi)
+
+
+def _table_objective(values):
+    """Objective on the grid 0, 1, ..., len(values) - 1, read off ``values``."""
+    values = np.asarray(values, dtype=float)
+    return ScalarObjective(lambda t: values[int(t)], lambda ts: values[ts.astype(int)])
+
+
+def _one_array_argmin(values):
+    i = int(np.argmin(values))
+    return float(i), float(values[i])
+
+
+@pytest.mark.parametrize("n", [1, 1000, ORACLE_SLICE, ORACLE_SLICE + 1, 2 * ORACLE_SLICE + 100])
+def test_grid_oracle_slices_match_one_array_argmin(n):
+    # few distinct values, so the minimum recurs in most slices
+    values = rng_for(n).integers(3, 9, n)
+    obj = _table_objective(values)
+    assert grid_oracle(obj, 0.0, n - 1.0, 1.0) == _one_array_argmin(values)
+    assert obj.evaluations == n
+
+
+@pytest.mark.parametrize("first,second", [
+    (ORACLE_SLICE - 1, ORACLE_SLICE),
+    (ORACLE_SLICE, 2 * ORACLE_SLICE),
+    (0, 2 * ORACLE_SLICE + 99),
+    (2 * ORACLE_SLICE + 50, 2 * ORACLE_SLICE + 70),  # both in the partial last slice
+])
+def test_grid_oracle_tie_across_slices_takes_smaller_t(first, second):
+    values = np.ones(2 * ORACLE_SLICE + 100)
+    values[[first, second]] = 0.0
+    obj = _table_objective(values)
+    assert grid_oracle(obj, 0.0, len(values) - 1.0, 1.0) == (float(first), 0.0)
+    assert obj.evaluations == len(values)
+
+
+def test_grid_oracle_appended_hi_is_its_own_slice():
+    # ORACLE_SLICE grid points, then hi itself in a slice of one
+    values = np.ones(ORACLE_SLICE)
+    values[-1] = 0.0
+    obj = _table_objective(values)
+    assert grid_oracle(obj, 0.0, ORACLE_SLICE - 0.5, 1.0) == (ORACLE_SLICE - 1.0, 0.0)
+    assert obj.evaluations == ORACLE_SLICE + 1
 
 
 def test_grid_oracle_fig4_samples(fig4):

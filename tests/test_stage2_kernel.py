@@ -83,6 +83,37 @@ def test_ncs_matches_reference_bit_for_bit(case):
     assert got_obj.evaluations == want_obj.evaluations == params.budget
 
 
+class _CountingObjective(ScalarObjective):
+    """Objective that also counts evaluations exactly at one point."""
+
+    def __init__(self, fn, at):
+        self.hits = 0
+
+        def counted(t):
+            self.hits += t == at
+            return fn(t)
+
+        super().__init__(counted)
+
+
+@pytest.mark.parametrize("edge", ["lo", "hi"])
+@pytest.mark.parametrize("nproc,budget,seed", [(2, 200, 0), (5, 301, 1), (10, 2000, 2), (12, 600, 3)])
+def test_ncs_with_duplicate_means_matches_reference(edge, nproc, budget, seed):
+    # the minimum sits at an end of the interval, so proposals clamped to
+    # it are accepted and several processes share that mean exactly: the
+    # nearest-mean scan must skip the proposal's own parent and no other
+    lo, hi = 0.0, 728.0
+    end = lo if edge == "lo" else hi
+    params = NcsParams(process_count=nproc, budget=budget, seed=seed)
+    got_obj = _CountingObjective(lambda t: abs(t - end), end)
+    want_obj = _CountingObjective(lambda t: abs(t - end), end)
+    got = ncs(got_obj, lo, hi, params)
+    want = reference_ncs(want_obj, lo, hi, params)
+    assert repr(got) == repr(want) == repr((end, 0.0))
+    assert got_obj.evaluations == want_obj.evaluations == budget
+    assert got_obj.hits == want_obj.hits >= 2 * nproc
+
+
 def _sweep_points(inst, ev, route):
     """0, H, every window end, and each shifted by its task's arrival offset at departure 0."""
     horizon = inst.horizon
