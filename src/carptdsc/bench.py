@@ -57,6 +57,8 @@ class RunConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError(f"need at least one run, got {self.runs}")
+        if self.jobs < 1:
+            raise ValueError(f"need at least one job, got {self.jobs}")
         if self.gss_eps is not None and not 0 < self.gss_eps < math.inf:
             raise ValueError(f"gss_eps must be finite and positive, got {self.gss_eps}")
         if self.algorithm not in ALGORITHMS:
@@ -183,17 +185,19 @@ def _run_record(instance: Instance, config: RunConfig, seed: int) -> RunRecord:
 def run_experiment(config: RunConfig) -> ExperimentReport:
     """Full protocol: every instance, ``runs`` seeded runs each.
 
-    Runs may execute in parallel (``jobs``); per-run seeding keeps the
-    outcome independent of scheduling.  Failed runs are recorded and
-    skipped in the aggregates.
+    Runs may execute in parallel, in up to ``jobs`` worker processes (no
+    more than there are runs, as a pool starts all its workers at once);
+    per-run seeding keeps the outcome independent of scheduling.  Failed
+    runs are recorded and skipped in the aggregates.
     """
     results = []
+    workers = min(config.jobs, config.runs)
     for path in config.instances:
         instance = prepare_instance(config, path)
         name = instance.name or Path(path).stem
         seeds = [config.base_seed + i for i in range(config.runs)]
-        if config.jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        if workers > 1:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 records = list(
                     pool.map(_run_record, itertools.repeat(instance),
                              itertools.repeat(config), seeds)

@@ -22,7 +22,9 @@ from . import bench, instance_io
 from .bench import RunConfig
 from .departure import grid_oracle, route_objective
 from .instance import shortest_paths
-from .solution import RouteEvaluator, Solution, format_solution, split_routes
+from .solution import (
+    RouteEvaluator, Solution, check_feasibility, format_solution, split_routes,
+)
 
 
 def _slopes(text: str) -> tuple[float, ...]:
@@ -95,6 +97,16 @@ def cmd_solve(args) -> int:
     sys.stdout.write(text)
     if args.out:
         Path(args.out).write_text(text)
+    broken = check_feasibility(solution, inst, sp).broken
+    if broken:
+        ev = RouteEvaluator(inst, sp)
+        problems = [", ".join(broken)]
+        for i, (route, t) in enumerate(zip(split_routes(solution.plan), solution.departures), 1):
+            back = ev.evaluate(route, t).arrival_times[-1]
+            if back > inst.horizon:
+                problems.append(f"route {i} departs at {t:.6f} and returns at {back:.6f}, "
+                                f"after the horizon {inst.horizon:g}")
+        print("warning: the final plan is infeasible: " + "; ".join(problems), file=sys.stderr)
     return 0
 
 

@@ -159,7 +159,11 @@ def ncs(
         epoch += 1
         count = min(nproc, budget - used)
         steps = rng.standard_normal(count).tolist()
-        proposals = [min(hi, max(lo, m + sigma * z)) for m, z in zip(means, steps)]
+        # min(hi, max(lo, t)) without the calls; the same float, as lo < hi
+        proposals = [
+            (t if t < hi else hi) if (t := m + sigma * z) > lo else lo
+            for m, z in zip(means, steps)
+        ]
         proposal_fits = [fn(t) for t in proposals]
         used += count
         obj.evaluations += count
@@ -187,15 +191,16 @@ def ncs(
             r = bisect_left(ranked, t)
             left = r - 2 if order[r - 1] == i else r - 1
             right = r + 1 if order[r] == i else r
-            sq = min((t - ranked[left]) ** 2, (t - ranked[right]) ** 2)
-            dists.append(0.25 * sq / var2 + offset)
+            sq = (t - ranked[left]) ** 2
+            sq_right = (t - ranked[right]) ** 2
+            dists.append(0.25 * (sq_right if sq_right < sq else sq) / var2 + offset)
         d_hi = max(max(dists), 1e-300)
 
         spread = max(0.1 * (1.0 - used / budget), 0.01)
         for i, z in enumerate(rng.standard_normal(count).tolist()):
             f_norm = (proposal_fits[i] - f_lo) / f_span
             d_norm = dists[i] / d_hi
-            if f_norm / max(d_norm, 1e-12) < 1.0 + spread * z:
+            if f_norm / (1e-12 if 1e-12 > d_norm else d_norm) < 1.0 + spread * z:
                 means[i] = proposals[i]
                 fits[i] = proposal_fits[i]
                 successes += 1

@@ -30,6 +30,7 @@ from .solution import RouteEvaluator, RoutingPlan, join_routes, split_routes
 
 SCORE_FLOOR = 1e-9  # guards the reciprocal score on degenerate zero costs
 IMPROVE_EPS = 1e-9
+SCREEN_TOL = 1e-9  # relative rounding bound of an insertion screen (tau per unit of scale)
 MERGE_SPLIT_ROUTES = 2  # routes dissolved and rebuilt by one merge-split
 LS_MAX_SWEEPS = 30  # rounds of the basic move neighborhoods per local search
 PENALTY_PERIOD = 5  # generations between penalty doubling/halving
@@ -232,29 +233,87 @@ def _cheapest_insertion(
 ) -> None:
     """Insert ``tid`` (or its inverse) where it increases cost least.
 
-    Each route is walked once to record its prefix states; a candidate is
-    then walked from the state ahead of its position only, which gives
-    the same cost, bit for bit, as walking the whole candidate route.
+    Each route is walked once to record its prefix states, and
+    :meth:`RouteEvaluator.suffix_pieces` gives the linear piece of each
+    suffix.  A candidate steps the prefix state ahead of its position
+    through the inserted task; if that shifts the next task's start by
+    an amount inside the suffix's interval, the candidate is screened in
+    O(1) from the piece, within a rounding bound tau, and otherwise
+    walked.  Every screened candidate that could tie the least delta is
+    then walked too, and the first strict minimum of the walked deltas,
+    in the order (route, position, orientation), wins: the same choice,
+    bit for bit, as walking every candidate from its prefix state.
     """
+    ev = assessor.evaluator
     inv = instance.tasks[tid].inverse_id
     orientations = (tid,) if inv is None else (tid, inv)
-    walk = assessor.evaluator.walk
-    best = None  # (delta, route index or None, position, oriented id)
+    walk, sp_time, sp_cost = ev.walk, ev.sp_time, ev.sp_cost
+    horizon, capacity = instance.horizon, instance.capacity
+    rows = [
+        (oid, ev.tail[oid], sp_time[ev.head[oid]], sp_cost[ev.head[oid]], ev.c_min[oid],
+         ev.bt[oid], ev.et[oid], ev.k[oid], ev.demand[oid] - capacity)
+        for oid in orientations
+    ]
+    inf = math.inf
+    # bound: the least screen + tau so far, so no delta is below it; a
+    # candidate whose screen - tau exceeds it cannot be the minimum
+    bound = inf
+    near = []  # (screen - tau, delta or None if screened, ri, pos, oid, state, base)
     for ri, route in enumerate(routes):
-        prefixes = [assessor.evaluator.origin]
+        prefixes = [ev.origin]
         total, violation = walk(prefixes[0], route, prefixes)
         base = total + lam * violation
-        for pos, state in enumerate(prefixes):
-            rest = route[pos:]
-            for oid in orientations:
-                total, violation = walk(state, [oid] + rest)
-                delta = total + lam * violation - base
-                if best is None or delta < best[0]:
-                    best = (delta, ri, pos, oid)
+        load = prefixes[-1][4]
+        scale = (base if base > 0.0 else -base) + lam * load
+        pieces = ev.suffix_pieces(route, prefixes)
+        ret_0 = pieces[-1][1]
+        for pos, (state, piece) in enumerate(zip(prefixes, pieces)):
+            cur, services, deadhead, v, _ = state
+            w, u, lo, hi, slope, ret_slope, rest, err_c, err_d = piece
+            time_v, cost_v = sp_time[v], sp_cost[v]
+            tol_0 = SCREEN_TOL * (rest + err_c + lam * err_d + scale)
+            tol_d = SCREEN_TOL * ((slope if slope > 0.0 else -slope)
+                                  + lam * (ret_slope if ret_slope > 0.0 else -ret_slope))
+            for oid, tail, time_h, cost_h, c_min, bt, et, k, excess in rows:
+                t = cur + time_v[tail]
+                if t < bt:
+                    sc = c_min + k * (bt - t)
+                elif t > et:
+                    sc = c_min + k * (t - et)
+                else:
+                    sc = c_min
+                t += sc
+                d = t + time_h[w] - u
+                if lo <= d <= hi and d < inf:
+                    head_sum = services + sc + deadhead + cost_v[tail] + cost_h[w]
+                    late = ret_0 + ret_slope * d - horizon
+                    over = load + excess
+                    delta = head_sum + rest + slope * d + lam * (
+                        (late if late > 0.0 else 0.0) + (over if over > 0.0 else 0.0)) - base
+                    tol = tol_0 + SCREEN_TOL * head_sum + tol_d * (d if d > 0.0 else -d)
+                    exact = None
+                else:
+                    total, violation = walk(state, [oid] + route[pos:])
+                    delta = exact = total + lam * violation - base
+                    tol = 0.0
+                if delta + tol < bound:
+                    bound = delta + tol
+                if not delta - tol > bound:  # a screen that is NaN is walked
+                    near.append((delta - tol, exact, ri, pos, oid, state, base))
     for oid in orientations:  # opening a fresh route is always an option
         delta = assessor.contrib([oid], lam)
+        if delta < bound:
+            bound = delta
+        near.append((delta, delta, None, 0, oid, None, 0.0))
+    best = None  # (delta, route index or None, position, oriented id)
+    for low, delta, ri, pos, oid, state, base in near:
+        if low > bound:
+            continue
+        if delta is None:
+            total, violation = walk(state, [oid] + routes[ri][pos:])
+            delta = total + lam * violation - base
         if best is None or delta < best[0]:
-            best = (delta, None, 0, oid)
+            best = (delta, ri, pos, oid)
     _, ri, pos, oid = best
     if ri is None:
         routes.append([oid])

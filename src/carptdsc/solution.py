@@ -25,6 +25,10 @@ RoutingPlan = tuple[int, ...]
 DepartureTimes = tuple[float, ...]
 # a route prefix's (time, service-cost sum, deadhead sum, end vertex, load)
 RouteState = tuple[float, float, float, int, float]
+# a route suffix's linear piece (see RouteEvaluator.suffix_pieces): first
+# vertex, old service start, shift interval, cost and return slopes,
+# services plus deadhead, cost and return rounding scales
+SuffixPiece = tuple[int, float, float, float, float, float, float, float, float]
 
 
 class PlanError(ValueError):
@@ -65,15 +69,18 @@ class FeasibilityReport:
     missing: tuple[int, ...]
 
     @property
-    def feasible(self) -> bool:
-        return (
-            self.no_duplicate_service
-            and self.no_inverse_service
-            and self.all_tasks_served
-            and self.capacity_respected
-            and self.horizon_tasks
-            and self.horizon_return
+    def broken(self) -> tuple[str, ...]:
+        """Names of the checks that fail, in declaration order."""
+        return tuple(
+            name for name in ("no_duplicate_service", "no_inverse_service",
+                              "all_tasks_served", "capacity_respected",
+                              "horizon_tasks", "horizon_return")
+            if not getattr(self, name)
         )
+
+    @property
+    def feasible(self) -> bool:
+        return not self.broken
 
 
 def split_routes(plan: Sequence[int]) -> list[tuple[int, ...]]:
@@ -204,6 +211,66 @@ class RouteEvaluator:
         late = cur - self.instance.horizon
         over = load - self.instance.capacity
         return services + deadhead, (late if late > 0.0 else 0.0) + (over if over > 0.0 else 0.0)
+
+    def suffix_pieces(
+        self, route: Sequence[int], prefixes: Sequence[RouteState]
+    ) -> list[SuffixPiece]:
+        """The linear piece of every suffix ``route[j:]``, for j = 0..len(route).
+
+        ``prefixes`` are the route's prefix states, ``[origin] + trail`` of
+        one :meth:`walk`.  Piece j is (w, u, lo, hi, C, D, rest, err_c,
+        err_d): ``w`` is the suffix's first vertex (the depot for the
+        empty suffix) and ``u`` the old time there (the service start of
+        ``route[j]``, or the return).  If that time moves to ``u + d`` with
+        d in [lo, hi], no task of the suffix crosses its ``bt`` or ``et``,
+        so the suffix's services plus deadhead from ``w`` on are
+        ``rest + C·d`` and its return is ``ret + D·d``, exact up to
+        rounding.  ``err_c`` and ``err_d`` sum |C|·u and |D|·u over the
+        suffix: the scales of that rounding.
+
+        One backward pass: a task with ramp slope σ ∈ {-k, 0, k} at its
+        old start scales every later shift by f = 1 + σ, so C = σ + f·C'
+        and D = f·D', and the next piece's interval, divided by f (and
+        flipped for f < 0; no bound for f = 0), is cut to the task's own.
+        """
+        inf = float("inf")
+        sp_time, sp_cost, row_of = self.sp_time, self.sp_cost, self._task_row
+        cur, _, _, v, _ = prefixes[len(route)]
+        w, u = self.depot, cur + sp_time[v][self.depot]
+        lo, hi, slope, ret_slope, rest, err_c, err_d = -inf, inf, 0.0, 1.0, 0.0, 0.0, u
+        pieces = [(w, u, lo, hi, slope, ret_slope, rest, err_c, err_d)]
+        for j in range(len(route) - 1, -1, -1):
+            tail, head, c_min, bt, et, k, _ = row_of[route[j]]
+            cur, _, _, v, _ = prefixes[j]
+            u = cur + sp_time[v][tail]
+            if k == 0.0:
+                sigma, a, b, sc = 0.0, -inf, inf, c_min
+            elif u < bt:
+                sigma, a, b, sc = -k, -inf, bt - u, c_min + k * (bt - u)
+            elif u > et:
+                sigma, a, b, sc = k, et - u, inf, c_min + k * (u - et)
+            else:
+                sigma, a, b, sc = 0.0, bt - u, et - u, c_min
+            f = 1.0 + sigma
+            if f > 0.0:
+                lo, hi = lo / f, hi / f
+            elif f < 0.0:
+                lo, hi = hi / f, lo / f
+            else:
+                lo, hi = -inf, inf
+            lo = a if a > lo else lo
+            hi = b if b < hi else hi
+            # an overflowed slope leaves this and every earlier rounding
+            # scale inf or NaN, so no screen there is trusted
+            slope = sigma + f * slope
+            ret_slope = f * ret_slope
+            rest += sc + sp_cost[head][w]
+            err_c += (slope if slope > 0.0 else -slope) * u
+            err_d += (ret_slope if ret_slope > 0.0 else -ret_slope) * u
+            w = tail
+            pieces.append((w, u, lo, hi, slope, ret_slope, rest, err_c, err_d))
+        pieces.reverse()
+        return pieces
 
     def routes(self, solution: Solution) -> list[tuple[int, ...]]:
         """The routes of ``solution``, each checked once as :meth:`walk` checks it."""

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from carptdsc import bench
 from carptdsc.bench import (
     RunConfig,
     average_pdr,
@@ -121,6 +122,31 @@ def test_run_experiment_deterministic():
     ]
 
 
+@pytest.mark.parametrize("jobs,runs,sizes", [(8, 2, [2]), (2, 3, [2]), (3, 1, [])])
+def test_run_experiment_pool_has_at_most_one_worker_per_run(monkeypatch, jobs, runs, sizes):
+    made = []
+
+    class Pool:
+        """Records its size in place of starting workers; maps serially."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(bench.concurrent.futures, "ProcessPoolExecutor", Pool)
+    report = run_experiment(_desk_config(None, runs=runs, jobs=jobs))
+    assert made == sizes
+    assert [r.seed for r in report.results[0].runs] == list(range(runs))
+
+
 def test_run_experiment_jobs_match_serial():
     serial = run_experiment(_desk_config(None, runs=4, jobs=1))
     parallel = run_experiment(_desk_config(None, runs=4, jobs=2))
@@ -157,6 +183,9 @@ def test_average_pdr():
 def test_config_validation():
     with pytest.raises(ValueError, match="at least one run"):
         RunConfig(instances=("x",), runs=0)
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match=f"at least one job, got {jobs}"):
+            RunConfig(instances=("x",), jobs=jobs)
     with pytest.raises(ValueError, match="unknown algorithm"):
         RunConfig(instances=("x",), algorithm="magic")
 

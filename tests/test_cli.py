@@ -27,6 +27,26 @@ def test_solve_prints_solution(capsys):
     assert "total " in out.splitlines()[-1]
 
 
+def test_solve_warns_about_an_infeasible_final_plan(capsys):
+    # stage 2 on gdb1 3LP k = 0.5, gen-seed 0 moves route 4's departure so
+    # far that it returns after H = 728; stdout and exit status stay as
+    # for a feasible plan
+    code, out, err = run_cli(
+        capsys, "solve", "--instance", GDB1, "--family", "3lp", "--slope-set", "0.5",
+        "--gen-seed", "0", "--seed", "0",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[3].startswith("route 4: 5 31 10 1 30; depart 491.629239;")
+    assert lines[-1] == "total 1418.503713"
+    assert err == (
+        "warning: the final plan is infeasible: horizon_tasks, horizon_return; "
+        "route 4 departs at 491.629239 and returns at 885.628890, after the horizon 728\n"
+    )
+    code, _, err = run_cli(capsys, "solve", "--instance", GDB1, "--generations", "2")
+    assert (code, err) == (0, "")
+
+
 def test_solve_solomon_with_truncation(capsys):
     code, out, _ = run_cli(
         capsys, "solve", "--instance", R101, "--max-customers", "8",
@@ -100,6 +120,13 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert code == 0
     assert out.count("oracle depart") == 2
     assert out.strip().splitlines()[-1].startswith("total ")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bench_rejects_fewer_than_one_job(capsys, jobs):
+    code, _, err = run_cli(capsys, "bench", "--instance", GDB1, "--runs", "1", "--jobs", jobs)
+    assert code == 1
+    assert err == f"error: need at least one job, got {jobs}\n"
 
 
 def test_stats_subcommand(tmp_path, capsys):

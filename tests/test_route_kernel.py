@@ -3,8 +3,11 @@
 ``walk`` must give the same (cost, violation), bit for bit, as the
 step-by-step event walk ``oracles.simulate_route`` plus the load excess,
 and ``evaluate`` the same arrival times and cost; a walk that starts from
-a recorded prefix state must equal a walk of the whole route; and the
-search built on them must reproduce pinned plans.
+a recorded prefix state must equal a walk of the whole route; an
+insertion screened from a suffix's linear piece must be within its
+rounding bound of that walk, and cheapest insertion must pick what
+walking every candidate picks; and the search built on them must
+reproduce pinned plans.
 """
 
 import hashlib
@@ -29,7 +32,7 @@ from carptdsc import (
     shortest_paths,
 )
 from carptdsc.bench import load_instance_text
-from carptdsc.maens import _Assessor, _cheapest_insertion
+from carptdsc.maens import SCREEN_TOL, _Assessor, _cheapest_insertion
 from carptdsc.solution import PlanError
 
 from conftest import DATA, random_static_file, rng_for
@@ -39,7 +42,7 @@ from oracles import simulate_route
 def _cases():
     _, static = instance_io.parse_carp((DATA / "gdb1.dat").read_text())
     cases = {"gdb1": static}
-    for k in (0.3, 2.0, 3.0):
+    for k in (0.3, 1.0, 2.0, 3.0):
         cases[f"gdb1-3lp-k{k}"], _ = instance_io.generate_td(static, "3lp", (k,), 3)
     cases["r101_25"] = load_instance_text((DATA / "r101_25.txt").read_text())
     out = {}
@@ -150,6 +153,71 @@ def test_cheapest_insertion_matches_whole_route_reference(name):
             _cheapest_insertion(got, tid, assessor, inst, lam)
             _reference_insertion(want, tid, assessor, inst, lam)
             assert got == want
+
+
+def _screens(ev, route, oid, lam):
+    """(screen, tau, walked delta) of each insertion of ``oid`` into
+    ``route`` that lies inside its suffix's piece, scored as
+    ``_cheapest_insertion`` scores it."""
+    inst = ev.instance
+    prefixes = [ev.origin]
+    total, violation = ev.walk(ev.origin, route, prefixes)
+    base = total + lam * violation
+    load = prefixes[-1][4]
+    pieces = ev.suffix_pieces(route, prefixes)
+    assert len(pieces) == len(route) + 1
+    ret_0 = pieces[-1][1]
+    out = []
+    for pos, (state, piece) in enumerate(zip(prefixes, pieces)):
+        w, u, lo, hi, slope, ret_slope, rest, err_c, err_d = piece
+        assert lo <= 0.0 <= hi  # the departure-0 schedule lies on its own piece
+        step = []
+        ev.walk(state, [oid], step)
+        t, services, deadhead, h, _ = step[0]
+        d = t + ev.sp_time[h][w] - u
+        if not lo <= d <= hi:
+            continue
+        head_sum = services + deadhead + ev.sp_cost[h][w]
+        late = ret_0 + ret_slope * d - inst.horizon
+        over = load + ev.demand[oid] - inst.capacity
+        screen = head_sum + rest + slope * d + lam * (max(late, 0.0) + max(over, 0.0)) - base
+        tau = SCREEN_TOL * (head_sum + rest + abs(slope * d) + err_c + abs(base)
+                            + lam * (err_d + abs(ret_slope * d) + load))
+        total, violation = ev.walk(state, [oid] + route[pos:])
+        out.append((screen, tau, total + lam * violation - base))
+    return out
+
+
+_LAMBDAS = st.floats(0.0, 2.0 ** 20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_case_route(), _LAMBDAS)
+def test_screened_insertion_is_within_tau_of_the_walk(case_route, lam):
+    (inst, sp, ev), route, oid = case_route
+    for screen, tau, walked in _screens(ev, route, oid, lam):
+        assert abs(screen - walked) <= tau
+
+
+@st.composite
+def _case_routes(draw):
+    """((instance, shortest paths, evaluator), routes, task ID to insert)."""
+    case = CASES[draw(st.sampled_from(sorted(CASES)))]
+    ids = st.sampled_from(case[0].real_task_ids)
+    routes = draw(st.lists(st.lists(ids, min_size=1, max_size=20), max_size=4))
+    return case, routes, draw(ids)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_case_routes(), _LAMBDAS)
+def test_screened_cheapest_insertion_matches_whole_route_reference(case_routes, lam):
+    (inst, sp, ev), routes, tid = case_routes
+    assessor = _Assessor(ev)
+    got = [list(r) for r in routes]
+    want = [list(r) for r in routes]
+    _cheapest_insertion(got, tid, assessor, inst, lam)
+    _reference_insertion(want, tid, assessor, inst, lam)
+    assert got == want
 
 
 def _broken_instance():
@@ -302,6 +370,40 @@ LS_GOLDEN = {
 def test_pinned_local_search_plans(name, seed, cost, trace_sha, plan):
     inst, sp = _long_route_instance() if name == "long" else CASES[name][:2]
     res = evolve(inst, sp, MaensParams(generations=4, pls=1.0, seed=seed))
+    assert res.plan == plan
+    assert res.total_cost == cost
+    assert hashlib.sha1(repr(res.trace).encode()).hexdigest()[:16] == trace_sha
+
+
+# Plans on a long-route CARP file written by the benchmark's long-routes
+# generator (instance seed 0: 60 tasks, 12-18 per route, integer costs,
+# so many insertion candidates tie), pinned from the code that walked
+# every insertion candidate: generations, pls, seed, cost, sha1 of
+# repr(trace), plan.
+LONG_ROUTE_GOLDEN = [
+    (10, 0.0, 0, 744.0, "29a309083ec5e759",
+     (0, 35, 105, 104, 39, 21, 18, 15, 44, 2, 117, 20, 47, 38, 51, 0, 33, 63, 77,
+      102, 5, 86, 12, 66, 57, 25, 7, 76, 73, 56, 115, 120, 42, 32, 0, 71, 107, 24,
+      94, 59, 100, 70, 29, 112, 27, 54, 109, 0, 49, 92, 3, 113, 84, 89, 88, 68, 45,
+      96, 97, 9, 14, 79, 82, 61, 0)),
+    (10, 0.0, 1, 735.0, "702919a1d2ce0363",
+     (0, 71, 61, 101, 55, 68, 45, 86, 44, 2, 75, 81, 114, 4, 91, 50, 0, 35, 105,
+      104, 11, 9, 14, 73, 24, 8, 26, 117, 119, 60, 93, 80, 108, 5, 0, 33, 31, 70,
+      29, 40, 28, 111, 21, 18, 41, 20, 89, 88, 63, 77, 0, 66, 57, 54, 109, 52, 37,
+      48, 83, 95, 98, 16, 99, 116, 0)),
+    (10, 0.0, 2, 705.0, "a20e8d6407a48164",
+     (0, 49, 92, 77, 102, 5, 96, 26, 1, 43, 85, 109, 52, 37, 29, 21, 0, 35, 105, 66,
+      57, 117, 119, 116, 55, 24, 76, 73, 68, 45, 53, 0, 71, 107, 79, 84, 19, 42, 17,
+      32, 87, 90, 47, 69, 112, 27, 0, 33, 63, 3, 113, 82, 94, 59, 100, 15, 12, 103,
+      39, 9, 14, 8, 97, 62, 0)),
+]
+
+
+@pytest.mark.parametrize("generations,pls,seed,cost,trace_sha,plan", LONG_ROUTE_GOLDEN)
+def test_pinned_long_route_plans(generations, pls, seed, cost, trace_sha, plan):
+    _, inst = instance_io.parse_carp((DATA / "long-routes-0.dat").read_text())
+    params = MaensParams(generations=generations, pls=pls, seed=seed)
+    res = evolve(inst, shortest_paths(inst), params)
     assert res.plan == plan
     assert res.total_cost == cost
     assert hashlib.sha1(repr(res.trace).encode()).hexdigest()[:16] == trace_sha
