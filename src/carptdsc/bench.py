@@ -17,7 +17,7 @@ import itertools
 import math
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -27,7 +27,7 @@ from . import instance_io
 from .departure import NcsParams, optimize_departures
 from .instance import Instance, shortest_paths
 from .maens import MaensParams, evolve, init_individual
-from .solution import RouteEvaluator, Solution, split_routes
+from .solution import RouteEvaluator, Solution, check_feasibility, split_routes
 
 ALGORITHMS = ("maens-gn", "maens-only", "init-only")
 REPORT_TAG = "carptdsc-report v1"
@@ -53,6 +53,9 @@ class RunConfig:
     ncs_procs: int = NcsParams.process_count
     max_customers: Optional[int] = None  # Solomon truncation
     out: Optional[str] = None
+    # the solver settings above, checked by their own classes; seed 0
+    maens_params: MaensParams = field(init=False, repr=False, compare=False)
+    ncs_params: NcsParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.runs < 1:
@@ -63,6 +66,10 @@ class RunConfig:
             raise ValueError(f"gss_eps must be finite and positive, got {self.gss_eps}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
+        object.__setattr__(self, "maens_params", MaensParams(
+            psize=self.psize, generations=self.generations, pls=self.pls))
+        object.__setattr__(self, "ncs_params", NcsParams(
+            process_count=self.ncs_procs, budget=self.ncs_budget))
 
 
 @dataclass(frozen=True)
@@ -140,28 +147,19 @@ def solve_once_detailed(
 ) -> tuple[Solution, float, Optional[list[tuple[int, float, float]]]]:
     """One seeded run; returns (solution, cost, stage-1 trace or None)."""
     sp = shortest_paths(instance)
-    ncs_params = NcsParams(
-        process_count=config.ncs_procs, budget=config.ncs_budget, seed=seed
-    )
-
     trace = None
     if config.algorithm == "init-only":
         rng = np.random.Generator(np.random.PCG64(seed))
         plan = init_individual(instance, sp, rng)
     else:
-        params = MaensParams(
-            psize=config.psize,
-            generations=config.generations,
-            pls=config.pls,
-            seed=seed,
-        )
-        result = evolve(instance, sp, params)
+        result = evolve(instance, sp, replace(config.maens_params, seed=seed))
         plan = result.plan
         trace = result.trace
 
     if config.algorithm == "maens-gn":
         departures = optimize_departures(
-            plan, instance, sp, gss_eps=config.gss_eps, ncs_params=ncs_params
+            plan, instance, sp, gss_eps=config.gss_eps,
+            ncs_params=replace(config.ncs_params, seed=seed),
         )
     else:
         departures = tuple(0.0 for _ in split_routes(plan))
@@ -172,9 +170,13 @@ def solve_once_detailed(
 
 
 def _run_record(instance: Instance, config: RunConfig, seed: int) -> RunRecord:
+    """One seeded run; an error or an infeasible final plan makes it a failed run."""
     start = time.perf_counter()
     try:
-        _, cost, _ = solve_once_detailed(instance, config, seed)
+        solution, cost, _ = solve_once_detailed(instance, config, seed)
+        broken = check_feasibility(solution, instance, shortest_paths(instance)).broken
+        if broken:
+            raise ValueError(f"infeasible final plan: {', '.join(broken)}")
         return RunRecord(seed=seed, cost=cost, seconds=time.perf_counter() - start)
     except Exception as exc:  # failed run: recorded, not fatal
         return RunRecord(
@@ -418,6 +420,8 @@ def wilcoxon_rank_sum(
     a: Sequence[float], b: Sequence[float], alpha: float = 0.05
 ) -> RankSumResult:
     """Two-sided rank-sum verdict for minimization: is ``a`` better than ``b``?"""
+    if not 0 < alpha < 1:  # also rejects NaN
+        raise ValueError(f"significance level must lie in (0, 1), got {alpha}")
     w, p = rank_sum_p_value(a, b)
     if p < alpha:
         med_a, med_b = statistics.median(a), statistics.median(b)

@@ -97,12 +97,10 @@ def cmd_solve(args) -> int:
     sys.stdout.write(text)
     if args.out:
         Path(args.out).write_text(text)
-    broken = check_feasibility(solution, inst, sp).broken
-    if broken:
-        ev = RouteEvaluator(inst, sp)
-        problems = [", ".join(broken)]
-        for i, (route, t) in enumerate(zip(split_routes(solution.plan), solution.departures), 1):
-            back = ev.evaluate(route, t).arrival_times[-1]
+    report = check_feasibility(solution, inst, sp)
+    if report.broken:
+        problems = [", ".join(report.broken)]
+        for i, (t, back) in enumerate(zip(solution.departures, report.returns), 1):
             if back > inst.horizon:
                 problems.append(f"route {i} departs at {t:.6f} and returns at {back:.6f}, "
                                 f"after the horizon {inst.horizon:g}")

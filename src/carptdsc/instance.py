@@ -55,19 +55,27 @@ class Instance:
     fleet_size: int
     horizon: float
     real_task_ids: tuple[int, ...] = field(init=False)  # every task ID, sorted
+    roots: tuple[int, ...] = field(init=False)  # every pair root, sorted
 
     def __post_init__(self):
         object.__setattr__(self, "real_task_ids", tuple(sorted(self.tasks)))
+        object.__setattr__(self, "roots", tuple(sorted(
+            {self.pair_root(tid) for tid in self.real_task_ids})))
 
     @property
     def num_required(self) -> int:
         """Number of tasks up to inversion (an inverse pair counts once)."""
-        return len({self.pair_root(tid) for tid in self.real_task_ids})
+        return len(self.roots)
 
     def pair_root(self, task_id: int) -> int:
         """Canonical representative of a task and its inverse twin."""
         inv = self.tasks[task_id].inverse_id
         return task_id if inv is None else min(task_id, inv)
+
+    def orientations(self, task_id: int) -> tuple[int, ...]:
+        """The task and, if it has one, its inverse twin: the ways to serve it."""
+        inv = self.tasks[task_id].inverse_id
+        return (task_id,) if inv is None else (task_id, inv)
 
 
 def build_instance(

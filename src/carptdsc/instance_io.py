@@ -373,10 +373,7 @@ def generate_td(
     else:
         k = float(rng.choice(sorted(slope_set)))
         window: dict[int, tuple[float, float]] = {}
-        roots = sorted(
-            {static_instance.pair_root(tid) for tid in static_instance.real_task_ids}
-        )
-        for root in roots:
+        for root in static_instance.roots:
             st = static_instance.tasks[root].cost_fn.c_min
             mid = rng.uniform(0.1 * horizon, 0.9 * horizon)
             width = rng.uniform(st, 3.0 * st)

@@ -45,11 +45,14 @@ class Individual:
     plan: RoutingPlan
     total_cost: float
     violation: float  # capacity excess plus horizon excess, summed over routes
-    penalized_cost: float
 
     @property
     def feasible(self) -> bool:
         return self.violation == 0.0
+
+    def penalized(self, lam: float) -> float:
+        """The cost with the violation weighed by the penalty coefficient ``lam``."""
+        return self.total_cost + lam * self.violation
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,7 @@ def _stream(seed: int, *indices: int) -> np.random.Generator:
 
 
 class _Assessor:
-    """Cached route statistics and penalized-cost bookkeeping."""
+    """Cached route statistics, summed into individuals."""
 
     def __init__(self, evaluator: RouteEvaluator):
         self.evaluator = evaluator
@@ -108,19 +111,14 @@ class _Assessor:
         total, violation = self.route_stats(route)
         return total + lam * violation
 
-    def assess(self, plan: RoutingPlan, lam: float) -> Individual:
+    def assess(self, plan: RoutingPlan) -> Individual:
         total = 0.0
         violation = 0.0
         for route in split_routes(plan):
             rt, rv = self.route_stats(route)
             total += rt
             violation += rv
-        return Individual(
-            plan=plan,
-            total_cost=total,
-            violation=violation,
-            penalized_cost=total + lam * violation,
-        )
+        return Individual(plan=plan, total_cost=total, violation=violation)
 
 
 def select_next_task(
@@ -166,16 +164,11 @@ def _path_scan(
     are broken by :func:`select_next_task`.  A route closes when no
     unserved task fits or none can be reached.
     """
-    sp_time = ev.sp_time
-    tail, head = ev.tail, ev.head
-    demand = ev.demand
+    sp_time, rows = ev.sp_time, ev.rows
     depot = instance.depot
 
     unserved: set[int] = set(roots)
-    candidates_of: dict[int, tuple[int, ...]] = {}
-    for root in unserved:
-        inv = instance.tasks[root].inverse_id
-        candidates_of[root] = (root,) if inv is None else (root, inv)
+    candidates_of = {root: instance.orientations(root) for root in unserved}
 
     routes: list[list[int]] = []
     while unserved:
@@ -188,22 +181,22 @@ def _path_scan(
                 tid
                 for root in unserved
                 for tid in candidates_of[root]
-                if demand[tid] + load <= capacity
+                if rows[tid][6] + load <= capacity
             ]
             if not feasible:
                 break
-            dmin = min(sp_time[cur_v][tail[t]] for t in feasible)
+            dmin = min(sp_time[cur_v][rows[t][0]] for t in feasible)
             if dmin == float("inf"):
                 break  # remaining tasks unreachable from here
             nearest = sorted(
-                t for t in feasible if sp_time[cur_v][tail[t]] <= dmin + 1e-9
+                t for t in feasible if sp_time[cur_v][rows[t][0]] <= dmin + 1e-9
             )
             chosen = select_next_task(instance, nearest, cur_t + dmin, rng)
-            cur_t += sp_time[cur_v][tail[chosen]]
-            fn = instance.tasks[chosen].cost_fn
-            cur_t += fn.value(cur_t)
-            cur_v = head[chosen]
-            load += demand[chosen]
+            tail, head, _, _, _, _, demand = rows[chosen]
+            cur_t += sp_time[cur_v][tail]
+            cur_t += instance.tasks[chosen].cost_fn.value(cur_t)
+            cur_v = head
+            load += demand
             route.append(chosen)
             unserved.discard(instance.pair_root(chosen))
         if not route:
@@ -213,15 +206,11 @@ def _path_scan(
 
 
 def init_individual(
-    instance: Instance,
-    sp: ShortestPaths,
-    rng: np.random.Generator,
-    evaluator: Optional[RouteEvaluator] = None,
+    instance: Instance, sp: ShortestPaths, rng: np.random.Generator
 ) -> RoutingPlan:
     """Path-scanning construction of one routing plan (see :func:`_path_scan`)."""
-    ev = evaluator if evaluator is not None else RouteEvaluator(instance, sp)
-    roots = {instance.pair_root(t) for t in instance.real_task_ids}
-    return join_routes(_path_scan(instance, ev, roots, instance.capacity, rng))
+    ev = RouteEvaluator(instance, sp)
+    return join_routes(_path_scan(instance, ev, instance.roots, instance.capacity, rng))
 
 
 def _cheapest_insertion(
@@ -245,15 +234,14 @@ def _cheapest_insertion(
     bit for bit, as walking every candidate from its prefix state.
     """
     ev = assessor.evaluator
-    inv = instance.tasks[tid].inverse_id
-    orientations = (tid,) if inv is None else (tid, inv)
+    orientations = instance.orientations(tid)
     walk, sp_time, sp_cost = ev.walk, ev.sp_time, ev.sp_cost
     horizon, capacity = instance.horizon, instance.capacity
-    rows = [
-        (oid, ev.tail[oid], sp_time[ev.head[oid]], sp_cost[ev.head[oid]], ev.c_min[oid],
-         ev.bt[oid], ev.et[oid], ev.k[oid], ev.demand[oid] - capacity)
-        for oid in orientations
-    ]
+    rows = []
+    for oid in orientations:
+        tail, head, c_min, bt, et, k, demand = ev.rows[oid]
+        rows.append((oid, tail, sp_time[head], sp_cost[head], c_min, bt, et, k,
+                     demand - capacity))
     inf = math.inf
     # bound: the least screen + tau so far, so no delta is below it; a
     # candidate whose screen - tau exceeds it cannot be the minimum
@@ -361,8 +349,7 @@ def crossover(
             deduped.append(kept)
     routes = deduped
 
-    required = {instance.pair_root(t) for t in instance.real_task_ids}
-    missing = sorted(required - seen)
+    missing = [root for root in instance.roots if root not in seen]
     if missing:
         order = list(rng.permutation(len(missing)))
         for idx in order:
@@ -436,15 +423,11 @@ def _scan_swap(routes, assessor, instance, lam, rng) -> bool:
         ri, pi = positions[i]
         rj, pj = positions[j]
         a, b = routes[ri][pi], routes[rj][pj]
-        inv_a = instance.tasks[a].inverse_id
-        inv_b = instance.tasks[b].inverse_id
-        a_opts = (a,) if inv_a is None else (a, inv_a)
-        b_opts = (b,) if inv_b is None else (b, inv_b)
         same = ri == rj
         base = assessor.contrib(routes[ri], lam) + (
             0.0 if same else assessor.contrib(routes[rj], lam))
-        for bo in b_opts:
-            for ao in a_opts:
+        for bo in instance.orientations(b):
+            for ao in instance.orientations(a):
                 cand_i = list(routes[ri])
                 cand_j = cand_i if same else list(routes[rj])
                 cand_i[pi] = bo
@@ -471,7 +454,7 @@ def _split_sequence(
         load = 0.0
         j = i - 1
         while j >= 0:
-            load += ev.demand[seq[j]]
+            load += ev.rows[seq[j]][6]
             if load > instance.capacity:
                 break
             cost = dp[j] + assessor.contrib(seq[j:i], lam)
@@ -532,8 +515,8 @@ def local_search(
     Runs first-improvement sweeps of the three move neighborhoods (in
     random order) to convergence, applies merge-split once, and, if that
     helped, converges the basic moves again.  The result never has a
-    worse penalized cost than the input, and coverage is preserved.
-    ``individual`` must have been assessed at ``lam``.
+    worse penalized cost at ``lam`` than the input, and coverage is
+    preserved.
     """
     routes = [list(r) for r in split_routes(individual.plan)]
 
@@ -553,8 +536,8 @@ def local_search(
     if _merge_split(routes, assessor, instance, lam, rng):
         converge_basic(max(1, LS_MAX_SWEEPS - used))
 
-    result = assessor.assess(join_routes(routes), lam)
-    if result.penalized_cost <= individual.penalized_cost:
+    result = assessor.assess(join_routes(routes))
+    if result.penalized(lam) <= individual.penalized(lam):
         return result
     return individual  # accept-only moves make this unreachable; safety net
 
@@ -569,22 +552,26 @@ def evolve(
     Each generation makes ``psize`` offspring.  Deterministic for a fixed
     seed; every offspring slot owns an RNG stream derived from (seed,
     generation, slot), so results do not depend on evaluation order.
+    Individuals are ranked by penalized cost at the current penalty
+    coefficient, then by plan.
     """
     assessor = _Assessor(RouteEvaluator(instance, sp))
+
+    def rank(ind: Individual) -> tuple[float, RoutingPlan]:
+        return ind.penalized(lam), ind.plan
 
     population: list[Individual] = []
     seen: set[RoutingPlan] = set()
     attempts = 0
-    lam = 1.0  # refined below once a first cost scale is known
     while len(population) < params.psize and attempts < 50 * params.psize:
-        plan = init_individual(
-            instance, sp, _stream(params.seed, 0, attempts), evaluator=assessor.evaluator
-        )
+        routes = _path_scan(instance, assessor.evaluator, instance.roots, instance.capacity,
+                            _stream(params.seed, 0, attempts))
+        plan = join_routes(routes)
         attempts += 1
         if plan in seen:
             continue
         seen.add(plan)
-        population.append(assessor.assess(plan, lam))
+        population.append(assessor.assess(plan))
     if not population:
         raise SolverError("could not construct any initial plan")
     while len(population) < params.psize:  # tiny instances: allow duplicates
@@ -593,8 +580,7 @@ def evolve(
     # the penalty coefficient starts at the best cost per unit of capacity
     lam = max(1.0, min(ind.total_cost for ind in population) / max(1.0, instance.capacity))
     lam_floor, lam_ceil = lam / 1024.0, lam * 2.0 ** 20
-    population = [assessor.assess(ind.plan, lam) for ind in population]
-    population.sort(key=lambda ind: (ind.penalized_cost, ind.plan))
+    population.sort(key=rank)
 
     best_feasible: Optional[Individual] = None
     for ind in population:
@@ -612,13 +598,13 @@ def evolve(
             else:
                 p1 = p2 = population[0].plan
             child_plan = crossover(p1, p2, instance, rng, assessor, lam)
-            child = assessor.assess(child_plan, lam)
+            child = assessor.assess(child_plan)
             if rng.random() < params.pls:
                 child = local_search(child, instance, rng, assessor, lam)
             offspring.append(child)
 
         pool = population + offspring
-        pool.sort(key=lambda ind: (ind.penalized_cost, ind.plan))
+        pool.sort(key=rank)
         next_pop: list[Individual] = []
         seen_plans: set[RoutingPlan] = set()
         for ind in pool:
@@ -642,7 +628,7 @@ def evolve(
 
         trace.append((
             gen,
-            population[0].penalized_cost,
+            population[0].penalized(lam),
             best_feasible.total_cost if best_feasible is not None else math.nan,
         ))
 
@@ -650,8 +636,7 @@ def evolve(
             lam = min(lam * 2.0, lam_ceil) if not population[0].feasible else max(
                 lam / 2.0, lam_floor
             )
-            population = [assessor.assess(ind.plan, lam) for ind in population]
-            population.sort(key=lambda ind: (ind.penalized_cost, ind.plan))
+            population.sort(key=rank)
 
     if best_feasible is None:
         raise SolverError(

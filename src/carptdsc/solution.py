@@ -23,6 +23,8 @@ from .instance import Instance, ShortestPaths
 
 RoutingPlan = tuple[int, ...]
 DepartureTimes = tuple[float, ...]
+# a task's (tail, head, c_min, bt, et, k, demand)
+TaskRow = tuple[int, int, float, float, float, float, float]
 # a route prefix's (time, service-cost sum, deadhead sum, end vertex, load)
 RouteState = tuple[float, float, float, int, float]
 # a route suffix's linear piece (see RouteEvaluator.suffix_pieces): first
@@ -53,7 +55,6 @@ class RouteEval:
 
     arrival_times: tuple[float, ...]
     total: float
-    horizon_violation: float
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,7 @@ class FeasibilityReport:
     capacity_excess: tuple[float, ...]
     duplicates: tuple[int, ...]
     missing: tuple[int, ...]
+    returns: tuple[float, ...]    # each route's time back at the depot
 
     @property
     def broken(self) -> tuple[str, ...]:
@@ -120,7 +122,7 @@ def join_routes(routes: Sequence[Sequence[int]]) -> RoutingPlan:
 class RouteEvaluator:
     """Route evaluation bound to one instance and its shortest paths.
 
-    Precomputes flat per-task attribute arrays and plain nested lists for
+    Precomputes one row of attributes per task and plain nested lists for
     the travel matrices, keeping the forward pass cheap inside search
     loops.  Evaluation is a pure function of (route, departure time).
 
@@ -136,31 +138,13 @@ class RouteEvaluator:
         self.instance = instance
         self.depot = instance.depot
         self.origin: RouteState = (0.0, 0.0, 0.0, instance.depot, 0.0)
-        n_ids = max(instance.tasks) + 1
-        self.tail = [0] * n_ids
-        self.head = [0] * n_ids
-        self.c_min = [0.0] * n_ids
-        self.bt = [0.0] * n_ids
-        self.et = [0.0] * n_ids
-        self.k = [0.0] * n_ids
-        self.demand = [0.0] * n_ids
-        for tid, task in instance.tasks.items():
-            self.tail[tid] = task.arc.tail
-            self.head[tid] = task.arc.head
-            fn = task.cost_fn
-            self.c_min[tid] = fn.c_min
-            self.bt[tid] = fn.bt
-            self.et[tid] = fn.et
-            self.k[tid] = fn.k
-            self.demand[tid] = task.demand
         self.sp_time = sp.time.tolist()
         self.sp_cost = sp.cost.tolist()
-        # walk() fetches a task's attributes in one lookup; an ID missing
-        # here (unknown, or the plan separator 0) is rejected
-        self._task_row = {
-            tid: (self.tail[tid], self.head[tid], self.c_min[tid], self.bt[tid],
-                  self.et[tid], self.k[tid], self.demand[tid])
-            for tid in instance.tasks
+        # an ID missing here (unknown, or the plan separator 0) is rejected by walk()
+        self.rows: dict[int, TaskRow] = {
+            tid: (task.arc.tail, task.arc.head, task.cost_fn.c_min, task.cost_fn.bt,
+                  task.cost_fn.et, task.cost_fn.k, task.demand)
+            for tid, task in instance.tasks.items()
         }
 
     def walk(
@@ -178,7 +162,7 @@ class RouteEvaluator:
         so ``[origin] + trail`` are the prefix states of the route.
         """
         cur, services, deadhead, v, load = state
-        sp_time, sp_cost, row_of = self.sp_time, self.sp_cost, self._task_row
+        sp_time, sp_cost, row_of = self.sp_time, self.sp_cost, self.rows
         inf = float("inf")
         for tid in tasks:
             row = row_of.get(tid)
@@ -234,7 +218,7 @@ class RouteEvaluator:
         flipped for f < 0; no bound for f = 0), is cut to the task's own.
         """
         inf = float("inf")
-        sp_time, sp_cost, row_of = self.sp_time, self.sp_cost, self._task_row
+        sp_time, sp_cost, row_of = self.sp_time, self.sp_cost, self.rows
         cur, _, _, v, _ = prefixes[len(route)]
         w, u = self.depot, cur + sp_time[v][self.depot]
         lo, hi, slope, ret_slope, rest, err_c, err_d = -inf, inf, 0.0, 1.0, 0.0, 0.0, u
@@ -284,7 +268,7 @@ class RouteEvaluator:
         return routes
 
     def evaluate(self, route: Sequence[int], t: float) -> RouteEval:
-        """Arrival times, cost and horizon excess of ``route`` departing at ``t``.
+        """Arrival times and cost of ``route`` departing at ``t``.
 
         A view over one :meth:`walk` from the departure state: each
         service start is the state before it plus the deadhead leg's
@@ -294,39 +278,32 @@ class RouteEvaluator:
             raise ValueError(f"departure time must be >= 0, got {t}")
         trail: list[RouteState] = [(t, 0.0, 0.0, self.depot, 0.0)]
         total, _ = self.walk(trail[0], route, trail)
-        sp_time, tail = self.sp_time, self.tail
+        sp_time, rows = self.sp_time, self.rows
         arrivals = [t]
-        arrivals += [cur + sp_time[v][tail[tid]] for (cur, _, _, v, _), tid in zip(trail, route)]
+        arrivals += [cur + sp_time[v][rows[tid][0]] for (cur, _, _, v, _), tid in zip(trail, route)]
         cur, _, _, v, _ = trail[-1]
         arrivals.append(cur + sp_time[v][self.depot])
-        return RouteEval(
-            arrival_times=tuple(arrivals),
-            total=total,
-            horizon_violation=max(0.0, arrivals[-1] - self.instance.horizon),
-        )
+        return RouteEval(arrival_times=tuple(arrivals), total=total)
 
     def total(self, route: Sequence[int], t: float) -> float:
         """Route cost only; same forward pass without bookkeeping."""
-        sp_time, sp_cost = self.sp_time, self.sp_cost
-        c_min, bts, ets, ks = self.c_min, self.bt, self.et, self.k
-        tails, heads = self.tail, self.head
+        sp_time, sp_cost, rows = self.sp_time, self.sp_cost, self.rows
         cur = t
         v = self.depot
         total = 0.0
         for tid in route:
-            tail = tails[tid]
+            tail, head, c_min, bt, et, k, _ = rows[tid]
             cur += sp_time[v][tail]
             total += sp_cost[v][tail]
-            bt, et = bts[tid], ets[tid]
             if cur < bt:
-                sc = c_min[tid] + ks[tid] * (bt - cur)
+                sc = c_min + k * (bt - cur)
             elif cur > et:
-                sc = c_min[tid] + ks[tid] * (cur - et)
+                sc = c_min + k * (cur - et)
             else:
-                sc = c_min[tid]
+                sc = c_min
             total += sc
             cur += sc
-            v = heads[tid]
+            v = head
         return total + sp_cost[v][self.depot]
 
     def profile(self, route: Sequence[int], ts: np.ndarray) -> np.ndarray:
@@ -343,18 +320,18 @@ class RouteEvaluator:
         late = np.empty_like(cur)
         v = self.depot
         for tid in route:
-            tail = self.tail[tid]
+            tail, head, c_min, bt, et, k, _ = self.rows[tid]
             total += self.sp_cost[v][tail]
             cur += self.sp_time[v][tail]
             # c_min + k * (max(bt - cur, 0) + max(cur - et, 0)), in place
-            np.maximum(np.subtract(self.bt[tid], cur, out=sc), 0.0, out=sc)
-            np.maximum(np.subtract(cur, self.et[tid], out=late), 0.0, out=late)
+            np.maximum(np.subtract(bt, cur, out=sc), 0.0, out=sc)
+            np.maximum(np.subtract(cur, et, out=late), 0.0, out=late)
             sc += late
-            sc *= self.k[tid]
-            sc += self.c_min[tid]
+            sc *= k
+            sc += c_min
             total += sc
             cur += sc
-            v = self.head[tid]
+            v = head
         total += self.sp_cost[v][self.depot]
         return total
 
@@ -397,14 +374,13 @@ def check_feasibility(
             else:
                 seen_pairs[root] = tid
 
-    required = {instance.pair_root(tid) for tid in instance.real_task_ids}
-    missing = sorted(required - set(seen_pairs))
+    missing = [root for root in instance.roots if root not in seen_pairs]
 
     excess: list[float] = []
+    returns: list[float] = []
     horizon_tasks_ok = True
-    horizon_return_ok = True
     for route, t in zip(routes, solution.departures):
-        load = sum(evaluator.demand[tid] for tid in route)
+        load = sum(evaluator.rows[tid][6] for tid in route)
         excess.append(max(0.0, load - instance.capacity))
         if t < 0:  # violates the lower end of the time window
             horizon_tasks_ok = False
@@ -413,8 +389,7 @@ def check_feasibility(
         # [-1] the return leg; the window applies to all of them
         if any(a > instance.horizon for a in ev.arrival_times[:-1]):
             horizon_tasks_ok = False
-        if ev.arrival_times[-1] > instance.horizon:
-            horizon_return_ok = False
+        returns.append(ev.arrival_times[-1])
 
     return FeasibilityReport(
         no_duplicate_service=not duplicates,
@@ -422,10 +397,11 @@ def check_feasibility(
         all_tasks_served=not missing,
         capacity_respected=all(e == 0.0 for e in excess),
         horizon_tasks=horizon_tasks_ok,
-        horizon_return=horizon_return_ok,
+        horizon_return=not any(r > instance.horizon for r in returns),
         capacity_excess=tuple(excess),
         duplicates=tuple(duplicates),
         missing=tuple(missing),
+        returns=tuple(returns),
     )
 
 

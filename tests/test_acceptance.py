@@ -122,7 +122,7 @@ def test_criterion_03_two_segment_monotone_and_dispatch():
             routes_checked += 1
             if routes_checked >= 1000:
                 break
-        plan = init_individual(inst2, sp, rng, evaluator=evaluator)
+        plan = init_individual(inst2, sp, rng)
         deps = optimize_departures(plan, inst2, sp)
         if any(d != 0.0 for d in deps):
             zero_dispatch_ok = False
@@ -276,11 +276,10 @@ def test_criterion_10_operator_coverage_invariant():
     rng_master = rng_for(1009)
     inst, sp = random_static_instance(rng_master, n_vertices=7, n_required=5)
     assessor = _Assessor(RouteEvaluator(inst, sp))
-    evaluator = assessor.evaluator
 
     plans = []
     for s in range(4000):
-        plan = init_individual(inst, sp, rng_for(70_000 + s), evaluator=evaluator)
+        plan = init_individual(inst, sp, rng_for(70_000 + s))
         plans.append(plan)
         applications += 1
         if not coverage_ok(plan, inst):
@@ -294,7 +293,7 @@ def test_criterion_10_operator_coverage_invariant():
             violations += 1
     for s in range(1000):
         rng = rng_for(90_000 + s)
-        ind = assessor.assess(plans[s % len(plans)], lam=25.0)
+        ind = assessor.assess(plans[s % len(plans)])
         out = local_search(ind, inst, rng, assessor, 25.0)
         applications += 1
         if not coverage_ok(out.plan, inst):

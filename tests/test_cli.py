@@ -129,6 +129,52 @@ def test_bench_rejects_fewer_than_one_job(capsys, jobs):
     assert err == f"error: need at least one job, got {jobs}\n"
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--psize", "1", "population size must be >= 2, got 1"),
+    ("--generations", "0", "need at least one generation"),
+    ("--pls", "2", "local-search probability must be in [0, 1], got 2.0"),
+    ("--ncs-procs", "1", "need at least 2 search processes, got 1"),
+    ("--ncs-budget", "0", "evaluation budget must be positive, got 0"),
+])
+def test_bench_rejects_bad_solver_settings_before_any_run(capsys, flag, value, message):
+    code, out, err = run_cli(capsys, "bench", "--instance", GDB1, "--runs", "2", flag, value)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+def test_bench_records_an_infeasible_final_plan_as_failed(capsys):
+    # the plan that solve warns about: route 4 returns after the horizon
+    code, out, err = run_cli(
+        capsys, "bench", "--instance", GDB1, "--family", "3lp", "--slope-set", "0.5",
+        "--gen-seed", "0", "--runs", "1", "--seed", "0",
+    )
+    assert code == 0
+    assert "instance gdb1 : failed" in out
+    run_line = [line for line in out.splitlines() if line.startswith("run ")]
+    assert len(run_line) == 1
+    assert run_line[0].startswith("run gdb1 0 failed ")
+    assert run_line[0].endswith(" infeasible final plan: horizon_tasks, horizon_return")
+    assert err == "warning: 1 run(s) failed; aggregates cover the rest\n"
+
+
+def test_stats_rejects_alpha_outside_the_unit_interval(tmp_path, capsys):
+    # an exact p = 0.1: three runs each, every cost of a below every cost of b
+    reports = []
+    for name, costs in (("a", (1.0, 2.0, 3.0)), ("b", (4.0, 5.0, 6.0))):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(
+            "carptdsc-report v1\nalgorithm : a\nruns : 3\nbase_seed : 0\n"
+            + "".join(f"run gdb1 {i} {c} 0.5\n" for i, c in enumerate(costs))
+        )
+        reports.append(str(path))
+    code, out, _ = run_cli(capsys, "stats", *reports, "--alpha", "0.2")
+    assert (code, "verdict better" in out) == (0, True)
+    for alpha in ("2", "nan", "-1", "0", "1"):
+        code, out, err = run_cli(capsys, "stats", *reports, "--alpha", alpha)
+        assert (code, out) == (1, "")
+        assert err == f"error: significance level must lie in (0, 1), got {float(alpha)}\n"
+
+
 def test_stats_subcommand(tmp_path, capsys):
     rep_a = str(tmp_path / "a.txt")
     rep_b = str(tmp_path / "b.txt")

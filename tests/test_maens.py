@@ -143,15 +143,10 @@ def test_init_worked_example_costs(tie_instance):
 
 
 def test_init_order_frequencies_match_roulette(tie_instance):
-    from carptdsc import RouteEvaluator
-
     inst, sp = tie_instance
     n = 100_000
     rng = rng_for(7)
-    evaluator = RouteEvaluator(inst, sp)
-    counts = Counter(
-        init_individual(inst, sp, rng, evaluator=evaluator) for _ in range(n)
-    )
+    counts = Counter(init_individual(inst, sp, rng) for _ in range(n))
     assert set(counts) == {(0, 2, 3, 0), (0, 3, 2, 0)}
     assert abs(counts[(0, 2, 3, 0)] / n - 5.0 / 6.0) < 0.01
     assert abs(counts[(0, 3, 2, 0)] / n - 1.0 / 6.0) < 0.01
@@ -198,7 +193,7 @@ def test_crossover_capacity_violation_penalized():
     for seed in range(40):
         child = crossover(p1, p2, inst, rng_for(seed), assessor, 1.0)
         assert coverage_ok(child, inst)
-        ind = assessor.assess(child, lam=10.0)
+        ind = assessor.assess(child)
         if ind.violation > 0:
             seen_violation = True
     assert seen_violation  # capacity may be violated, flagged not rejected
@@ -210,9 +205,10 @@ def test_local_search_never_worsens():
     assessor = make_assessor(inst, sp)
     for seed in range(10):
         plan = init_individual(inst, sp, rng_for(seed))
-        ind = assessor.assess(plan, lam=50.0)
+        ind = assessor.assess(plan)
         out = local_search(ind, inst, rng_for(seed), assessor, 50.0)
-        assert out.penalized_cost <= ind.penalized_cost + 1e-9
+        assert (out.total_cost + 50.0 * out.violation
+                <= ind.total_cost + 50.0 * ind.violation + 1e-9)
         assert coverage_ok(out.plan, inst)
 
 
@@ -276,7 +272,7 @@ def test_local_search_fixed_point_at_optimum():
     sp = shortest_paths(inst)
     best_plan, best_cost = brute_force_optimum(inst, sp)
     assessor = make_assessor(inst, sp)
-    ind = assessor.assess(best_plan, lam=10.0)
+    ind = assessor.assess(best_plan)
     assert ind.total_cost == pytest.approx(best_cost)
     out = local_search(ind, inst, rng_for(3), assessor, 10.0)
     assert out.total_cost == pytest.approx(best_cost)

@@ -92,7 +92,6 @@ def test_evaluate_matches_the_event_walk_bit_for_bit(case_route, fraction):
     sim = simulate_route(route, t, inst, sp)
     assert _bits(got.arrival_times) == _bits([t, *sim.arrivals, sim.finish])
     assert got.total.hex() == float(sim.total).hex()
-    assert got.horizon_violation == max(0.0, sim.finish - inst.horizon)
 
 
 @settings(max_examples=200, deadline=None)
@@ -179,7 +178,7 @@ def _screens(ev, route, oid, lam):
             continue
         head_sum = services + deadhead + ev.sp_cost[h][w]
         late = ret_0 + ret_slope * d - inst.horizon
-        over = load + ev.demand[oid] - inst.capacity
+        over = load + ev.rows[oid][6] - inst.capacity
         screen = head_sum + rest + slope * d + lam * (max(late, 0.0) + max(over, 0.0)) - base
         tau = SCREEN_TOL * (head_sum + rest + abs(slope * d) + err_c + abs(base)
                             + lam * (err_d + abs(ret_slope * d) + load))

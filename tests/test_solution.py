@@ -88,7 +88,6 @@ def test_route_eval_matches_event_walk_oracle():
         ev = evaluate_route(route, t, inst3, sp)
         sim = simulate_route(route, t, inst3, sp)
         assert ev.total == pytest.approx(sim.total, rel=1e-12)
-        assert ev.horizon_violation == pytest.approx(max(0.0, sim.finish - inst3.horizon))
         assert list(ev.arrival_times[1:-1]) == pytest.approx(sim.arrivals)
         assert ev.arrival_times[-1] == pytest.approx(sim.finish)
 
@@ -225,6 +224,12 @@ def test_feasibility_horizon_split(fig4):
     assert rep.horizon_tasks
     assert not rep.horizon_return
     assert not rep.feasible
+    assert rep.returns == (23.0,)
+    # each route's return, as evaluate gives it, at that route's departure
+    two = Solution((0, 1, 0, 2, 3, 0), (4.0, 1.5))
+    want = tuple(evaluate_route(route, t, inst, sp).arrival_times[-1]
+                 for route, t in zip(split_routes(two.plan), two.departures))
+    assert check_feasibility(two, inst, sp).returns == want
 
 
 def test_format_solution_text(fig4):

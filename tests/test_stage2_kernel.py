@@ -120,7 +120,7 @@ def _sweep_points(inst, ev, route):
     arrivals = ev.evaluate(route, 0.0).arrival_times[1:-1]
     points = [0.0, horizon]
     for tid, arrival in zip(route, arrivals):
-        for edge in (ev.bt[tid], ev.et[tid]):
+        for edge in ev.rows[tid][3:5]:
             points += [edge, edge - arrival]
     return np.array([min(horizon, max(0.0, t)) for t in points])
 
