@@ -30,7 +30,6 @@ from .instance_io import (
     parse_solomon,
     read_annotation,
     serialize_annotation,
-    serialize_carp,
 )
 from .maens import (
     EvolveResult,

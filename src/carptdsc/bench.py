@@ -275,14 +275,10 @@ def read_report(text: str) -> ExperimentReport:
         raise ValueError(f"missing report tag (want {REPORT_TAG!r})")
     header: dict[str, str] = {}
     numbers = {"runs": 0, "base_seed": 0}
-    runs_by_instance: dict[str, list[RunRecord]] = {}
-    order: list[str] = []
+    runs_by_instance: dict[str, list[RunRecord]] = {}  # in first-mention order
     for number, line in lines[1:]:
         if line.startswith("instance "):
-            name = line[len("instance "):].split(" : ")[0]
-            if name not in runs_by_instance:
-                runs_by_instance[name] = []
-                order.append(name)
+            runs_by_instance.setdefault(line[len("instance "):].split(" : ")[0], [])
         elif line.startswith("run "):
             parts = line.split()
             try:
@@ -292,10 +288,7 @@ def read_report(text: str) -> ExperimentReport:
                     raise ValueError("non-finite cost or seconds")
             except (IndexError, ValueError):
                 raise ValueError(f"report line {number}: want {RUN_LINE!r}, got {line!r}") from None
-            runs_by_instance.setdefault(name, [])
-            if name not in order:
-                order.append(name)
-            runs_by_instance[name].append(
+            runs_by_instance.setdefault(name, []).append(
                 RunRecord(
                     seed=seed,
                     cost=value,
@@ -320,7 +313,7 @@ def read_report(text: str) -> ExperimentReport:
         runs=numbers["runs"],
         base_seed=numbers["base_seed"],
         results=tuple(
-            InstanceResult(name=n, runs=tuple(runs_by_instance[n])) for n in order
+            InstanceResult(name=n, runs=tuple(runs)) for n, runs in runs_by_instance.items()
         ),
     )
 
@@ -416,12 +409,16 @@ def rank_sum_p_value(a: Sequence[float], b: Sequence[float]) -> tuple[float, flo
     return w, min(1.0, 2.0 * _normal_sf(abs(z)))
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha < 1:  # also rejects NaN
+        raise ValueError(f"significance level must lie in (0, 1), got {alpha}")
+
+
 def wilcoxon_rank_sum(
     a: Sequence[float], b: Sequence[float], alpha: float = 0.05
 ) -> RankSumResult:
     """Two-sided rank-sum verdict for minimization: is ``a`` better than ``b``?"""
-    if not 0 < alpha < 1:  # also rejects NaN
-        raise ValueError(f"significance level must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     w, p = rank_sum_p_value(a, b)
     if p < alpha:
         med_a, med_b = statistics.median(a), statistics.median(b)
@@ -469,8 +466,9 @@ def compare_reports(
     reports have a successful run; the others are listed in
     ``all_failed``.  No.best counts instances where each report attains
     the better Best value (or better Ave with ``no_best_on_ave``); both
-    score on ties.
+    score on ties.  ``alpha`` is checked even when no instance is compared.
     """
+    _check_alpha(alpha)
     by_name_b = {res.name: res for res in b.results}
     rows = []
     all_failed = []

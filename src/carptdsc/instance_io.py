@@ -149,29 +149,6 @@ def read_carp(text: str) -> StaticInstanceFile:
     )
 
 
-def _fmt(x: float) -> str:
-    return str(int(x)) if float(x).is_integer() else repr(float(x))
-
-
-def serialize_carp(f: StaticInstanceFile) -> str:
-    lines = [
-        f"NAME : {f.name}",
-        f"VERTICES : {f.vertices}",
-        f"REQUIRED_EDGES : {len(f.required_edges)}",
-        f"NON_REQUIRED_EDGES : {len(f.non_required_edges)}",
-        f"VEHICLES : {f.vehicles}",
-        f"CAPACITY : {_fmt(f.capacity)}",
-        "REQUIRED_EDGE_LIST :",
-    ]
-    for i, j, cost, demand in f.required_edges:
-        lines.append(f"( {i}, {j}) cost {_fmt(cost)} demand {_fmt(demand)}")
-    lines.append("NON_REQUIRED_EDGE_LIST :")
-    for i, j, cost in f.non_required_edges:
-        lines.append(f"( {i}, {j}) cost {_fmt(cost)}")
-    lines.append(f"DEPOT : {f.depot}")
-    return "\n".join(lines) + "\n"
-
-
 def carp_to_instance(f: StaticInstanceFile) -> Instance:
     """Build the directed instance; service costs start as constants.
 

@@ -14,6 +14,10 @@ merge-split large neighborhood that dissolves routes and rebuilds them via
 the builder plus a minimum-cost splitting pass.  Capacity and horizon
 violations are penalized with an adaptive coefficient; the final answer is
 the best feasible plan found.
+
+Crossover's insertions and the moves screen candidates with
+``RouteEvaluator.splice`` and walk each one a screen cannot settle, so every
+decision is the one walking every candidate gives; no route score is cached.
 """
 
 from __future__ import annotations
@@ -26,11 +30,10 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .instance import Instance, ShortestPaths
-from .solution import RouteEvaluator, RoutingPlan, join_routes, split_routes
+from .solution import SCREEN_TOL, RouteEvaluator, RouteTable, RoutingPlan, join_routes, split_routes
 
 SCORE_FLOOR = 1e-9  # guards the reciprocal score on degenerate zero costs
 IMPROVE_EPS = 1e-9
-SCREEN_TOL = 1e-9  # relative rounding bound of an insertion screen (tau per unit of scale)
 MERGE_SPLIT_ROUTES = 2  # routes dissolved and rebuilt by one merge-split
 LS_MAX_SWEEPS = 30  # rounds of the basic move neighborhoods per local search
 PENALTY_PERIOD = 5  # generations between penalty doubling/halving
@@ -92,33 +95,12 @@ def _stream(seed: int, *indices: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(mix_seed(seed, indices)))
 
 
-class _Assessor:
-    """Cached route statistics, summed into individuals."""
-
-    def __init__(self, evaluator: RouteEvaluator):
-        self.evaluator = evaluator
-        self._cache: dict[tuple[int, ...], tuple[float, float]] = {}
-
-    def route_stats(self, route: Sequence[int]) -> tuple[float, float]:
-        """(total cost, violation) of one route departing at time 0."""
-        key = tuple(route)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._cache[key] = self.evaluator.walk(self.evaluator.origin, key)
-        return hit
-
-    def contrib(self, route: Sequence[int], lam: float) -> float:
-        total, violation = self.route_stats(route)
-        return total + lam * violation
-
-    def assess(self, plan: RoutingPlan) -> Individual:
-        total = 0.0
-        violation = 0.0
-        for route in split_routes(plan):
-            rt, rv = self.route_stats(route)
-            total += rt
-            violation += rv
-        return Individual(plan=plan, total_cost=total, violation=violation)
+def assess(ev: RouteEvaluator, plan: RoutingPlan) -> Individual:
+    total = violation = 0.0
+    for route in split_routes(plan):
+        rt, rv = ev.walk(ev.origin, route)
+        total, violation = total + rt, violation + rv
+    return Individual(plan=plan, total_cost=total, violation=violation)
 
 
 def select_next_task(
@@ -214,99 +196,42 @@ def init_individual(
 
 
 def _cheapest_insertion(
-    routes: list[list[int]],
-    tid: int,
-    assessor: _Assessor,
-    instance: Instance,
-    lam: float,
+    tables: list[RouteTable], tid: int, ev: RouteEvaluator, instance: Instance, lam: float
 ) -> None:
     """Insert ``tid`` (or its inverse) where it increases cost least.
 
-    Each route is walked once to record its prefix states, and
-    :meth:`RouteEvaluator.suffix_pieces` gives the linear piece of each
-    suffix.  A candidate steps the prefix state ahead of its position
-    through the inserted task; if that shifts the next task's start by
-    an amount inside the suffix's interval, the candidate is screened in
-    O(1) from the piece, within a rounding bound tau, and otherwise
-    walked.  Every screened candidate that could tie the least delta is
-    then walked too, and the first strict minimum of the walked deltas,
-    in the order (route, position, orientation), wins: the same choice,
-    bit for bit, as walking every candidate from its prefix state.
+    ``tables`` holds :meth:`RouteEvaluator.table` of each route.  Every
+    candidate, a fresh route (the empty route) last, is screened by
+    :meth:`RouteEvaluator.splice`, each screen that could tie the least
+    delta is walked, and the first strict minimum of the walked deltas in
+    (route, position, orientation) order wins, as if every one was walked.
     """
-    ev = assessor.evaluator
-    orientations = instance.orientations(tid)
-    walk, sp_time, sp_cost = ev.walk, ev.sp_time, ev.sp_cost
-    horizon, capacity = instance.horizon, instance.capacity
-    rows = []
-    for oid in orientations:
-        tail, head, c_min, bt, et, k, demand = ev.rows[oid]
-        rows.append((oid, tail, sp_time[head], sp_cost[head], c_min, bt, et, k,
-                     demand - capacity))
-    inf = math.inf
+    singles = [(oid,) for oid in instance.orientations(tid)]
+    candidates = tables + [ev.empty]
+    bases = [t.total + lam * t.violation for t in candidates]
+    splice = ev.splice
     # bound: the least screen + tau so far, so no delta is below it; a
     # candidate whose screen - tau exceeds it cannot be the minimum
-    bound = inf
-    near = []  # (screen - tau, delta or None if screened, ri, pos, oid, state, base)
-    for ri, route in enumerate(routes):
-        prefixes = [ev.origin]
-        total, violation = walk(prefixes[0], route, prefixes)
-        base = total + lam * violation
-        load = prefixes[-1][4]
-        scale = (base if base > 0.0 else -base) + lam * load
-        pieces = ev.suffix_pieces(route, prefixes)
-        ret_0 = pieces[-1][1]
-        for pos, (state, piece) in enumerate(zip(prefixes, pieces)):
-            cur, services, deadhead, v, _ = state
-            w, u, lo, hi, slope, ret_slope, rest, err_c, err_d = piece
-            time_v, cost_v = sp_time[v], sp_cost[v]
-            tol_0 = SCREEN_TOL * (rest + err_c + lam * err_d + scale)
-            tol_d = SCREEN_TOL * ((slope if slope > 0.0 else -slope)
-                                  + lam * (ret_slope if ret_slope > 0.0 else -ret_slope))
-            for oid, tail, time_h, cost_h, c_min, bt, et, k, excess in rows:
-                t = cur + time_v[tail]
-                if t < bt:
-                    sc = c_min + k * (bt - t)
-                elif t > et:
-                    sc = c_min + k * (t - et)
-                else:
-                    sc = c_min
-                t += sc
-                d = t + time_h[w] - u
-                if lo <= d <= hi and d < inf:
-                    head_sum = services + sc + deadhead + cost_v[tail] + cost_h[w]
-                    late = ret_0 + ret_slope * d - horizon
-                    over = load + excess
-                    delta = head_sum + rest + slope * d + lam * (
-                        (late if late > 0.0 else 0.0) + (over if over > 0.0 else 0.0)) - base
-                    tol = tol_0 + SCREEN_TOL * head_sum + tol_d * (d if d > 0.0 else -d)
-                    exact = None
-                else:
-                    total, violation = walk(state, [oid] + route[pos:])
-                    delta = exact = total + lam * violation - base
-                    tol = 0.0
-                if delta + tol < bound:
-                    bound = delta + tol
-                if not delta - tol > bound:  # a screen that is NaN is walked
-                    near.append((delta - tol, exact, ri, pos, oid, state, base))
-    for oid in orientations:  # opening a fresh route is always an option
-        delta = assessor.contrib([oid], lam)
-        if delta < bound:
-            bound = delta
-        near.append((delta, delta, None, 0, oid, None, 0.0))
-    best = None  # (delta, route index or None, position, oriented id)
-    for low, delta, ri, pos, oid, state, base in near:
-        if low > bound:
-            continue
-        if delta is None:
-            total, violation = walk(state, [oid] + routes[ri][pos:])
-            delta = total + lam * violation - base
-        if best is None or delta < best[0]:
-            best = (delta, ri, pos, oid)
-    _, ri, pos, oid = best
-    if ri is None:
-        routes.append([oid])
-    else:
-        routes[ri].insert(pos, oid)
+    bound = math.inf
+    near = []  # (screen - tau, delta or None if screened, route index, position, (oid,))
+    for ri, (table, base) in enumerate(zip(candidates, bases)):
+        base_tol = SCREEN_TOL * base
+        for pos in range(len(table.route) + 1):
+            for single in singles:
+                value, tau = splice(table, pos, single, pos, lam)
+                delta = value - base
+                if tau:
+                    tau += base_tol
+                if delta + tau < bound:
+                    bound = delta + tau
+                if not delta - tau > bound:  # a screen that is NaN is walked
+                    near.append((delta - tau, None if tau else delta, ri, pos, single))
+    walked = [(ev.splice_walk(candidates[ri], pos, single, pos, lam) - bases[ri]
+               if delta is None else delta, ri, pos, single)
+              for low, delta, ri, pos, single in near if not low > bound]
+    _, ri, pos, single = min(walked, key=lambda c: c[0])  # the first strict minimum
+    candidates[ri] = ev.splice_table(candidates[ri], pos, single, pos)
+    tables[:] = [t for t in candidates if t.route]
 
 
 def crossover(
@@ -314,7 +239,7 @@ def crossover(
     parent2: RoutingPlan,
     instance: Instance,
     rng: np.random.Generator,
-    assessor: _Assessor,
+    ev: RouteEvaluator,
     lam: float,
 ) -> RoutingPlan:
     """Sequence-based crossover.
@@ -351,105 +276,119 @@ def crossover(
 
     missing = [root for root in instance.roots if root not in seen]
     if missing:
-        order = list(rng.permutation(len(missing)))
-        for idx in order:
-            _cheapest_insertion(routes, missing[idx], assessor, instance, lam)
+        tables = [ev.table(route) for route in routes]
+        for idx in rng.permutation(len(missing)):
+            _cheapest_insertion(tables, missing[idx], ev, instance, lam)
+        routes = [table.route for table in tables]
     if not routes:
         raise ValueError("crossover produced an empty plan")
     return join_routes(routes)
 
 
-def _scan_insertion(routes, assessor, instance, lam, rng, length) -> bool:
+def _scan_insertion(tables, ev, instance, lam, rng, length) -> bool:
     """Move ``length`` consecutive tasks to another position; first improvement.
 
     The segment moves as it is or, when every task in it has an inverse,
-    reversed with each task inverted.
+    reversed with each task inverted.  Each changed route (a fresh one is
+    the empty route's) is screened by :meth:`RouteEvaluator.splice` from
+    the routes' ``tables``, and a move that could improve is walked.
     """
-    positions = [
-        (ri, pi) for ri, r in enumerate(routes) for pi in range(len(r) - length + 1)
-    ]
+    candidates = tables + [ev.empty]
+    bases = [t.total + lam * t.violation for t in candidates]
+    positions = [(ri, pi) for ri, t in enumerate(tables) for pi in range(len(t.route) - length + 1)]
     for src in rng.permutation(len(positions)):
         ri, pi = positions[src]
-        route = routes[ri]
-        forward = route[pi:pi + length]
+        table = tables[ri]
+        route = table.route
+        end = pi + length
+        forward = route[pi:end]
         backward = [instance.tasks[tid].inverse_id for tid in reversed(forward)]
         segments = [forward] if None in backward else [forward, backward]
-        removed = route[:pi] + route[pi + length:]
-        base_src = assessor.contrib(route, lam)
-        removed_contrib = assessor.contrib(removed, lam) if removed else 0.0
-        targets = [(rj, qj) for rj, r in enumerate(routes)
-                   for qj in range(len(r) + 1) if rj != ri]
-        targets += [(ri, qj) for qj in range(len(removed) + 1)]
-        targets.append((-1, 0))  # fresh route
+        rest = len(route) - length  # tasks left in the route
+        gain = (ev.splice_walk(table, pi, (), end, lam) if rest else 0.0) - bases[ri]
+        targets = [(rj, qj) for rj, t in enumerate(tables)
+                   for qj in range(len(t.route) + 1) if rj != ri]
+        targets += [(ri, qj) for qj in range(rest + 1)]
+        targets.append((len(tables), 0))  # a fresh route: into the empty route
         for tgt in rng.permutation(len(targets)):
             rj, qj = targets[tgt]
             for seg in segments:
-                if rj == ri:
-                    cand = removed[:qj] + seg + removed[qj:]
-                    delta = assessor.contrib(cand, lam) - base_src
-                elif rj == -1:
-                    delta = removed_contrib - base_src + assessor.contrib(seg, lam)
-                else:
-                    base_tgt = assessor.contrib(routes[rj], lam)
-                    cand_tgt = routes[rj][:qj] + seg + routes[rj][qj:]
-                    delta = (
-                        removed_contrib - base_src
-                        + assessor.contrib(cand_tgt, lam) - base_tgt
-                    )
-                if delta < -IMPROVE_EPS:
-                    if rj == ri:
-                        routes[ri] = removed[:qj] + seg + removed[qj:]
-                    elif rj == -1:
-                        routes[ri] = removed
-                        routes.append(list(seg))
-                    else:
-                        routes[rj][qj:qj] = seg
-                        routes[ri] = removed
-                    routes[:] = [r for r in routes if r]
+                if rj != ri:  # the delta is pre + value - post for the value of the splice
+                    splice, pre, post = (candidates[rj], qj, seg, qj), gain, bases[rj]
+                else:  # the route without the segment, with seg put in at qj
+                    splice = ((table, qj, seg + route[qj:pi], end) if qj <= pi
+                              else (table, pi, route[end:qj + length] + seg, qj + length))
+                    pre, post = 0.0, bases[ri]
+                value, tau = ev.splice(*splice, lam)
+                if tau:
+                    if pre + value - post - tau - SCREEN_TOL * (abs(pre) + post) > -IMPROVE_EPS:
+                        continue
+                    value = ev.splice_walk(*splice, lam)
+                if pre + value - post < -IMPROVE_EPS:
+                    candidates[rj] = ev.splice_table(*splice)
+                    if rj != ri:
+                        candidates[ri] = ev.splice_table(table, pi, (), end)
+                    tables[:] = [t for t in candidates if t.route]
                     return True
     return False
 
 
-def _scan_swap(routes, assessor, instance, lam, rng) -> bool:
-    """Exchange two tasks (any routes, any orientations); first improvement."""
-    positions = [(ri, pi) for ri, r in enumerate(routes) for pi in range(len(r))]
+def _scan_swap(tables, ev, instance, lam, rng) -> bool:
+    """Exchange two tasks (any routes, any orientations); first improvement.
+
+    Screened and confirmed as in :func:`_scan_insertion`; two tasks of one
+    route are spliced by walking from the first through the second.
+    """
+    positions = [(ri, pi) for ri, t in enumerate(tables) for pi in range(len(t.route))]
     if len(positions) < 2:
         return False
-    pair_idx = [
-        (i, j) for i in range(len(positions)) for j in range(i + 1, len(positions))
-    ]
+    bases = [t.total + lam * t.violation for t in tables]
+    pair_idx = [(a, b) for i, a in enumerate(positions) for b in positions[i + 1:]]
     for pick in rng.permutation(len(pair_idx)):
-        (i, j) = pair_idx[pick]
-        ri, pi = positions[i]
-        rj, pj = positions[j]
-        a, b = routes[ri][pi], routes[rj][pj]
-        same = ri == rj
-        base = assessor.contrib(routes[ri], lam) + (
-            0.0 if same else assessor.contrib(routes[rj], lam))
-        for bo in instance.orientations(b):
-            for ao in instance.orientations(a):
-                cand_i = list(routes[ri])
-                cand_j = cand_i if same else list(routes[rj])
-                cand_i[pi] = bo
-                cand_j[pj] = ao
-                new = assessor.contrib(cand_i, lam) + (
-                    0.0 if same else assessor.contrib(cand_j, lam))
-                if new - base < -IMPROVE_EPS:
-                    routes[ri] = cand_i
-                    routes[rj] = cand_j
+        (ri, pi), (rj, pj) = pair_idx[pick]
+        route_i, route_j, same = tables[ri].route, tables[rj].route, ri == rj
+        base = bases[ri] + (0.0 if same else bases[rj])
+        scored_j = []  # (splice, value, tau) of route j with each orientation of a
+        for bo in instance.orientations(route_j[pj]):
+            splice_i = (tables[ri], pi, (bo,), pi + 1)
+            new_i, tau_i = (0.0, 0.0) if same else ev.splice(*splice_i, lam)
+            for n, ao in enumerate(instance.orientations(route_i[pi])):
+                if same:  # positions are in route order, so pi < pj
+                    splice_i = (tables[ri], pi, [bo, *route_i[pi + 1:pj], ao], pj + 1)
+                    new_i, tau_i = ev.splice(*splice_i, lam)
+                if n == len(scored_j):
+                    splice_j = (tables[rj], pj, (ao,), pj + 1)
+                    new_j, tau_j = (0.0, 0.0) if same else ev.splice(*splice_j, lam)
+                    scored_j.append((splice_j, new_j, tau_j))
+                splice_j, new_j, tau_j = scored_j[n]
+                if tau_i or tau_j:
+                    if new_i + new_j - base - (tau_i + tau_j + SCREEN_TOL * base) > -IMPROVE_EPS:
+                        continue
+                    if tau_i:  # confirm with the walks that the screens stand for
+                        new_i, tau_i = ev.splice_walk(*splice_i, lam), 0.0
+                    if tau_j:
+                        new_j = ev.splice_walk(*splice_j, lam)
+                if new_i + new_j - base < -IMPROVE_EPS:
+                    tables[ri] = ev.splice_table(*splice_i)
+                    if not same:
+                        tables[rj] = ev.splice_table(*splice_j)
                     return True
     return False
 
 
 def _split_sequence(
-    seq: list[int], assessor: _Assessor, instance: Instance, lam: float
+    seq: list[int], ev: RouteEvaluator, instance: Instance, lam: float
 ) -> list[list[int]]:
-    """Minimum-cost split of a task sequence into capacity-feasible routes."""
-    ev = assessor.evaluator
+    """Minimum-cost split of a task sequence into capacity-feasible routes.
+
+    ``trails[j]`` holds the prefix states of the route ``seq[j:i - 1]``;
+    one more step of that walk scores ``seq[j:i]``.
+    """
     n = len(seq)
     dp = [math.inf] * (n + 1)
     cut = [0] * (n + 1)
     dp[0] = 0.0
+    trails = [[ev.origin] for _ in range(n)]
     for i in range(1, n + 1):
         load = 0.0
         j = i - 1
@@ -457,44 +396,34 @@ def _split_sequence(
             load += ev.rows[seq[j]][6]
             if load > instance.capacity:
                 break
-            cost = dp[j] + assessor.contrib(seq[j:i], lam)
+            total, violation = ev.walk(trails[j][-1], (seq[i - 1],), trails[j])
+            cost = dp[j] + (total + lam * violation)
             if cost < dp[i]:
                 dp[i] = cost
                 cut[i] = j
             j -= 1
     if not math.isfinite(dp[n]):
         raise SolverError("split found no capacity-feasible segmentation")
-    routes: list[list[int]] = []
-    i = n
+    routes, i = [], n
     while i > 0:
-        j = cut[i]
-        routes.append(list(seq[j:i]))
-        i = j
-    routes.reverse()
-    return routes
+        routes.append(list(seq[cut[i]:i]))
+        i = cut[i]
+    return routes[::-1]
 
 
-def _merge_split(routes, assessor, instance, lam, rng) -> bool:
+def _merge_split(tables, ev, instance, lam, rng) -> bool:
     """Dissolve ``MERGE_SPLIT_ROUTES`` routes and rebuild them; keep if improving."""
-    if len(routes) < 2:
+    if len(tables) < 2:
         return False
-    count = min(MERGE_SPLIT_ROUTES, len(routes))
-    picked = sorted(int(i) for i in rng.choice(len(routes), size=count, replace=False))
-    roots = [
-        instance.pair_root(tid) for ri in picked for tid in routes[ri]
-    ]
-    old_contrib = sum(assessor.contrib(routes[ri], lam) for ri in picked)
-    seq = [
-        tid
-        for route in _path_scan(instance, assessor.evaluator, roots, math.inf, rng)
-        for tid in route
-    ]
-    rebuilt = _split_sequence(seq, assessor, instance, lam)
-    new_contrib = sum(assessor.contrib(r, lam) for r in rebuilt)
+    count = min(MERGE_SPLIT_ROUTES, len(tables))
+    picked = sorted(int(i) for i in rng.choice(len(tables), size=count, replace=False))
+    roots = [instance.pair_root(tid) for ri in picked for tid in tables[ri].route]
+    old_contrib = sum(tables[ri].total + lam * tables[ri].violation for ri in picked)
+    seq = [tid for route in _path_scan(instance, ev, roots, math.inf, rng) for tid in route]
+    rebuilt = [ev.table(route) for route in _split_sequence(seq, ev, instance, lam)]
+    new_contrib = sum(t.total + lam * t.violation for t in rebuilt)
     if new_contrib - old_contrib < -IMPROVE_EPS:
-        for ri in reversed(picked):
-            routes.pop(ri)
-        routes.extend(rebuilt)
+        tables[:] = [t for ri, t in enumerate(tables) if ri not in picked] + rebuilt
         return True
     return False
 
@@ -507,7 +436,7 @@ def local_search(
     individual: Individual,
     instance: Instance,
     rng: np.random.Generator,
-    assessor: _Assessor,
+    ev: RouteEvaluator,
     lam: float,
 ) -> Individual:
     """Accept-only-improving refinement of one individual.
@@ -518,7 +447,7 @@ def local_search(
     worse penalized cost at ``lam`` than the input, and coverage is
     preserved.
     """
-    routes = [list(r) for r in split_routes(individual.plan)]
+    tables = [ev.table(list(route)) for route in split_routes(individual.plan)]
 
     def converge_basic(budget: int) -> int:
         used = 0
@@ -526,17 +455,17 @@ def local_search(
             used += 1
             moved = False
             for si in rng.permutation(len(_MOVES)):
-                while _MOVES[si](routes, assessor, instance, lam, rng):
+                while _MOVES[si](tables, ev, instance, lam, rng):
                     moved = True
             if not moved:
                 break
         return used
 
     used = converge_basic(LS_MAX_SWEEPS)
-    if _merge_split(routes, assessor, instance, lam, rng):
+    if _merge_split(tables, ev, instance, lam, rng):
         converge_basic(max(1, LS_MAX_SWEEPS - used))
 
-    result = assessor.assess(join_routes(routes))
+    result = assess(ev, join_routes([table.route for table in tables]))
     if result.penalized(lam) <= individual.penalized(lam):
         return result
     return individual  # accept-only moves make this unreachable; safety net
@@ -555,7 +484,7 @@ def evolve(
     Individuals are ranked by penalized cost at the current penalty
     coefficient, then by plan.
     """
-    assessor = _Assessor(RouteEvaluator(instance, sp))
+    ev = RouteEvaluator(instance, sp)
 
     def rank(ind: Individual) -> tuple[float, RoutingPlan]:
         return ind.penalized(lam), ind.plan
@@ -564,14 +493,14 @@ def evolve(
     seen: set[RoutingPlan] = set()
     attempts = 0
     while len(population) < params.psize and attempts < 50 * params.psize:
-        routes = _path_scan(instance, assessor.evaluator, instance.roots, instance.capacity,
+        routes = _path_scan(instance, ev, instance.roots, instance.capacity,
                             _stream(params.seed, 0, attempts))
         plan = join_routes(routes)
         attempts += 1
         if plan in seen:
             continue
         seen.add(plan)
-        population.append(assessor.assess(plan))
+        population.append(assess(ev, plan))
     if not population:
         raise SolverError("could not construct any initial plan")
     while len(population) < params.psize:  # tiny instances: allow duplicates
@@ -597,10 +526,10 @@ def evolve(
                 p1, p2 = population[int(i)].plan, population[int(j)].plan
             else:
                 p1 = p2 = population[0].plan
-            child_plan = crossover(p1, p2, instance, rng, assessor, lam)
-            child = assessor.assess(child_plan)
+            child_plan = crossover(p1, p2, instance, rng, ev, lam)
+            child = assess(ev, child_plan)
             if rng.random() < params.pls:
-                child = local_search(child, instance, rng, assessor, lam)
+                child = local_search(child, instance, rng, ev, lam)
             offspring.append(child)
 
         pool = population + offspring

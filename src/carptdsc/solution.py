@@ -9,13 +9,15 @@ equal service and travel times, no waiting is allowed, so each task's
 time of beginning of service is the departure time plus all preceding
 service costs and shortest-path travel times.  ``RouteEvaluator.walk``
 is the one forward pass for stage 1, ``evaluate`` and the feasibility
-checks; ``total`` and ``profile`` are stage 2's scalar and vector sweeps.
+checks, and ``splice`` screens stage-1 candidates within a bound of it;
+``total`` and ``profile`` are stage 2's scalar and vector sweeps.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -27,10 +29,19 @@ DepartureTimes = tuple[float, ...]
 TaskRow = tuple[int, int, float, float, float, float, float]
 # a route prefix's (time, service-cost sum, deadhead sum, end vertex, load)
 RouteState = tuple[float, float, float, int, float]
-# a route suffix's linear piece (see RouteEvaluator.suffix_pieces): first
-# vertex, old service start, shift interval, cost and return slopes,
-# services plus deadhead, cost and return rounding scales
-SuffixPiece = tuple[int, float, float, float, float, float, float, float, float]
+INF = float("inf")
+SCREEN_TOL = 1e-9  # relative rounding bound of a splice screen (tau per unit of scale)
+SUFFIX_PIECE_CAP = 64  # pieces above which a suffix is walked instead
+
+
+class RouteTable(NamedTuple):
+    """A route's prefix states and suffix functions (see RouteEvaluator.table)."""
+
+    route: Sequence[int]
+    prefixes: list[RouteState]
+    suffixes: list  # each a suffix function or None
+    total: float
+    violation: float
 
 
 class PlanError(ValueError):
@@ -128,7 +139,8 @@ class RouteEvaluator:
 
     :meth:`walk` is the route kernel: stage 1 scores routes with it,
     :meth:`evaluate` reads its states, and every route check goes
-    through it.  Stage 2 keeps two sweeps of its own: :meth:`total`, a
+    through it; :meth:`splice` screens a changed route within a bound of
+    it.  Stage 2 keeps two sweeps of its own: :meth:`total`, a
     scalar pass that is faster than a walk and adds services and deadhead
     in one running sum (so it can differ from a walk in the last bits),
     and :meth:`profile`, the same pass vectorized over departure times.
@@ -138,6 +150,8 @@ class RouteEvaluator:
         self.instance = instance
         self.depot = instance.depot
         self.origin: RouteState = (0.0, 0.0, 0.0, instance.depot, 0.0)
+        self.horizon = instance.horizon
+        self.load_tol = SCREEN_TOL * instance.capacity  # rounding bound of a route's load
         self.sp_time = sp.time.tolist()
         self.sp_cost = sp.cost.tolist()
         # an ID missing here (unknown, or the plan separator 0) is rejected by walk()
@@ -146,6 +160,9 @@ class RouteEvaluator:
                   task.cost_fn.et, task.cost_fn.k, task.demand)
             for tid, task in instance.tasks.items()
         }
+        # a fresh route is a splice into the empty route, whose suffix is the return
+        self.empty = RouteTable((), [self.origin], [(self.depot, -instance.capacity, [0.0], [
+            (0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0)])], *self.walk(self.origin, ()))
 
     def walk(
         self,
@@ -163,14 +180,13 @@ class RouteEvaluator:
         """
         cur, services, deadhead, v, load = state
         sp_time, sp_cost, row_of = self.sp_time, self.sp_cost, self.rows
-        inf = float("inf")
         for tid in tasks:
             row = row_of.get(tid)
             if row is None:
                 raise PlanError(f"unknown or depot task ID {tid} in route")
             tail, head, c_min, bt, et, k, demand = row
             leg_t = sp_time[v][tail]
-            if leg_t == inf:
+            if leg_t == INF:
                 raise PlanError(f"no deadhead path from vertex {v} to task {tid}")
             deadhead += sp_cost[v][tail]
             cur += leg_t
@@ -187,7 +203,7 @@ class RouteEvaluator:
             if trail is not None:
                 trail.append((cur, services, deadhead, v, load))
         leg_t = sp_time[v][self.depot]
-        if leg_t == inf:
+        if leg_t == INF:
             raise PlanError(f"no deadhead path from vertex {v} back to the depot")
         deadhead += sp_cost[v][self.depot]
         cur += leg_t
@@ -196,65 +212,120 @@ class RouteEvaluator:
         over = load - self.instance.capacity
         return services + deadhead, (late if late > 0.0 else 0.0) + (over if over > 0.0 else 0.0)
 
-    def suffix_pieces(
-        self, route: Sequence[int], prefixes: Sequence[RouteState]
-    ) -> list[SuffixPiece]:
-        """The linear piece of every suffix ``route[j:]``, for j = 0..len(route).
+    def table(self, route: Sequence[int]) -> RouteTable:
+        """Prefix states and suffix functions of ``route`` departing at 0."""
+        return self.splice_table(self.empty, 0, route, 0)
 
-        ``prefixes`` are the route's prefix states, ``[origin] + trail`` of
-        one :meth:`walk`.  Piece j is (w, u, lo, hi, C, D, rest, err_c,
-        err_d): ``w`` is the suffix's first vertex (the depot for the
-        empty suffix) and ``u`` the old time there (the service start of
-        ``route[j]``, or the return).  If that time moves to ``u + d`` with
-        d in [lo, hi], no task of the suffix crosses its ``bt`` or ``et``,
-        so the suffix's services plus deadhead from ``w`` on are
-        ``rest + C·d`` and its return is ``ret + D·d``, exact up to
-        rounding.  ``err_c`` and ``err_d`` sum |C|·u and |D|·u over the
-        suffix: the scales of that rounding.
+    def splice_table(self, table: RouteTable, i: int, tasks: Sequence[int], j: int) -> RouteTable:
+        """The table of ``route[:i] + tasks + route[j:]``, keeping ``table``'s
+        prefix states up to i and suffix functions from j on.
 
-        One backward pass: a task with ramp slope σ ∈ {-k, 0, k} at its
-        old start scales every later shift by f = 1 + σ, so C = σ + f·C'
-        and D = f·D', and the next piece's interval, divided by f (and
-        flipped for f < 0; no bound for f = 0), is cut to the task's own.
+        Suffix j, the cost ``route[j:]`` adds from its first vertex on and
+        its return time, is linear between breakpoints in the service
+        start u >= 0 of ``route[j]``: (first vertex, load - capacity, each
+        piece's first u, pieces), a piece being (lo, cost, C, ret, D, err,
+        S): values at u = lo, slopes, rounding scale, and S >= |C|, |D|.
+        Composed from the back: where a task's ramp slope is σ, the next
+        start moves by f = 1 + σ per unit of u, so a piece maps back with
+        slopes σ + f·C and f·D (in reverse order for f < 0).  A suffix of
+        more than ``SUFFIX_PIECE_CAP`` pieces and every longer one are None.
         """
-        inf = float("inf")
-        sp_time, sp_cost, row_of = self.sp_time, self.sp_cost, self.rows
-        cur, _, _, v, _ = prefixes[len(route)]
-        w, u = self.depot, cur + sp_time[v][self.depot]
-        lo, hi, slope, ret_slope, rest, err_c, err_d = -inf, inf, 0.0, 1.0, 0.0, 0.0, u
-        pieces = [(w, u, lo, hi, slope, ret_slope, rest, err_c, err_d)]
-        for j in range(len(route) - 1, -1, -1):
-            tail, head, c_min, bt, et, k, _ = row_of[route[j]]
-            cur, _, _, v, _ = prefixes[j]
-            u = cur + sp_time[v][tail]
-            if k == 0.0:
-                sigma, a, b, sc = 0.0, -inf, inf, c_min
-            elif u < bt:
-                sigma, a, b, sc = -k, -inf, bt - u, c_min + k * (bt - u)
-            elif u > et:
-                sigma, a, b, sc = k, et - u, inf, c_min + k * (u - et)
-            else:
-                sigma, a, b, sc = 0.0, bt - u, et - u, c_min
-            f = 1.0 + sigma
-            if f > 0.0:
-                lo, hi = lo / f, hi / f
-            elif f < 0.0:
-                lo, hi = hi / f, lo / f
-            else:
-                lo, hi = -inf, inf
-            lo = a if a > lo else lo
-            hi = b if b < hi else hi
-            # an overflowed slope leaves this and every earlier rounding
-            # scale inf or NaN, so no screen there is trusted
-            slope = sigma + f * slope
-            ret_slope = f * ret_slope
-            rest += sc + sp_cost[head][w]
-            err_c += (slope if slope > 0.0 else -slope) * u
-            err_d += (ret_slope if ret_slope > 0.0 else -ret_slope) * u
-            w = tail
-            pieces.append((w, u, lo, hi, slope, ret_slope, rest, err_c, err_d))
-        pieces.reverse()
-        return pieces
+        route = [*table.route[:i], *tasks, *table.route[j:]]
+        prefixes = table.prefixes[:i + 1]
+        total, violation = self.walk(prefixes[-1], route[i:], prefixes)
+        sp_time, sp_cost, rows = self.sp_time, self.sp_cost, self.rows
+        end = i + len(tasks)  # suffix j of table is suffix end here
+        suffixes = [None] * end + table.suffixes[j:]
+        w, over, los, pieces = suffixes[end] or (None, None, None, None)
+        for m in range(end - 1, -1, -1) if los else ():
+            tail, head, c_min, bt, et, k, demand = rows[route[m]]
+            leg_t, leg_c = sp_time[head][w], sp_cost[head][w]
+            new_los, new = [], []
+            if not k and len(los) == 1:  # a constant service cost shifts the one piece back
+                lo, cost, slope, ret, ret_slope, err, scale = pieces[0]
+                x = c_min + leg_t
+                cost, ret = c_min + leg_c + cost + slope * (x - lo), ret + ret_slope * (x - lo)
+                new_los, new = [0.0], [(0.0, cost, slope, ret, ret_slope,
+                                        err + cost + ret + 2.0 * scale * x, scale)]
+            # (start, end, σ, pivot) of each part of u >= 0 where the service cost is linear
+            for a, b, sigma, pivot in (((0.0, bt, -k, bt), (bt, et, 0.0, bt), (et, INF, k, et))
+                                       if k else () if new else ((0.0, INF, 0.0, 0.0),)):
+                f, abs_sigma, abs_f = 1.0 + sigma, abs(sigma), abs(1.0 + sigma)
+                x_a = a + (c_min + sigma * (a - pivot)) + leg_t
+                q_a = bisect_right(los, x_a) - 1
+                # the pieces of suffix m + 1 that x = u + sc + leg_t passes through
+                for q in range(q_a, len(los)) if f > 0.0 else range(q_a, -1, -1) if f < 0.0 \
+                        else (q_a,):
+                    u = a if q == q_a else a + (los[q + (f < 0.0)] - x_a) / f
+                    if not u < b:
+                        break
+                    sc = c_min + sigma * (u - pivot)
+                    x = u + sc + leg_t
+                    lo, cost, slope, ret, ret_slope, err, scale = pieces[q]
+                    cost = sc + leg_c + cost + slope * (x - lo)
+                    ret += ret_slope * (x - lo)
+                    new_scale = abs_sigma + abs_f * scale
+                    new_los.append(u)
+                    new.append((u, cost, sigma + f * slope, ret, f * ret_slope,
+                                err + cost + ret + (scale + new_scale) * x, new_scale))
+            if len(new) > SUFFIX_PIECE_CAP:
+                break
+            suffixes[m] = (w, over, los, pieces) = (tail, over + demand, new_los, new)
+        return RouteTable(route, prefixes, suffixes, total, violation)
+
+    def splice(self, table: RouteTable, i: int, tasks: Sequence[int], j: int,
+               lam: float) -> tuple[float, float]:
+        """Penalized cost at ``lam`` of ``route[:i] + tasks + route[j:]``, and tau.
+
+        A walk of ``tasks`` from prefix state i and one bisection into
+        suffix j give a screen within tau of the route's :meth:`walk`; a
+        None suffix, unreachable leg or non-finite screen is walked, tau 0.
+        """
+        cur, services, deadhead, v, load = table.prefixes[i]
+        suffix = table.suffixes[j]
+        if suffix is not None:
+            sp_time, sp_cost, rows = self.sp_time, self.sp_cost, self.rows
+            cost = services + deadhead
+            for tid in tasks:  # an unreachable leg leaves cur, and so u, inf or NaN
+                tail, head, c_min, bt, et, k, demand = rows[tid]
+                cost += sp_cost[v][tail]
+                cur += sp_time[v][tail]
+                if cur < bt:
+                    sc = c_min + k * (bt - cur)
+                elif cur > et:
+                    sc = c_min + k * (cur - et)
+                else:
+                    sc = c_min
+                cost += sc
+                cur += sc
+                v = head
+                load += demand
+            w, over, los, pieces = suffix
+            u = cur + sp_time[v][w]
+            if u < INF:
+                lo, rest, slope, ret, ret_slope, err, scale = pieces[
+                    bisect_right(los, u) - 1 if len(los) > 1 else 0]
+                d = u - lo
+                cost += sp_cost[v][w] + rest + slope * d
+                late = ret + ret_slope * d - self.horizon
+                over += load
+                # the walk's cost and return are within tau of these, its load
+                # within load_tol; an excess that cannot be positive is 0 there
+                tau = SCREEN_TOL * (err + scale * u + cost)
+                if late > -tau or over > -self.load_tol:
+                    excess = (late if late > 0.0 else 0.0) + (over if over > 0.0 else 0.0)
+                    cost += lam * excess
+                    tau += lam * ((tau if late > -tau else 0.0) + SCREEN_TOL * excess
+                                  + (self.load_tol if over > -self.load_tol else 0.0))
+                if tau < INF:
+                    return cost, tau
+        return self.splice_walk(table, i, tasks, j, lam), 0.0
+
+    def splice_walk(self, table: RouteTable, i: int, tasks: Sequence[int], j: int,
+                    lam: float) -> float:
+        """What :meth:`splice` screens, walked from prefix state i."""
+        total, violation = self.walk(table.prefixes[i], [*tasks, *table.route[j:]])
+        return total + lam * violation
 
     def routes(self, solution: Solution) -> list[tuple[int, ...]]:
         """The routes of ``solution``, each checked once as :meth:`walk` checks it."""

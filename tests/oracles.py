@@ -249,3 +249,128 @@ def reference_ncs(obj, lo, hi, params):
             successes = 0
 
     return best_t, best_f
+
+
+def whole_route_penalized(ev, route, lam):
+    """Penalized cost of ``route`` departing at 0, by one walk of the whole route."""
+    total, violation = ev.walk(ev.origin, route)
+    return total + lam * violation
+
+
+def reference_cheapest_insertion(routes, tid, ev, instance, lam):
+    """Cheapest insertion by walking every whole candidate route."""
+    best = None
+    for ri, route in enumerate(routes):
+        base = whole_route_penalized(ev, route, lam)
+        for pos in range(len(route) + 1):
+            for oid in instance.orientations(tid):
+                delta = whole_route_penalized(ev, route[:pos] + [oid] + route[pos:], lam) - base
+                if best is None or delta < best[0]:
+                    best = (delta, ri, pos, oid)
+    for oid in instance.orientations(tid):
+        delta = whole_route_penalized(ev, [oid], lam)
+        if best is None or delta < best[0]:
+            best = (delta, None, 0, oid)
+    _, ri, pos, oid = best
+    if ri is None:
+        routes.append([oid])
+    else:
+        routes[ri].insert(pos, oid)
+
+
+def reference_scan_insertion(routes, ev, instance, lam, rng, length, eps):
+    """The segment-move scan, scoring every candidate by whole-route walks."""
+    positions = [(ri, pi) for ri, r in enumerate(routes) for pi in range(len(r) - length + 1)]
+    for src in rng.permutation(len(positions)):
+        ri, pi = positions[src]
+        route = routes[ri]
+        forward = route[pi:pi + length]
+        backward = [instance.tasks[tid].inverse_id for tid in reversed(forward)]
+        segments = [forward] if None in backward else [forward, backward]
+        removed = route[:pi] + route[pi + length:]
+        base_src = whole_route_penalized(ev, route, lam)
+        removed_cost = whole_route_penalized(ev, removed, lam) if removed else 0.0
+        targets = [(rj, qj) for rj, r in enumerate(routes)
+                   for qj in range(len(r) + 1) if rj != ri]
+        targets += [(ri, qj) for qj in range(len(removed) + 1)]
+        targets.append((-1, 0))
+        for tgt in rng.permutation(len(targets)):
+            rj, qj = targets[tgt]
+            for seg in segments:
+                if rj == ri:
+                    cand = removed[:qj] + seg + removed[qj:]
+                    delta = whole_route_penalized(ev, cand, lam) - base_src
+                elif rj == -1:
+                    delta = removed_cost - base_src + whole_route_penalized(ev, seg, lam)
+                else:
+                    base_tgt = whole_route_penalized(ev, routes[rj], lam)
+                    cand = routes[rj][:qj] + seg + routes[rj][qj:]
+                    delta = (removed_cost - base_src
+                             + whole_route_penalized(ev, cand, lam) - base_tgt)
+                if delta < -eps:
+                    if rj == ri:
+                        routes[ri] = removed[:qj] + seg + removed[qj:]
+                    elif rj == -1:
+                        routes[ri] = removed
+                        routes.append(list(seg))
+                    else:
+                        routes[rj][qj:qj] = seg
+                        routes[ri] = removed
+                    routes[:] = [r for r in routes if r]
+                    return True
+    return False
+
+
+def reference_scan_swap(routes, ev, instance, lam, rng, eps):
+    """The swap scan, scoring every candidate by whole-route walks."""
+    positions = [(ri, pi) for ri, r in enumerate(routes) for pi in range(len(r))]
+    if len(positions) < 2:
+        return False
+    pairs = [(i, j) for i in range(len(positions)) for j in range(i + 1, len(positions))]
+    for pick in rng.permutation(len(pairs)):
+        i, j = pairs[pick]
+        ri, pi = positions[i]
+        rj, pj = positions[j]
+        a, b = routes[ri][pi], routes[rj][pj]
+        same = ri == rj
+        base = whole_route_penalized(ev, routes[ri], lam) + (
+            0.0 if same else whole_route_penalized(ev, routes[rj], lam))
+        for bo in instance.orientations(b):
+            for ao in instance.orientations(a):
+                cand_i = list(routes[ri])
+                cand_j = cand_i if same else list(routes[rj])
+                cand_i[pi] = bo
+                cand_j[pj] = ao
+                new = whole_route_penalized(ev, cand_i, lam) + (
+                    0.0 if same else whole_route_penalized(ev, cand_j, lam))
+                if new - base < -eps:
+                    routes[ri] = cand_i
+                    routes[rj] = cand_j
+                    return True
+    return False
+
+
+def reference_split_sequence(seq, ev, instance, lam):
+    """Minimum-cost split, walking every segment ``seq[j:i]`` as a whole route."""
+    n = len(seq)
+    dp = [math.inf] * (n + 1)
+    cut = [0] * (n + 1)
+    dp[0] = 0.0
+    for i in range(1, n + 1):
+        load = 0.0
+        for j in range(i - 1, -1, -1):
+            load += instance.tasks[seq[j]].demand
+            if load > instance.capacity:
+                break
+            cost = dp[j] + whole_route_penalized(ev, seq[j:i], lam)
+            if cost < dp[i]:
+                dp[i] = cost
+                cut[i] = j
+    if not math.isfinite(dp[n]):
+        return None
+    routes = []
+    i = n
+    while i > 0:
+        routes.append(list(seq[cut[i]:i]))
+        i = cut[i]
+    return routes[::-1]

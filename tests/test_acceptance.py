@@ -39,7 +39,7 @@ from carptdsc import (
 )
 from carptdsc.bench import RunConfig, run_experiment, wilcoxon_rank_sum
 from carptdsc.instance_io import generate_td
-from carptdsc.maens import _Assessor
+from carptdsc.maens import assess
 
 from conftest import (
     DATA,
@@ -275,7 +275,7 @@ def test_criterion_10_operator_coverage_invariant():
     applications = 0
     rng_master = rng_for(1009)
     inst, sp = random_static_instance(rng_master, n_vertices=7, n_required=5)
-    assessor = _Assessor(RouteEvaluator(inst, sp))
+    ev = RouteEvaluator(inst, sp)
 
     plans = []
     for s in range(4000):
@@ -287,14 +287,14 @@ def test_criterion_10_operator_coverage_invariant():
     for s in range(5000):
         rng = rng_for(80_000 + s)
         i, j = rng.integers(0, len(plans), size=2)
-        child = crossover(plans[int(i)], plans[int(j)], inst, rng, assessor, 25.0)
+        child = crossover(plans[int(i)], plans[int(j)], inst, rng, ev, 25.0)
         applications += 1
         if not coverage_ok(child, inst):
             violations += 1
     for s in range(1000):
         rng = rng_for(90_000 + s)
-        ind = assessor.assess(plans[s % len(plans)])
-        out = local_search(ind, inst, rng, assessor, 25.0)
+        ind = assess(ev, plans[s % len(plans)])
+        out = local_search(ind, inst, rng, ev, 25.0)
         applications += 1
         if not coverage_ok(out.plan, inst):
             violations += 1

@@ -376,6 +376,16 @@ def test_compare_reports_leaves_out_all_failed_instances():
     assert (cmp.no_best_a, cmp.no_best_b) == (1, 0)
 
 
+@pytest.mark.parametrize("alpha", [2.0, math.nan, 0.0])
+def test_compare_reports_checks_alpha_with_no_instance_to_compare(alpha):
+    failed = read_report(
+        "carptdsc-report v1\nalgorithm : a\nruns : 1\nbase_seed : 0\nrun g 0 failed 0.5 boom\n"
+    )
+    assert compare_reports(failed, failed).all_failed == ("g",)
+    with pytest.raises(ValueError, match="significance level must lie in"):
+        compare_reports(failed, failed, alpha=alpha)
+
+
 def test_average_pdr_skips_all_failed_instances():
     report = read_report(ALL_FAILED_REPORT)
     assert average_pdr(report, {"fine": 4.0, "dead": 1.0}) == pytest.approx(25.0)

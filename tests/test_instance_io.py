@@ -12,12 +12,9 @@ from carptdsc import (
     parse_solomon,
     read_annotation,
     serialize_annotation,
-    serialize_carp,
     shortest_paths,
 )
-from carptdsc.instance_io import ParseError, read_carp
-
-from conftest import random_static_file, rng_for
+from carptdsc.instance_io import ParseError
 
 
 def test_gdb1_parse_counts(gdb1_text):
@@ -40,21 +37,6 @@ def test_gdb1_inverse_pairing(gdb1_text):
         assert fwd.arc.travel_cost == rev.arc.travel_cost
         assert fwd.cost_fn == rev.cost_fn
         assert fwd.demand == rev.demand
-
-
-def test_carp_roundtrip(gdb1_text):
-    f, inst = parse_carp(gdb1_text)
-    f2, inst2 = parse_carp(serialize_carp(f))
-    assert f2 == f
-    assert inst2.arcs == inst.arcs
-    assert inst2.tasks == inst.tasks
-    assert inst2.depot == inst.depot
-
-
-def test_carp_roundtrip_random():
-    for seed in range(5):
-        f = random_static_file(rng_for(700 + seed))
-        assert read_carp(serialize_carp(f)) == f
 
 
 def test_carp_header_count_mismatch(gdb1_text):

@@ -19,7 +19,7 @@ from carptdsc import (
     split_routes,
 )
 from carptdsc import maens
-from carptdsc.maens import _Assessor, _scan_insertion
+from carptdsc.maens import _scan_insertion, assess
 from carptdsc.solution import RouteEvaluator
 from carptdsc.instance_io import generate_td
 
@@ -29,10 +29,6 @@ from conftest import (
     rng_for,
 )
 from oracles import brute_force_optimum, selection_probabilities
-
-
-def make_assessor(inst, sp):
-    return _Assessor(RouteEvaluator(inst, sp))
 
 
 def coverage_ok(plan, instance):
@@ -167,33 +163,33 @@ def test_crossover_identical_parents_preserve_tasks():
     rng = rng_for(55)
     inst, sp = random_static_instance(rng)
     plan = init_individual(inst, sp, rng)
-    child = crossover(plan, plan, inst, rng, make_assessor(inst, sp), 1.0)
+    child = crossover(plan, plan, inst, rng, RouteEvaluator(inst, sp), 1.0)
     assert coverage_ok(child, inst)
 
 
 def test_crossover_random_parents_coverage():
     rng = rng_for(66)
     inst, sp = random_static_instance(rng)
-    assessor = make_assessor(inst, sp)
+    ev = RouteEvaluator(inst, sp)
     for _ in range(50):
         p1 = init_individual(inst, sp, rng)
         p2 = init_individual(inst, sp, rng)
-        child = crossover(p1, p2, inst, rng, assessor, 1.0)
+        child = crossover(p1, p2, inst, rng, ev, 1.0)
         assert coverage_ok(child, inst)
 
 
 def test_crossover_capacity_violation_penalized():
     """Parents engineered so the recombined route exceeds capacity."""
     inst, sp = make_desk_instance()
-    assessor = make_assessor(inst, sp)
+    ev = RouteEvaluator(inst, sp)
     # both parents pack tasks into two tight routes in opposite pairings
     p1 = (0, 1, 3, 0, 5, 7, 0)
     p2 = (0, 5, 1, 0, 3, 7, 0)
     seen_violation = False
     for seed in range(40):
-        child = crossover(p1, p2, inst, rng_for(seed), assessor, 1.0)
+        child = crossover(p1, p2, inst, rng_for(seed), ev, 1.0)
         assert coverage_ok(child, inst)
-        ind = assessor.assess(child)
+        ind = assess(ev, child)
         if ind.violation > 0:
             seen_violation = True
     assert seen_violation  # capacity may be violated, flagged not rejected
@@ -202,11 +198,11 @@ def test_crossover_capacity_violation_penalized():
 def test_local_search_never_worsens():
     rng = rng_for(77)
     inst, sp = random_static_instance(rng)
-    assessor = make_assessor(inst, sp)
+    ev = RouteEvaluator(inst, sp)
     for seed in range(10):
         plan = init_individual(inst, sp, rng_for(seed))
-        ind = assessor.assess(plan)
-        out = local_search(ind, inst, rng_for(seed), assessor, 50.0)
+        ind = assess(ev, plan)
+        out = local_search(ind, inst, rng_for(seed), ev, 50.0)
         assert (out.total_cost + 50.0 * out.violation
                 <= ind.total_cost + 50.0 * ind.violation + 1e-9)
         assert coverage_ok(out.plan, inst)
@@ -232,19 +228,19 @@ def test_pair_move_reversed_and_inverted_is_the_only_improvement():
     (4, 2), the pair reversed with each task inverted, it deadheads 0->3
     and 1->0 (2).  Every move of the pair as it is leaves the cost alone."""
     inst, sp = make_one_way_pair_instance()
-    assessor = make_assessor(inst, sp)
-    assert assessor.route_stats((1, 3)) == (24.0, 0.0)
-    assert assessor.route_stats((4, 2)) == (4.0, 0.0)
+    ev = RouteEvaluator(inst, sp)
+    assert ev.walk(ev.origin, (1, 3)) == (24.0, 0.0)
+    assert ev.walk(ev.origin, (4, 2)) == (4.0, 0.0)
     for seed in range(5):
-        routes = [[1, 3]]
-        assert _scan_insertion(routes, assessor, inst, 1.0, rng_for(seed), length=2)
-        assert routes == [[4, 2]]
-        assert not _scan_insertion(routes, assessor, inst, 1.0, rng_for(seed), length=2)
+        tables = [ev.table([1, 3])]
+        assert _scan_insertion(tables, ev, inst, 1.0, rng_for(seed), length=2)
+        assert [t.route for t in tables] == [[4, 2]]
+        assert not _scan_insertion(tables, ev, inst, 1.0, rng_for(seed), length=2)
     one_way, one_way_sp = make_one_way_pair_instance(inverses=False)
-    routes = [[1, 3]]
-    assert not _scan_insertion(routes, make_assessor(one_way, one_way_sp), one_way, 1.0,
-                               rng_for(0), length=2)
-    assert routes == [[1, 3]]
+    one_way_ev = RouteEvaluator(one_way, one_way_sp)
+    tables = [one_way_ev.table([1, 3])]
+    assert not _scan_insertion(tables, one_way_ev, one_way, 1.0, rng_for(0), length=2)
+    assert [t.route for t in tables] == [[1, 3]]
 
 
 def test_local_search_fixed_point_at_optimum():
@@ -271,10 +267,10 @@ def test_local_search_fixed_point_at_optimum():
     inst = build_instance(3, arcs, tasks, 0, 5.0, 1, 1e9)
     sp = shortest_paths(inst)
     best_plan, best_cost = brute_force_optimum(inst, sp)
-    assessor = make_assessor(inst, sp)
-    ind = assessor.assess(best_plan)
+    ev = RouteEvaluator(inst, sp)
+    ind = assess(ev, best_plan)
     assert ind.total_cost == pytest.approx(best_cost)
-    out = local_search(ind, inst, rng_for(3), assessor, 10.0)
+    out = local_search(ind, inst, rng_for(3), ev, 10.0)
     assert out.total_cost == pytest.approx(best_cost)
 
 
@@ -341,7 +337,7 @@ def test_operator_coverage_mass():
     """A large randomized batch of operator applications keeps coverage."""
     rng = rng_for(51)
     inst, sp = random_static_instance(rng)
-    assessor = make_assessor(inst, sp)
+    ev = RouteEvaluator(inst, sp)
     plans = [init_individual(inst, sp, rng_for(1000 + s)) for s in range(20)]
     for plan in plans:
         assert coverage_ok(plan, inst)
@@ -349,7 +345,7 @@ def test_operator_coverage_mass():
     for s in range(300):
         rng_s = rng_for(2000 + s)
         i, j = rng_s.integers(0, len(plans), size=2)
-        child = crossover(plans[int(i)], plans[int(j)], inst, rng_s, assessor, 1.0)
+        child = crossover(plans[int(i)], plans[int(j)], inst, rng_s, ev, 1.0)
         if not coverage_ok(child, inst):
             violations += 1
     assert violations == 0

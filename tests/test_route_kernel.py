@@ -1,13 +1,13 @@
-"""The stage-1 route kernel ``RouteEvaluator.walk`` and prefix-state insertion.
+"""The stage-1 route kernel ``RouteEvaluator.walk`` and the splice scorer.
 
 ``walk`` must give the same (cost, violation), bit for bit, as the
 step-by-step event walk ``oracles.simulate_route`` plus the load excess,
 and ``evaluate`` the same arrival times and cost; a walk that starts from
-a recorded prefix state must equal a walk of the whole route; an
-insertion screened from a suffix's linear piece must be within its
-rounding bound of that walk, and cheapest insertion must pick what
-walking every candidate picks; and the search built on them must
-reproduce pinned plans.
+a recorded prefix state must equal a walk of the whole route; every
+screen of ``RouteEvaluator.splice`` must be within its tau of the walk
+of the route it prices; cheapest insertion, the move scans and the split
+must choose what walking every whole candidate route chooses; and the
+search built on them must reproduce pinned plans.
 """
 
 import hashlib
@@ -30,13 +30,27 @@ from carptdsc import (
     instance_io,
     join_routes,
     shortest_paths,
+    solution,
 )
 from carptdsc.bench import load_instance_text
-from carptdsc.maens import SCREEN_TOL, _Assessor, _cheapest_insertion
+from carptdsc.maens import (
+    IMPROVE_EPS,
+    SolverError,
+    _cheapest_insertion,
+    _scan_insertion,
+    _scan_swap,
+    _split_sequence,
+)
 from carptdsc.solution import PlanError
 
 from conftest import DATA, random_static_file, rng_for
-from oracles import simulate_route
+from oracles import (
+    reference_cheapest_insertion,
+    reference_scan_insertion,
+    reference_scan_swap,
+    reference_split_sequence,
+    simulate_route,
+)
 
 
 def _cases():
@@ -110,33 +124,9 @@ def test_prefix_insertion_delta_matches_full_evaluation(case_route, lam):
             full_total + lam * full_violation - base).hex()
 
 
-def _reference_insertion(routes, tid, assessor, instance, lam):
-    """Cheapest insertion by evaluating every whole candidate route."""
-    inv = instance.tasks[tid].inverse_id
-    orientations = (tid,) if inv is None else (tid, inv)
-    best = None
-    for ri, route in enumerate(routes):
-        base = assessor.contrib(route, lam)
-        for pos in range(len(route) + 1):
-            for oid in orientations:
-                delta = assessor.contrib(route[:pos] + [oid] + route[pos:], lam) - base
-                if best is None or delta < best[0]:
-                    best = (delta, ri, pos, oid)
-    for oid in orientations:
-        delta = assessor.contrib([oid], lam)
-        if best is None or delta < best[0]:
-            best = (delta, None, 0, oid)
-    _, ri, pos, oid = best
-    if ri is None:
-        routes.append([oid])
-    else:
-        routes[ri].insert(pos, oid)
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cheapest_insertion_matches_whole_route_reference(name):
     inst, sp, ev = CASES[name]
-    assessor = _Assessor(ev)
     roots = sorted({inst.pair_root(t) for t in inst.real_task_ids})
     for seed in range(15):
         rng = rng_for(seed)
@@ -146,64 +136,97 @@ def test_cheapest_insertion_matches_whole_route_reference(name):
         cuts = sorted(int(c) for c in rng.choice(len(rest), size=3, replace=False))
         routes = [rest[a:b] for a, b in zip([0] + cuts, cuts + [len(rest)]) if rest[a:b]]
         lam = float(rng.uniform(0.5, 50.0))
-        got = [list(r) for r in routes]
+        tables = [ev.table(list(r)) for r in routes]
         want = [list(r) for r in routes]
         for tid in missing:
-            _cheapest_insertion(got, tid, assessor, inst, lam)
-            _reference_insertion(want, tid, assessor, inst, lam)
-            assert got == want
+            _cheapest_insertion(tables, tid, ev, inst, lam)
+            reference_cheapest_insertion(want, tid, ev, inst, lam)
+            assert [t.route for t in tables] == want
 
 
-def _screens(ev, route, oid, lam):
-    """(screen, tau, walked delta) of each insertion of ``oid`` into
-    ``route`` that lies inside its suffix's piece, scored as
-    ``_cheapest_insertion`` scores it."""
-    inst = ev.instance
-    prefixes = [ev.origin]
-    total, violation = ev.walk(ev.origin, route, prefixes)
-    base = total + lam * violation
-    load = prefixes[-1][4]
-    pieces = ev.suffix_pieces(route, prefixes)
-    assert len(pieces) == len(route) + 1
-    ret_0 = pieces[-1][1]
-    out = []
-    for pos, (state, piece) in enumerate(zip(prefixes, pieces)):
-        w, u, lo, hi, slope, ret_slope, rest, err_c, err_d = piece
-        assert lo <= 0.0 <= hi  # the departure-0 schedule lies on its own piece
-        step = []
-        ev.walk(state, [oid], step)
-        t, services, deadhead, h, _ = step[0]
-        d = t + ev.sp_time[h][w] - u
-        if not lo <= d <= hi:
-            continue
-        head_sum = services + deadhead + ev.sp_cost[h][w]
-        late = ret_0 + ret_slope * d - inst.horizon
-        over = load + ev.rows[oid][6] - inst.capacity
-        screen = head_sum + rest + slope * d + lam * (max(late, 0.0) + max(over, 0.0)) - base
-        tau = SCREEN_TOL * (head_sum + rest + abs(slope * d) + err_c + abs(base)
-                            + lam * (err_d + abs(ret_slope * d) + load))
-        total, violation = ev.walk(state, [oid] + route[pos:])
-        out.append((screen, tau, total + lam * violation - base))
+def _splices(route, kind, oid, other):
+    """(i, tasks, j) of every splice of one ``kind`` that the stage-1
+    operators make in ``route``, with ``oid`` and ``other`` as new tasks."""
+    n = len(route)
+    if kind == "insert":
+        return [(i, [oid], i) for i in range(n + 1)]
+    if kind == "remove":
+        return [(i, [], i + length) for length in (1, 2) for i in range(n - length + 1)]
+    if kind == "swap":
+        return [(i, [oid], i + 1) for i in range(n)] + [
+            (i, [oid, *route[i + 1:j], other], j + 1) for i in range(n) for j in range(i + 1, n)]
+    out = []  # a segment moved within the route, as _scan_insertion moves it
+    for length in (1, 2):
+        for p in range(n - length + 1):
+            end = p + length
+            seg = route[p:end]
+            for q in range(n - length + 1):
+                if q <= p:
+                    out.append((q, seg + route[q:p], end))
+                else:
+                    out.append((p, route[end:q + length] + seg, q + length))
     return out
 
 
 _LAMBDAS = st.floats(0.0, 2.0 ** 20)
+_KINDS = st.sampled_from(["insert", "remove", "swap", "move"])
 
 
 @settings(max_examples=300, deadline=None)
-@given(_case_route(), _LAMBDAS)
-def test_screened_insertion_is_within_tau_of_the_walk(case_route, lam):
+@given(_case_route(), _LAMBDAS, _KINDS, st.data())
+def test_every_splice_screen_is_within_tau_of_its_walk(case_route, lam, kind, data):
     (inst, sp, ev), route, oid = case_route
-    for screen, tau, walked in _screens(ev, route, oid, lam):
-        assert abs(screen - walked) <= tau
+    other = data.draw(st.sampled_from(inst.real_task_ids))
+    table = ev.table(route)
+    assert table.route == route and len(table.prefixes) == len(table.suffixes) == len(route) + 1
+    for i, tasks, j in _splices(route, kind, oid, other):
+        value, tau = ev.splice(table, i, tasks, j, lam)
+        total, violation = ev.walk(ev.origin, route[:i] + tasks + route[j:])
+        walked = total + lam * violation
+        if tau == 0.0:
+            assert value.hex() == walked.hex()
+        else:
+            assert abs(value - walked) <= tau
+
+
+def test_piece_cap_walks_the_longer_suffixes(monkeypatch):
+    inst, sp, ev = CASES["gdb1-3lp-k3.0"]
+    rng = rng_for(5)
+    ids = inst.real_task_ids
+    routes = [[ids[int(i)] for i in rng.integers(len(ids), size=12)] for _ in range(20)]
+    pieces = [len(s[3]) for r in routes for s in ev.table(r).suffixes]
+    cap = sorted(pieces)[len(pieces) // 2]
+    assert max(pieces) > cap > 1
+    monkeypatch.setattr(solution, "SUFFIX_PIECE_CAP", cap)
+    capped = walked = 0
+    for route in routes:
+        table = ev.table(route)
+        # a suffix over the cap leaves it and every longer suffix None
+        m = table.suffixes.count(None)
+        assert all(s is None for s in table.suffixes[:m])
+        assert all(len(s[3]) <= cap for s in table.suffixes[m:])
+        capped += m
+        for pos in range(len(route) + 1):
+            value, tau = ev.splice(table, pos, [ids[0]], pos, 3.0)
+            total, violation = ev.walk(ev.origin, route[:pos] + [ids[0]] + route[pos:])
+            if table.suffixes[pos] is None:
+                walked += 1
+                assert (value.hex(), tau) == ((total + 3.0 * violation).hex(), 0.0)
+            else:
+                assert abs(value - (total + 3.0 * violation)) <= tau
+        tables, want = [ev.table(list(route))], [list(route)]
+        _cheapest_insertion(tables, ids[1], ev, inst, 3.0)
+        reference_cheapest_insertion(want, ids[1], ev, inst, 3.0)
+        assert [t.route for t in tables] == want
+    assert capped and walked
 
 
 @st.composite
-def _case_routes(draw):
+def _case_routes(draw, max_routes=4):
     """((instance, shortest paths, evaluator), routes, task ID to insert)."""
     case = CASES[draw(st.sampled_from(sorted(CASES)))]
     ids = st.sampled_from(case[0].real_task_ids)
-    routes = draw(st.lists(st.lists(ids, min_size=1, max_size=20), max_size=4))
+    routes = draw(st.lists(st.lists(ids, min_size=1, max_size=20), max_size=max_routes))
     return case, routes, draw(ids)
 
 
@@ -211,12 +234,61 @@ def _case_routes(draw):
 @given(_case_routes(), _LAMBDAS)
 def test_screened_cheapest_insertion_matches_whole_route_reference(case_routes, lam):
     (inst, sp, ev), routes, tid = case_routes
-    assessor = _Assessor(ev)
-    got = [list(r) for r in routes]
+    tables = [ev.table(list(r)) for r in routes]
     want = [list(r) for r in routes]
-    _cheapest_insertion(got, tid, assessor, inst, lam)
-    _reference_insertion(want, tid, assessor, inst, lam)
-    assert got == want
+    _cheapest_insertion(tables, tid, ev, inst, lam)
+    reference_cheapest_insertion(want, tid, ev, inst, lam)
+    assert [t.route for t in tables] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(_case_routes(max_routes=3), _LAMBDAS, st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1, 2, "swap"]))
+def test_move_scans_match_whole_route_references(case_routes, lam, seed, move):
+    """Routes with repeated tasks are fine here: the scans only read IDs."""
+    (inst, sp, ev), routes, _ = case_routes
+    tables = [ev.table(list(r)) for r in routes]
+    want = [list(r) for r in routes]
+    if move == "swap":
+        moved = _scan_swap(tables, ev, inst, lam, rng_for(seed))
+        assert moved == reference_scan_swap(want, ev, inst, lam, rng_for(seed), IMPROVE_EPS)
+    else:
+        moved = _scan_insertion(tables, ev, inst, lam, rng_for(seed), length=move)
+        assert moved == reference_scan_insertion(want, ev, inst, lam, rng_for(seed), move,
+                                                 IMPROVE_EPS)
+    assert [t.route for t in tables] == want
+
+
+@pytest.mark.parametrize("move", [1, 2, "swap"])
+def test_move_scans_walk_the_screens_they_cannot_trust(move):
+    """One task repeated along a late route at a huge lambda: many moves
+    leave the route as it is, and their screens read a few 1e-9 below
+    the walk, so a move accepted on its screen alone would be wrong."""
+    inst, sp, ev = CASES["gdb1-3lp-k0.3"]
+    for tid, size, seed in [(3, 14, 0), (26, 14, 2), (28, 20, 0)]:
+        tables = [ev.table([tid] * size)]
+        want = [[tid] * size]
+        if move == "swap":
+            moved = _scan_swap(tables, ev, inst, 2.0 ** 20, rng_for(seed))
+            assert moved == reference_scan_swap(want, ev, inst, 2.0 ** 20, rng_for(seed),
+                                                IMPROVE_EPS)
+        else:
+            moved = _scan_insertion(tables, ev, inst, 2.0 ** 20, rng_for(seed), length=move)
+            assert moved == reference_scan_insertion(want, ev, inst, 2.0 ** 20, rng_for(seed),
+                                                     move, IMPROVE_EPS)
+        assert [t.route for t in tables] == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_case_route(max_size=30), _LAMBDAS)
+def test_split_sequence_matches_whole_route_reference(case_route, lam):
+    (inst, sp, ev), seq, _ = case_route
+    want = reference_split_sequence(seq, ev, inst, lam)
+    if want is None:
+        with pytest.raises(SolverError):
+            _split_sequence(seq, ev, inst, lam)
+    else:
+        assert _split_sequence(seq, ev, inst, lam) == want
 
 
 def _broken_instance():
@@ -242,7 +314,7 @@ def test_walk_rejects_unknown_and_depot_ids(route):
     with pytest.raises(PlanError, match="unknown or depot task ID"):
         ev.walk(ev.origin, route)
     with pytest.raises(PlanError, match="unknown or depot task ID"):
-        _Assessor(ev).route_stats(route)
+        ev.table(route)
 
 
 @pytest.mark.parametrize("route,where", [
@@ -254,8 +326,8 @@ def test_walk_rejects_unreachable_legs(route, where):
     inst, sp, ev = _broken_instance()
     with pytest.raises(PlanError, match=where):
         ev.walk(ev.origin, route)
-    with pytest.raises(PlanError, match="no deadhead path"):
-        _Assessor(ev).route_stats(route)
+    with pytest.raises(PlanError, match=where):
+        ev.table(route)
     assert ev.walk(ev.origin, (1,)) == (2.0, 0.0)
 
 
@@ -335,7 +407,7 @@ def _long_route_instance():
     """Generated CARP DAT instance: 22 tasks, two routes of 10-12 tasks."""
     f = random_static_file(rng_for(7), n_vertices=12, n_extra_edges=12,
                            n_required=22, capacity=27.0, name="long")
-    _, inst = instance_io.parse_carp(instance_io.serialize_carp(f))
+    inst = instance_io.carp_to_instance(f)
     return inst, shortest_paths(inst)
 
 
