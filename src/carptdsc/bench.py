@@ -184,6 +184,12 @@ def _run_record(instance: Instance, config: RunConfig, seed: int) -> RunRecord:
         )
 
 
+def _check_report_name(name: str) -> None:
+    """Reject an instance name that a report line could not hold as one field."""
+    if any(ch.isspace() for ch in name):
+        raise ValueError(f"instance name {name!r} contains whitespace; a report cannot hold it")
+
+
 def run_experiment(config: RunConfig) -> ExperimentReport:
     """Full protocol: every instance, ``runs`` seeded runs each.
 
@@ -197,6 +203,7 @@ def run_experiment(config: RunConfig) -> ExperimentReport:
     for path in config.instances:
         instance = prepare_instance(config, path)
         name = instance.name or Path(path).stem
+        _check_report_name(name)
         seeds = [config.base_seed + i for i in range(config.runs)]
         if workers > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -237,6 +244,7 @@ def serialize_report(report: ExperimentReport) -> str:
         f"base_seed : {report.base_seed}",
     ]
     for res in report.results:
+        _check_report_name(res.name)
         if res.costs:
             lines.append(
                 f"instance {res.name} : ave {res.ave!r} std {res.std!r} "

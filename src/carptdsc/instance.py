@@ -28,7 +28,6 @@ class Arc:
     id: int
     tail: int
     head: int
-    length: float
     travel_time: float
     travel_cost: float
 
@@ -105,8 +104,9 @@ def build_instance(
                 f"arc {arc.id} references vertex outside range: "
                 f"({arc.tail}, {arc.head}) with {vertices} vertices"
             )
-        if arc.travel_time < 0 or arc.travel_cost < 0:
-            raise InstanceError(f"arc {arc.id} has negative travel time or cost")
+        if not (arc.travel_time >= 0 and arc.travel_cost >= 0):  # also rejects NaN
+            raise InstanceError(f"arc {arc.id} travel time and cost must be non-negative, "
+                                f"got {arc.travel_time} and {arc.travel_cost}")
     if not tasks:
         raise InstanceError("instance has no tasks")
 
@@ -118,8 +118,8 @@ def build_instance(
             raise InstanceError(f"duplicate task ID {task.id}")
         if not (0 <= task.arc.tail < vertices and 0 <= task.arc.head < vertices):
             raise InstanceError(f"task {task.id} arc endpoints out of range")
-        if task.demand < 0:
-            raise InstanceError(f"task {task.id} has negative demand")
+        if not task.demand >= 0:  # also rejects NaN
+            raise InstanceError(f"task {task.id} demand must be non-negative, got {task.demand}")
         if task.demand > capacity:
             raise InstanceError(
                 f"task {task.id} demand {task.demand} exceeds capacity {capacity}; "

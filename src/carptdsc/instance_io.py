@@ -175,8 +175,8 @@ def carp_to_instance(f: StaticInstanceFile) -> Instance:
 
     def add_pair(i: int, j: int, cost: float) -> tuple[Arc, Arc]:
         nonlocal arc_id
-        a = Arc(arc_id + 1, index[i], index[j], cost, cost, cost)
-        b = Arc(arc_id + 2, index[j], index[i], cost, cost, cost)
+        a = Arc(arc_id + 1, index[i], index[j], cost, cost)
+        b = Arc(arc_id + 2, index[j], index[i], cost, cost)
         arc_id += 2
         arcs.extend((a, b))
         return a, b
@@ -253,13 +253,13 @@ def parse_solomon(text: str, max_customers: Optional[int] = None) -> Instance:
                 continue
             arc_id += 1
             d = math.dist(coords[u], coords[v])
-            arcs.append(Arc(arc_id, u, v, d, d, d))
+            arcs.append(Arc(arc_id, u, v, d, d))
 
     tasks: list[Task] = []
     for vid in range(1, n):
         _, _, _, demand, ready, due, service = rows[vid]
         arc_id += 1
-        arc = Arc(arc_id, vid, vid, 0.0, 0.0, 0.0)
+        arc = Arc(arc_id, vid, vid, 0.0, 0.0)
         fn = ServiceCostFunction(c_min=service, bt=ready, et=due, k=1.0)
         tasks.append(Task(vid, arc, demand, fn, inverse_id=None))
 

@@ -18,6 +18,9 @@ the best feasible plan found.
 Crossover's insertions and the moves screen candidates with
 ``RouteEvaluator.splice`` and walk each one a screen cannot settle, so every
 decision is the one walking every candidate gives; no route score is cached.
+The operators take that evaluator and read the instance from
+``ev.instance``; :func:`init_individual` and :func:`select_next_task` take
+the instance itself.
 """
 
 from __future__ import annotations
@@ -131,11 +134,7 @@ def select_next_task(
 
 
 def _path_scan(
-    instance: Instance,
-    ev: RouteEvaluator,
-    roots: Iterable[int],
-    capacity: float,
-    rng: np.random.Generator,
+    ev: RouteEvaluator, roots: Iterable[int], capacity: float, rng: np.random.Generator
 ) -> list[list[int]]:
     """Path-scanning routes over the tasks of ``roots`` (pair roots).
 
@@ -146,7 +145,7 @@ def _path_scan(
     are broken by :func:`select_next_task`.  A route closes when no
     unserved task fits or none can be reached.
     """
-    sp_time, rows = ev.sp_time, ev.rows
+    instance, sp_time, rows = ev.instance, ev.sp_time, ev.rows
     depot = instance.depot
 
     unserved: set[int] = set(roots)
@@ -192,12 +191,10 @@ def init_individual(
 ) -> RoutingPlan:
     """Path-scanning construction of one routing plan (see :func:`_path_scan`)."""
     ev = RouteEvaluator(instance, sp)
-    return join_routes(_path_scan(instance, ev, instance.roots, instance.capacity, rng))
+    return join_routes(_path_scan(ev, instance.roots, instance.capacity, rng))
 
 
-def _cheapest_insertion(
-    tables: list[RouteTable], tid: int, ev: RouteEvaluator, instance: Instance, lam: float
-) -> None:
+def _cheapest_insertion(tables: list[RouteTable], tid: int, ev: RouteEvaluator, lam: float) -> None:
     """Insert ``tid`` (or its inverse) where it increases cost least.
 
     ``tables`` holds :meth:`RouteEvaluator.table` of each route.  Every
@@ -206,9 +203,9 @@ def _cheapest_insertion(
     delta is walked, and the first strict minimum of the walked deltas in
     (route, position, orientation) order wins, as if every one was walked.
     """
-    singles = [(oid,) for oid in instance.orientations(tid)]
+    singles = [(oid,) for oid in ev.instance.orientations(tid)]
     candidates = tables + [ev.empty]
-    bases = [t.total + lam * t.violation for t in candidates]
+    bases = [t.penalized(lam) for t in candidates]
     splice = ev.splice
     # bound: the least screen + tau so far, so no delta is below it; a
     # candidate whose screen - tau exceeds it cannot be the minimum
@@ -237,7 +234,6 @@ def _cheapest_insertion(
 def crossover(
     parent1: RoutingPlan,
     parent2: RoutingPlan,
-    instance: Instance,
     rng: np.random.Generator,
     ev: RouteEvaluator,
     lam: float,
@@ -252,6 +248,7 @@ def crossover(
     left to the penalty mechanism.  ``lam`` weighs the violation in the
     insertion costs.
     """
+    instance = ev.instance
     routes1 = split_routes(parent1)
     routes2 = split_routes(parent2)
     r1 = int(rng.integers(len(routes1)))
@@ -278,14 +275,14 @@ def crossover(
     if missing:
         tables = [ev.table(route) for route in routes]
         for idx in rng.permutation(len(missing)):
-            _cheapest_insertion(tables, missing[idx], ev, instance, lam)
+            _cheapest_insertion(tables, missing[idx], ev, lam)
         routes = [table.route for table in tables]
     if not routes:
         raise ValueError("crossover produced an empty plan")
     return join_routes(routes)
 
 
-def _scan_insertion(tables, ev, instance, lam, rng, length) -> bool:
+def _scan_insertion(tables, ev, lam, rng, length) -> bool:
     """Move ``length`` consecutive tasks to another position; first improvement.
 
     The segment moves as it is or, when every task in it has an inverse,
@@ -293,8 +290,9 @@ def _scan_insertion(tables, ev, instance, lam, rng, length) -> bool:
     the empty route's) is screened by :meth:`RouteEvaluator.splice` from
     the routes' ``tables``, and a move that could improve is walked.
     """
+    tasks = ev.instance.tasks
     candidates = tables + [ev.empty]
-    bases = [t.total + lam * t.violation for t in candidates]
+    bases = [t.penalized(lam) for t in candidates]
     positions = [(ri, pi) for ri, t in enumerate(tables) for pi in range(len(t.route) - length + 1)]
     for src in rng.permutation(len(positions)):
         ri, pi = positions[src]
@@ -302,7 +300,7 @@ def _scan_insertion(tables, ev, instance, lam, rng, length) -> bool:
         route = table.route
         end = pi + length
         forward = route[pi:end]
-        backward = [instance.tasks[tid].inverse_id for tid in reversed(forward)]
+        backward = [tasks[tid].inverse_id for tid in reversed(forward)]
         segments = [forward] if None in backward else [forward, backward]
         rest = len(route) - length  # tasks left in the route
         gain = (ev.splice_walk(table, pi, (), end, lam) if rest else 0.0) - bases[ri]
@@ -333,7 +331,7 @@ def _scan_insertion(tables, ev, instance, lam, rng, length) -> bool:
     return False
 
 
-def _scan_swap(tables, ev, instance, lam, rng) -> bool:
+def _scan_swap(tables, ev, lam, rng) -> bool:
     """Exchange two tasks (any routes, any orientations); first improvement.
 
     Screened and confirmed as in :func:`_scan_insertion`; two tasks of one
@@ -342,17 +340,18 @@ def _scan_swap(tables, ev, instance, lam, rng) -> bool:
     positions = [(ri, pi) for ri, t in enumerate(tables) for pi in range(len(t.route))]
     if len(positions) < 2:
         return False
-    bases = [t.total + lam * t.violation for t in tables]
+    orientations = ev.instance.orientations
+    bases = [t.penalized(lam) for t in tables]
     pair_idx = [(a, b) for i, a in enumerate(positions) for b in positions[i + 1:]]
     for pick in rng.permutation(len(pair_idx)):
         (ri, pi), (rj, pj) = pair_idx[pick]
         route_i, route_j, same = tables[ri].route, tables[rj].route, ri == rj
         base = bases[ri] + (0.0 if same else bases[rj])
         scored_j = []  # (splice, value, tau) of route j with each orientation of a
-        for bo in instance.orientations(route_j[pj]):
+        for bo in orientations(route_j[pj]):
             splice_i = (tables[ri], pi, (bo,), pi + 1)
             new_i, tau_i = (0.0, 0.0) if same else ev.splice(*splice_i, lam)
-            for n, ao in enumerate(instance.orientations(route_i[pi])):
+            for n, ao in enumerate(orientations(route_i[pi])):
                 if same:  # positions are in route order, so pi < pj
                     splice_i = (tables[ri], pi, [bo, *route_i[pi + 1:pj], ao], pj + 1)
                     new_i, tau_i = ev.splice(*splice_i, lam)
@@ -376,15 +375,13 @@ def _scan_swap(tables, ev, instance, lam, rng) -> bool:
     return False
 
 
-def _split_sequence(
-    seq: list[int], ev: RouteEvaluator, instance: Instance, lam: float
-) -> list[list[int]]:
+def _split_sequence(seq: list[int], ev: RouteEvaluator, lam: float) -> list[list[int]]:
     """Minimum-cost split of a task sequence into capacity-feasible routes.
 
     ``trails[j]`` holds the prefix states of the route ``seq[j:i - 1]``;
     one more step of that walk scores ``seq[j:i]``.
     """
-    n = len(seq)
+    n, capacity = len(seq), ev.instance.capacity
     dp = [math.inf] * (n + 1)
     cut = [0] * (n + 1)
     dp[0] = 0.0
@@ -394,7 +391,7 @@ def _split_sequence(
         j = i - 1
         while j >= 0:
             load += ev.rows[seq[j]][6]
-            if load > instance.capacity:
+            if load > capacity:
                 break
             total, violation = ev.walk(trails[j][-1], (seq[i - 1],), trails[j])
             cost = dp[j] + (total + lam * violation)
@@ -411,17 +408,18 @@ def _split_sequence(
     return routes[::-1]
 
 
-def _merge_split(tables, ev, instance, lam, rng) -> bool:
+def _merge_split(tables, ev, lam, rng) -> bool:
     """Dissolve ``MERGE_SPLIT_ROUTES`` routes and rebuild them; keep if improving."""
     if len(tables) < 2:
         return False
     count = min(MERGE_SPLIT_ROUTES, len(tables))
     picked = sorted(int(i) for i in rng.choice(len(tables), size=count, replace=False))
-    roots = [instance.pair_root(tid) for ri in picked for tid in tables[ri].route]
-    old_contrib = sum(tables[ri].total + lam * tables[ri].violation for ri in picked)
-    seq = [tid for route in _path_scan(instance, ev, roots, math.inf, rng) for tid in route]
-    rebuilt = [ev.table(route) for route in _split_sequence(seq, ev, instance, lam)]
-    new_contrib = sum(t.total + lam * t.violation for t in rebuilt)
+    pair_root = ev.instance.pair_root
+    roots = [pair_root(tid) for ri in picked for tid in tables[ri].route]
+    old_contrib = sum(tables[ri].penalized(lam) for ri in picked)
+    seq = [tid for route in _path_scan(ev, roots, math.inf, rng) for tid in route]
+    rebuilt = [ev.table(route) for route in _split_sequence(seq, ev, lam)]
+    new_contrib = sum(t.penalized(lam) for t in rebuilt)
     if new_contrib - old_contrib < -IMPROVE_EPS:
         tables[:] = [t for ri, t in enumerate(tables) if ri not in picked] + rebuilt
         return True
@@ -434,7 +432,6 @@ _MOVES = (partial(_scan_insertion, length=1), partial(_scan_insertion, length=2)
 
 def local_search(
     individual: Individual,
-    instance: Instance,
     rng: np.random.Generator,
     ev: RouteEvaluator,
     lam: float,
@@ -455,20 +452,30 @@ def local_search(
             used += 1
             moved = False
             for si in rng.permutation(len(_MOVES)):
-                while _MOVES[si](tables, ev, instance, lam, rng):
+                while _MOVES[si](tables, ev, lam, rng):
                     moved = True
             if not moved:
                 break
         return used
 
     used = converge_basic(LS_MAX_SWEEPS)
-    if _merge_split(tables, ev, instance, lam, rng):
+    if _merge_split(tables, ev, lam, rng):
         converge_basic(max(1, LS_MAX_SWEEPS - used))
 
     result = assess(ev, join_routes([table.route for table in tables]))
     if result.penalized(lam) <= individual.penalized(lam):
         return result
     return individual  # accept-only moves make this unreachable; safety net
+
+
+def _cheapest_feasible(
+    best: Optional[Individual], individuals: Iterable[Individual]
+) -> Optional[Individual]:
+    """The cheapest feasible of ``best`` and ``individuals``; a tie keeps the earlier."""
+    for ind in individuals:
+        if ind.feasible and (best is None or ind.total_cost < best.total_cost):
+            best = ind
+    return best
 
 
 def evolve(
@@ -489,71 +496,41 @@ def evolve(
     def rank(ind: Individual) -> tuple[float, RoutingPlan]:
         return ind.penalized(lam), ind.plan
 
-    population: list[Individual] = []
-    seen: set[RoutingPlan] = set()
+    plans: dict[RoutingPlan, None] = {}  # distinct construction plans, in order
     attempts = 0
-    while len(population) < params.psize and attempts < 50 * params.psize:
-        routes = _path_scan(instance, ev, instance.roots, instance.capacity,
-                            _stream(params.seed, 0, attempts))
-        plan = join_routes(routes)
+    while len(plans) < params.psize and attempts < 50 * params.psize:
+        rng = _stream(params.seed, 0, attempts)
+        plans[join_routes(_path_scan(ev, instance.roots, instance.capacity, rng))] = None
         attempts += 1
-        if plan in seen:
-            continue
-        seen.add(plan)
-        population.append(assess(ev, plan))
-    if not population:
-        raise SolverError("could not construct any initial plan")
-    while len(population) < params.psize:  # tiny instances: allow duplicates
-        population.append(population[len(population) % len(seen)])
+    distinct = [assess(ev, plan) for plan in plans]
+    # tiny instances have fewer distinct plans than psize: repeat them in turn
+    population = [distinct[i % len(distinct)] for i in range(params.psize)]
 
     # the penalty coefficient starts at the best cost per unit of capacity
     lam = max(1.0, min(ind.total_cost for ind in population) / max(1.0, instance.capacity))
     lam_floor, lam_ceil = lam / 1024.0, lam * 2.0 ** 20
     population.sort(key=rank)
-
-    best_feasible: Optional[Individual] = None
-    for ind in population:
-        if ind.feasible and (best_feasible is None or ind.total_cost < best_feasible.total_cost):
-            best_feasible = ind
+    best_feasible = _cheapest_feasible(None, population)
 
     trace: list[tuple[int, float, float]] = []
     for gen in range(1, params.generations + 1):
         offspring: list[Individual] = []
         for slot in range(params.psize):
             rng = _stream(params.seed, gen, slot)
-            if len(population) >= 2:
-                i, j = rng.choice(len(population), size=2, replace=False)
-                p1, p2 = population[int(i)].plan, population[int(j)].plan
-            else:
-                p1 = p2 = population[0].plan
-            child_plan = crossover(p1, p2, instance, rng, ev, lam)
+            i, j = rng.choice(len(population), size=2, replace=False)
+            child_plan = crossover(population[int(i)].plan, population[int(j)].plan, rng, ev, lam)
             child = assess(ev, child_plan)
             if rng.random() < params.pls:
-                child = local_search(child, instance, rng, ev, lam)
+                child = local_search(child, rng, ev, lam)
             offspring.append(child)
 
-        pool = population + offspring
-        pool.sort(key=rank)
-        next_pop: list[Individual] = []
-        seen_plans: set[RoutingPlan] = set()
+        pool = sorted(population + offspring, key=rank)
+        first: dict[RoutingPlan, Individual] = {}  # each plan's best-ranked individual
         for ind in pool:
-            if ind.plan in seen_plans:
-                continue
-            seen_plans.add(ind.plan)
-            next_pop.append(ind)
-            if len(next_pop) == params.psize:
-                break
-        for ind in pool:  # fewer distinct plans than psize: pad with best
-            if len(next_pop) == params.psize:
-                break
-            next_pop.append(ind)
-        population = next_pop
-
-        for ind in offspring:
-            if ind.feasible and (
-                best_feasible is None or ind.total_cost < best_feasible.total_cost
-            ):
-                best_feasible = ind
+            first.setdefault(ind.plan, ind)
+        # the distinct plans in rank order, padded from the top of the pool
+        population = (list(first.values()) + pool)[:params.psize]
+        best_feasible = _cheapest_feasible(best_feasible, offspring)
 
         trace.append((
             gen,

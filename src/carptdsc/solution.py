@@ -43,6 +43,10 @@ class RouteTable(NamedTuple):
     total: float
     violation: float
 
+    def penalized(self, lam: float) -> float:
+        """The route's cost with its violation weighed by the penalty coefficient ``lam``."""
+        return self.total + lam * self.violation
+
 
 class PlanError(ValueError):
     """Malformed routing plan."""

@@ -42,9 +42,9 @@ FIG4_FNS = (
 def make_fig4_instance(horizon: float = 20.0):
     """Tasks h1: 0->1, h2: 1->2, h3: 2->0; directly connected, depot 0."""
     arcs = [
-        Arc(1, 0, 1, 1.0, 0.0, 0.0),
-        Arc(2, 1, 2, 1.0, 0.0, 0.0),
-        Arc(3, 2, 0, 1.0, 0.0, 0.0),
+        Arc(1, 0, 1, 0.0, 0.0),
+        Arc(2, 1, 2, 0.0, 0.0),
+        Arc(3, 2, 0, 0.0, 0.0),
     ]
     tasks = [
         Task(1, arcs[0], 1.0, FIG4_FNS[0]),
@@ -67,12 +67,12 @@ def make_tie_instance():
     (flat [10, 12]) and task 3 plays h3 (flat [14, 16]).
     """
     arcs = [
-        Arc(1, 0, 1, 12.0, 12.0, 0.0),   # depot -> tail of h2
-        Arc(2, 0, 2, 12.0, 12.0, 0.0),   # depot -> tail of h3
-        Arc(3, 1, 2, 1.0, 0.0, 0.0),     # h2 arc
-        Arc(4, 2, 1, 1.0, 0.0, 0.0),     # h3 arc
-        Arc(5, 1, 0, 1.0, 0.0, 0.0),     # free return legs
-        Arc(6, 2, 0, 1.0, 0.0, 0.0),
+        Arc(1, 0, 1, 12.0, 0.0),   # depot -> tail of h2
+        Arc(2, 0, 2, 12.0, 0.0),   # depot -> tail of h3
+        Arc(3, 1, 2, 0.0, 0.0),    # h2 arc
+        Arc(4, 2, 1, 0.0, 0.0),    # h3 arc
+        Arc(5, 1, 0, 0.0, 0.0),    # free return legs
+        Arc(6, 2, 0, 0.0, 0.0),
     ]
     tasks = [
         Task(2, arcs[2], 1.0, FIG4_FNS[1]),
@@ -208,15 +208,15 @@ def chain_route_instance(rng, n_tasks, k, window_mode, horizon=None,
     for i in range(1, n_tasks + 1):
         lt = leg_times[i - 1]
         aid += 1
-        arcs.append(Arc(aid, prev, tail_of(i), lt, lt, lt))  # deadhead leg
+        arcs.append(Arc(aid, prev, tail_of(i), lt, lt))  # deadhead leg
         aid += 1
         c = c_mins[i - 1]
-        task_arc = Arc(aid, tail_of(i), head_of(i), c, c, c)
+        task_arc = Arc(aid, tail_of(i), head_of(i), c, c)
         arcs.append(task_arc)
         task_arcs.append(task_arc)
         prev = head_of(i)
     aid += 1
-    arcs.append(Arc(aid, prev, 0, back, back, back))
+    arcs.append(Arc(aid, prev, 0, back, back))
 
     if horizon is None:
         horizon = 4.0 * (sum(c_mins) + sum(leg_times) + back) + 40.0

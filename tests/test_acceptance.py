@@ -287,14 +287,14 @@ def test_criterion_10_operator_coverage_invariant():
     for s in range(5000):
         rng = rng_for(80_000 + s)
         i, j = rng.integers(0, len(plans), size=2)
-        child = crossover(plans[int(i)], plans[int(j)], inst, rng, ev, 25.0)
+        child = crossover(plans[int(i)], plans[int(j)], rng, ev, 25.0)
         applications += 1
         if not coverage_ok(child, inst):
             violations += 1
     for s in range(1000):
         rng = rng_for(90_000 + s)
         ind = assess(ev, plans[s % len(plans)])
-        out = local_search(ind, inst, rng, ev, 25.0)
+        out = local_search(ind, rng, ev, 25.0)
         applications += 1
         if not coverage_ok(out.plan, inst):
             violations += 1

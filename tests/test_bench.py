@@ -391,3 +391,24 @@ def test_average_pdr_skips_all_failed_instances():
     assert average_pdr(report, {"fine": 4.0, "dead": 1.0}) == pytest.approx(25.0)
     with pytest.raises(ValueError):
         average_pdr(report, {"dead": 1.0})
+
+
+def test_run_experiment_rejects_an_instance_name_with_whitespace(tmp_path, monkeypatch):
+    path = tmp_path / "gdb1.dat"
+    path.write_text((DATA / "gdb1.dat").read_text().replace("NAME : gdb1", "NAME : gdb 1"))
+    solved = []
+    monkeypatch.setattr(bench, "solve_once_detailed", lambda *args: solved.append(args))
+    out = tmp_path / "report.txt"
+    config = RunConfig(instances=(str(path),), algorithm="init-only", runs=2, out=str(out))
+    with pytest.raises(ValueError, match="instance name 'gdb 1' contains whitespace"):
+        run_experiment(config)
+    assert solved == [] and not out.exists()
+
+
+@pytest.mark.parametrize("name", ["gdb 1", "gdb\t1", " gdb1"])
+def test_serialize_report_rejects_an_instance_name_with_whitespace(name):
+    from carptdsc.bench import ExperimentReport, InstanceResult, RunRecord
+
+    report = ExperimentReport("maens-gn", 1, 0, (InstanceResult(name, (RunRecord(0, 5.0, 0.5),)),))
+    with pytest.raises(ValueError, match="contains whitespace"):
+        serialize_report(report)

@@ -157,6 +157,18 @@ def test_bench_records_an_infeasible_final_plan_as_failed(capsys):
     assert err == "warning: 1 run(s) failed; aggregates cover the rest\n"
 
 
+def test_bench_rejects_an_instance_name_with_whitespace(tmp_path, capsys):
+    # read back, "run gdb 1 0 ..." would name an instance "gdb" whose costs are the seeds
+    path = tmp_path / "gdb1.dat"
+    path.write_text(Path(GDB1).read_text().replace("NAME : gdb1", "NAME : gdb 1"))
+    out_path = tmp_path / "r.txt"
+    code, out, err = run_cli(capsys, "bench", "--instance", str(path), "--runs", "2",
+                             "--generations", "2", "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert err == "error: instance name 'gdb 1' contains whitespace; a report cannot hold it\n"
+    assert not out_path.exists()
+
+
 def test_stats_rejects_alpha_outside_the_unit_interval(tmp_path, capsys):
     # an exact p = 0.1: three runs each, every cost of a below every cost of b
     reports = []
@@ -328,6 +340,21 @@ def _nan_capacity_instance(tmp_path):
     return ["solve", "--instance", str(path), *QUICK]
 
 
+def _nan_demand_instance(tmp_path):
+    path = tmp_path / "gdb1.dat"
+    path.write_text(Path(GDB1).read_text().replace(
+        "( 1, 2) cost 13 demand 1", "( 1, 2) cost 13 demand nan"))
+    return ["solve", "--instance", str(path), *QUICK]
+
+
+def _nan_edge_cost_instance(tmp_path):
+    path = tmp_path / "gdb1.dat"
+    path.write_text(Path(GDB1).read_text()
+                    .replace("NON_REQUIRED_EDGES : 0", "NON_REQUIRED_EDGES : 1")
+                    .replace("DEPOT : 1", "( 1, 12) cost nan\nDEPOT : 1"))
+    return ["solve", "--instance", str(path), *QUICK]
+
+
 def _oracle(step):
     return ["oracle", "--instance", GDB1, "--family", "3lp", "--slope-set", "2",
             "--gen-seed", "3", "--plan", "0 1 3 0 5 0", "--oracle-step", step]
@@ -342,8 +369,10 @@ def _oracle(step):
     (_oracle("inf"), "step must be finite and positive, got inf"),
     (_nan_horizon_annotation, "planning horizon must be positive, got nan"),
     (_nan_capacity_instance, "vehicle capacity must be positive, got nan"),
+    (_nan_demand_instance, "task 1 demand must be non-negative, got nan"),
+    (_nan_edge_cost_instance, "arc 45 travel time and cost must be non-negative, got nan and nan"),
 ], ids=["slope-nan", "slope-inf", "oracle-step-nan", "oracle-step-inf",
-        "horizon-nan", "capacity-nan"])
+        "horizon-nan", "capacity-nan", "demand-nan", "edge-cost-nan"])
 def test_non_finite_inputs_are_rejected(tmp_path, capsys, argv, message):
     if callable(argv):
         argv = argv(tmp_path)

@@ -107,7 +107,7 @@ def test_classify_three_segment_fig4(fig4):
 def test_classify_mixed_slopes_rejected():
     from carptdsc import Arc, Task, build_instance
 
-    arcs = [Arc(1, 0, 1, 1, 1, 1), Arc(2, 1, 0, 1, 1, 1)]
+    arcs = [Arc(1, 0, 1, 1, 1), Arc(2, 1, 0, 1, 1)]
     tasks = [
         Task(1, arcs[0], 1.0, ServiceCostFunction(1.0, 0.0, 0.0, 1.0)),
         Task(2, arcs[1], 1.0, ServiceCostFunction(1.0, 0.0, 0.0, 2.0)),

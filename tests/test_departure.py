@@ -40,8 +40,8 @@ def test_gss_flat_optimum_region():
     rng = rng_for(0)
     from carptdsc import Arc, ServiceCostFunction, Task, build_instance, shortest_paths
 
-    arc = Arc(1, 0, 1, 1, 0, 0)
-    back = Arc(2, 1, 0, 1, 0, 0)
+    arc = Arc(1, 0, 1, 0, 0)
+    back = Arc(2, 1, 0, 0, 0)
     task = Task(1, arc, 1.0, ServiceCostFunction(1.0, 1.0, 3.0, 0.5))
     inst = build_instance(2, [arc, back], [task], 0, 5.0, 1, 20.0)
     sp = shortest_paths(inst)
@@ -247,7 +247,7 @@ def test_dispatcher_propagates_classification_failure():
     from carptdsc import Arc, ServiceCostFunction, Task, build_instance, shortest_paths
     from carptdsc.costfn import HeterogeneousSlopeError
 
-    arcs = [Arc(1, 0, 1, 1, 1, 1), Arc(2, 1, 0, 1, 1, 1)]
+    arcs = [Arc(1, 0, 1, 1, 1), Arc(2, 1, 0, 1, 1)]
     tasks = [
         Task(1, arcs[0], 1.0, ServiceCostFunction(1.0, 1.0, 2.0, 1.0)),
         Task(2, arcs[1], 1.0, ServiceCostFunction(1.0, 1.0, 2.0, 3.0)),
@@ -261,7 +261,7 @@ def test_dispatcher_propagates_classification_failure():
 def test_dispatcher_requires_finite_horizon_for_three_segment():
     from carptdsc import Arc, ServiceCostFunction, Task, build_instance, shortest_paths
 
-    arcs = [Arc(1, 0, 1, 1, 1, 1), Arc(2, 1, 0, 1, 1, 1)]
+    arcs = [Arc(1, 0, 1, 1, 1), Arc(2, 1, 0, 1, 1)]
     tasks = [Task(1, arcs[0], 1.0, ServiceCostFunction(1.0, 1.0, 2.0, 2.0))]
     inst = build_instance(2, arcs, tasks, 0, 5.0, 1, math.inf)
     sp = shortest_paths(inst)

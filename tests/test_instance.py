@@ -18,8 +18,8 @@ from oracles import floyd_warshall
 
 
 def two_vertex_instance(demand=3.0, capacity=5.0):
-    arc = Arc(1, 0, 1, 2.0, 2.0, 2.0)
-    back = Arc(2, 1, 0, 2.0, 2.0, 2.0)
+    arc = Arc(1, 0, 1, 2.0, 2.0)
+    back = Arc(2, 1, 0, 2.0, 2.0)
     task = Task(1, arc, demand, ServiceCostFunction(2.0))
     return build_instance(2, [arc, back], [task], 0, capacity, 1, 100.0)
 
@@ -36,7 +36,7 @@ def test_gdb1_task_count(gdb1_text):
 
 
 def test_duplicate_task_id_rejected():
-    arc = Arc(1, 0, 1, 1, 1, 1)
+    arc = Arc(1, 0, 1, 1, 1)
     fn = ServiceCostFunction(1.0)
     tasks = [Task(7, arc, 1.0, fn), Task(7, arc, 1.0, fn)]
     with pytest.raises(InstanceError, match="duplicate"):
@@ -49,14 +49,14 @@ def test_unservable_demand_rejected():
 
 
 def test_dangling_vertex_rejected():
-    arc = Arc(1, 0, 5, 1, 1, 1)
+    arc = Arc(1, 0, 5, 1, 1)
     with pytest.raises(InstanceError):
         build_instance(2, [arc], [], 0, 5.0, 1, 10.0)
 
 
 def test_asymmetric_inverse_rejected():
-    a = Arc(1, 0, 1, 1, 1, 1)
-    b = Arc(2, 1, 0, 1, 1, 1)
+    a = Arc(1, 0, 1, 1, 1)
+    b = Arc(2, 1, 0, 1, 1)
     fn = ServiceCostFunction(1.0)
     tasks = [Task(1, a, 1.0, fn, inverse_id=2), Task(2, b, 1.0, fn, inverse_id=None)]
     with pytest.raises(InstanceError, match="not symmetric"):
@@ -98,7 +98,7 @@ def test_sp_triangle_inequality():
 
 def test_sp_unreachable_flagged():
     # one-way arc only: 1 cannot reach 0
-    arc = Arc(1, 0, 1, 1, 1, 1)
+    arc = Arc(1, 0, 1, 1, 1)
     task = Task(1, arc, 1.0, ServiceCostFunction(1.0))
     inst = build_instance(2, [arc], [task], 0, 5.0, 1, 10.0)
     sp = shortest_paths(inst)

@@ -213,13 +213,13 @@ def _annotated_gdb1(gdb1_text, r101_text):
 # task IDs, digest
 PINNED_INSTANCES = [
     (lambda g, r: parse_carp(g)[1],
-     ("gdb1", 12, 0, 5.0, 5, math.inf, 44, tuple(range(1, 45)), "5d6bb6e7d24ece3b")),
+     ("gdb1", 12, 0, 5.0, 5, math.inf, 44, tuple(range(1, 45)), "826add7110b559b4")),
     (lambda g, r: parse_solomon(r),
-     ("", 26, 0, 200.0, 25, 230.0, 650, tuple(range(1, 26)), "ee5ba0614c94bc59")),
+     ("", 26, 0, 200.0, 25, 230.0, 650, tuple(range(1, 26)), "e679be44d8babf8b")),
     (lambda g, r: parse_solomon(r, max_customers=10),
-     ("", 11, 0, 200.0, 25, 230.0, 110, tuple(range(1, 11)), "26581e8f642737db")),
+     ("", 11, 0, 200.0, 25, 230.0, 110, tuple(range(1, 11)), "3e2da12032c9db7a")),
     (_annotated_gdb1,
-     ("gdb1", 12, 0, 5.0, 5, 796.0, 44, tuple(range(1, 45)), "b621868396575e0c")),
+     ("gdb1", 12, 0, 5.0, 5, 796.0, 44, tuple(range(1, 45)), "a00481f65f9f341b")),
 ]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -49,9 +50,9 @@ def make_desk_instance():
     def edge(u, v, c):
         nonlocal aid
         aid += 1
-        a = Arc(aid, u, v, c, c, c)
+        a = Arc(aid, u, v, c, c)
         aid += 1
-        b = Arc(aid, v, u, c, c, c)
+        b = Arc(aid, v, u, c, c)
         arcs.extend([a, b])
         return a, b
 
@@ -88,7 +89,7 @@ def test_select_single_candidate(tie_instance):
 
 
 def test_select_uniform_when_equal_costs():
-    arcs = [Arc(1, 0, 1, 1, 1, 1), Arc(2, 0, 2, 1, 1, 1), Arc(3, 1, 0, 1, 1, 1), Arc(4, 2, 0, 1, 1, 1)]
+    arcs = [Arc(1, 0, 1, 1, 1), Arc(2, 0, 2, 1, 1), Arc(3, 1, 0, 1, 1), Arc(4, 2, 0, 1, 1)]
     fn = ServiceCostFunction(2.0, 0.0, 0.0, 1.0)
     tasks = [Task(1, arcs[0], 1.0, fn), Task(2, arcs[1], 1.0, fn)]
     inst = build_instance(3, arcs, tasks, 0, 9.0, 1, 100.0)
@@ -122,8 +123,8 @@ def test_select_chi_square_against_closed_form(tie_instance):
 
 
 def test_init_single_task_plan():
-    arc = Arc(1, 0, 1, 2, 2, 2)
-    back = Arc(2, 1, 0, 2, 2, 2)
+    arc = Arc(1, 0, 1, 2, 2)
+    back = Arc(2, 1, 0, 2, 2)
     inst = build_instance(2, [arc, back], [Task(1, arc, 1.0, ServiceCostFunction(1.0))],
                           0, 5.0, 1, 100.0)
     sp = shortest_paths(inst)
@@ -163,7 +164,7 @@ def test_crossover_identical_parents_preserve_tasks():
     rng = rng_for(55)
     inst, sp = random_static_instance(rng)
     plan = init_individual(inst, sp, rng)
-    child = crossover(plan, plan, inst, rng, RouteEvaluator(inst, sp), 1.0)
+    child = crossover(plan, plan, rng, RouteEvaluator(inst, sp), 1.0)
     assert coverage_ok(child, inst)
 
 
@@ -174,7 +175,7 @@ def test_crossover_random_parents_coverage():
     for _ in range(50):
         p1 = init_individual(inst, sp, rng)
         p2 = init_individual(inst, sp, rng)
-        child = crossover(p1, p2, inst, rng, ev, 1.0)
+        child = crossover(p1, p2, rng, ev, 1.0)
         assert coverage_ok(child, inst)
 
 
@@ -187,7 +188,7 @@ def test_crossover_capacity_violation_penalized():
     p2 = (0, 5, 1, 0, 3, 7, 0)
     seen_violation = False
     for seed in range(40):
-        child = crossover(p1, p2, inst, rng_for(seed), ev, 1.0)
+        child = crossover(p1, p2, rng_for(seed), ev, 1.0)
         assert coverage_ok(child, inst)
         ind = assess(ev, child)
         if ind.violation > 0:
@@ -202,7 +203,7 @@ def test_local_search_never_worsens():
     for seed in range(10):
         plan = init_individual(inst, sp, rng_for(seed))
         ind = assess(ev, plan)
-        out = local_search(ind, inst, rng_for(seed), ev, 50.0)
+        out = local_search(ind, rng_for(seed), ev, 50.0)
         assert (out.total_cost + 50.0 * out.violation
                 <= ind.total_cost + 50.0 * ind.violation + 1e-9)
         assert coverage_ok(out.plan, inst)
@@ -211,8 +212,8 @@ def test_local_search_never_worsens():
 def make_one_way_pair_instance(inverses=True):
     """Tasks 1 (1->2) and 3 (2->3) on a path 1-2-3 whose ends the depot
     reaches one way only: 0->3 and 1->0 cost 1, everything else 5."""
-    arcs = [Arc(1, 1, 2, 5, 5, 5), Arc(2, 2, 1, 5, 5, 5), Arc(3, 2, 3, 5, 5, 5),
-            Arc(4, 3, 2, 5, 5, 5), Arc(5, 0, 3, 1, 1, 1), Arc(6, 1, 0, 1, 1, 1)]
+    arcs = [Arc(1, 1, 2, 5, 5), Arc(2, 2, 1, 5, 5), Arc(3, 2, 3, 5, 5),
+            Arc(4, 3, 2, 5, 5), Arc(5, 0, 3, 1, 1), Arc(6, 1, 0, 1, 1)]
     fn = ServiceCostFunction(1.0)
     if inverses:
         tasks = [Task(1, arcs[0], 1.0, fn, 2), Task(2, arcs[1], 1.0, fn, 1),
@@ -233,13 +234,13 @@ def test_pair_move_reversed_and_inverted_is_the_only_improvement():
     assert ev.walk(ev.origin, (4, 2)) == (4.0, 0.0)
     for seed in range(5):
         tables = [ev.table([1, 3])]
-        assert _scan_insertion(tables, ev, inst, 1.0, rng_for(seed), length=2)
+        assert _scan_insertion(tables, ev, 1.0, rng_for(seed), length=2)
         assert [t.route for t in tables] == [[4, 2]]
-        assert not _scan_insertion(tables, ev, inst, 1.0, rng_for(seed), length=2)
+        assert not _scan_insertion(tables, ev, 1.0, rng_for(seed), length=2)
     one_way, one_way_sp = make_one_way_pair_instance(inverses=False)
     one_way_ev = RouteEvaluator(one_way, one_way_sp)
     tables = [one_way_ev.table([1, 3])]
-    assert not _scan_insertion(tables, one_way_ev, one_way, 1.0, rng_for(0), length=2)
+    assert not _scan_insertion(tables, one_way_ev, 1.0, rng_for(0), length=2)
     assert [t.route for t in tables] == [[1, 3]]
 
 
@@ -250,9 +251,9 @@ def test_local_search_fixed_point_at_optimum():
     def edge(u, v, c):
         nonlocal aid
         aid += 1
-        a = Arc(aid, u, v, c, c, c)
+        a = Arc(aid, u, v, c, c)
         aid += 1
-        b = Arc(aid, v, u, c, c, c)
+        b = Arc(aid, v, u, c, c)
         arcs.extend([a, b])
         return a, b
 
@@ -270,7 +271,7 @@ def test_local_search_fixed_point_at_optimum():
     ev = RouteEvaluator(inst, sp)
     ind = assess(ev, best_plan)
     assert ind.total_cost == pytest.approx(best_cost)
-    out = local_search(ind, inst, rng_for(3), ev, 10.0)
+    out = local_search(ind, rng_for(3), ev, 10.0)
     assert out.total_cost == pytest.approx(best_cost)
 
 
@@ -289,6 +290,24 @@ def test_evolve_deterministic():
     b = evolve(inst, sp, params)
     assert a.plan == b.plan
     assert a.trace == b.trace
+
+
+# The desk instance has two distinct construction plans, so both the
+# initial population and the generation pools are padded with repeats:
+# psize, generations, seed, plan, cost, sha1 of repr(trace)
+DESK_GOLDEN = [
+    (10, 50, 3, (0, 1, 3, 0, 8, 6, 0), 29.0, "c6babbf9093abf4e"),
+    (6, 8, 12, (0, 1, 3, 0, 8, 6, 0), 29.0, "2fcdde9b4efe1d56"),
+]
+
+
+@pytest.mark.parametrize("psize,generations,seed,plan,cost,trace_sha", DESK_GOLDEN)
+def test_evolve_desk_instance_pinned(psize, generations, seed, plan, cost, trace_sha):
+    inst, sp = make_desk_instance()
+    res = evolve(inst, sp, MaensParams(psize=psize, generations=generations, pls=0.1, seed=seed))
+    assert res.plan == plan
+    assert res.total_cost == cost
+    assert hashlib.sha1(repr(res.trace).encode()).hexdigest()[:16] == trace_sha
 
 
 def test_evolve_best_so_far_non_increasing():
@@ -313,8 +332,8 @@ def test_evolve_fails_explicitly_without_feasible_plan():
     """A hopeless horizon leaves every plan violated -> explicit error."""
     from carptdsc import SolverError
 
-    arc = Arc(1, 0, 1, 5, 5, 5)
-    back = Arc(2, 1, 0, 5, 5, 5)
+    arc = Arc(1, 0, 1, 5, 5)
+    back = Arc(2, 1, 0, 5, 5)
     inst = build_instance(
         2, [arc, back], [Task(1, arc, 1.0, ServiceCostFunction(5.0))],
         0, 5.0, 1, horizon=0.5,
@@ -345,7 +364,7 @@ def test_operator_coverage_mass():
     for s in range(300):
         rng_s = rng_for(2000 + s)
         i, j = rng_s.integers(0, len(plans), size=2)
-        child = crossover(plans[int(i)], plans[int(j)], inst, rng_s, ev, 1.0)
+        child = crossover(plans[int(i)], plans[int(j)], rng_s, ev, 1.0)
         if not coverage_ok(child, inst):
             violations += 1
     assert violations == 0

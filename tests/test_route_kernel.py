@@ -139,7 +139,7 @@ def test_cheapest_insertion_matches_whole_route_reference(name):
         tables = [ev.table(list(r)) for r in routes]
         want = [list(r) for r in routes]
         for tid in missing:
-            _cheapest_insertion(tables, tid, ev, inst, lam)
+            _cheapest_insertion(tables, tid, ev, lam)
             reference_cheapest_insertion(want, tid, ev, inst, lam)
             assert [t.route for t in tables] == want
 
@@ -215,7 +215,7 @@ def test_piece_cap_walks_the_longer_suffixes(monkeypatch):
             else:
                 assert abs(value - (total + 3.0 * violation)) <= tau
         tables, want = [ev.table(list(route))], [list(route)]
-        _cheapest_insertion(tables, ids[1], ev, inst, 3.0)
+        _cheapest_insertion(tables, ids[1], ev, 3.0)
         reference_cheapest_insertion(want, ids[1], ev, inst, 3.0)
         assert [t.route for t in tables] == want
     assert capped and walked
@@ -236,7 +236,7 @@ def test_screened_cheapest_insertion_matches_whole_route_reference(case_routes, 
     (inst, sp, ev), routes, tid = case_routes
     tables = [ev.table(list(r)) for r in routes]
     want = [list(r) for r in routes]
-    _cheapest_insertion(tables, tid, ev, inst, lam)
+    _cheapest_insertion(tables, tid, ev, lam)
     reference_cheapest_insertion(want, tid, ev, inst, lam)
     assert [t.route for t in tables] == want
 
@@ -250,10 +250,10 @@ def test_move_scans_match_whole_route_references(case_routes, lam, seed, move):
     tables = [ev.table(list(r)) for r in routes]
     want = [list(r) for r in routes]
     if move == "swap":
-        moved = _scan_swap(tables, ev, inst, lam, rng_for(seed))
+        moved = _scan_swap(tables, ev, lam, rng_for(seed))
         assert moved == reference_scan_swap(want, ev, inst, lam, rng_for(seed), IMPROVE_EPS)
     else:
-        moved = _scan_insertion(tables, ev, inst, lam, rng_for(seed), length=move)
+        moved = _scan_insertion(tables, ev, lam, rng_for(seed), length=move)
         assert moved == reference_scan_insertion(want, ev, inst, lam, rng_for(seed), move,
                                                  IMPROVE_EPS)
     assert [t.route for t in tables] == want
@@ -269,11 +269,11 @@ def test_move_scans_walk_the_screens_they_cannot_trust(move):
         tables = [ev.table([tid] * size)]
         want = [[tid] * size]
         if move == "swap":
-            moved = _scan_swap(tables, ev, inst, 2.0 ** 20, rng_for(seed))
+            moved = _scan_swap(tables, ev, 2.0 ** 20, rng_for(seed))
             assert moved == reference_scan_swap(want, ev, inst, 2.0 ** 20, rng_for(seed),
                                                 IMPROVE_EPS)
         else:
-            moved = _scan_insertion(tables, ev, inst, 2.0 ** 20, rng_for(seed), length=move)
+            moved = _scan_insertion(tables, ev, 2.0 ** 20, rng_for(seed), length=move)
             assert moved == reference_scan_insertion(want, ev, inst, 2.0 ** 20, rng_for(seed),
                                                      move, IMPROVE_EPS)
         assert [t.route for t in tables] == want
@@ -286,17 +286,17 @@ def test_split_sequence_matches_whole_route_reference(case_route, lam):
     want = reference_split_sequence(seq, ev, inst, lam)
     if want is None:
         with pytest.raises(SolverError):
-            _split_sequence(seq, ev, inst, lam)
+            _split_sequence(seq, ev, lam)
     else:
-        assert _split_sequence(seq, ev, inst, lam) == want
+        assert _split_sequence(seq, ev, lam) == want
 
 
 def _broken_instance():
     """Task 2's tail (vertex 2) cannot be reached from the depot and task
     3's head (vertex 3) cannot reach the depot."""
     arcs = [
-        Arc(1, 0, 1, 1, 1, 1), Arc(2, 1, 0, 1, 1, 1),
-        Arc(3, 2, 0, 1, 1, 1), Arc(4, 0, 3, 1, 1, 1),
+        Arc(1, 0, 1, 1, 1), Arc(2, 1, 0, 1, 1),
+        Arc(3, 2, 0, 1, 1), Arc(4, 0, 3, 1, 1),
     ]
     tasks = [
         Task(1, arcs[0], 1.0, ServiceCostFunction(1.0)),

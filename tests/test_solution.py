@@ -111,7 +111,7 @@ def test_unknown_task_rejected(fig4):
 def test_unreachable_leg_rejected():
     from carptdsc import Arc, ServiceCostFunction, Task, build_instance, shortest_paths
 
-    arcs = [Arc(1, 0, 1, 1, 1, 1), Arc(2, 1, 0, 1, 1, 1), Arc(3, 2, 0, 1, 1, 1)]
+    arcs = [Arc(1, 0, 1, 1, 1), Arc(2, 1, 0, 1, 1), Arc(3, 2, 0, 1, 1)]
     tasks = [
         Task(1, arcs[0], 1.0, ServiceCostFunction(1.0)),
         Task(2, arcs[2], 1.0, ServiceCostFunction(1.0)),  # tail 2 is unreachable
