@@ -184,10 +184,15 @@ def _run_record(instance: Instance, config: RunConfig, seed: int) -> RunRecord:
         )
 
 
-def _check_report_name(name: str) -> None:
-    """Reject an instance name that a report line could not hold as one field."""
-    if any(ch.isspace() for ch in name):
-        raise ValueError(f"instance name {name!r} contains whitespace; a report cannot hold it")
+def _check_report_names(names: Sequence[str]) -> None:
+    """Reject instance names a report could not hold as one field each, or tell apart."""
+    seen = set()
+    for name in names:
+        if any(ch.isspace() for ch in name):
+            raise ValueError(f"instance name {name!r} contains whitespace; a report cannot hold it")
+        if name in seen:
+            raise ValueError(f"instance name {name!r} repeats; a report cannot tell its runs apart")
+        seen.add(name)
 
 
 def run_experiment(config: RunConfig) -> ExperimentReport:
@@ -198,13 +203,13 @@ def run_experiment(config: RunConfig) -> ExperimentReport:
     per-run seeding keeps the outcome independent of scheduling.  Failed
     runs are recorded and skipped in the aggregates.
     """
+    instances = [prepare_instance(config, path) for path in config.instances]
+    names = [inst.name or Path(path).stem for inst, path in zip(instances, config.instances)]
+    _check_report_names(names)  # before the first run
     results = []
     workers = min(config.jobs, config.runs)
-    for path in config.instances:
-        instance = prepare_instance(config, path)
-        name = instance.name or Path(path).stem
-        _check_report_name(name)
-        seeds = [config.base_seed + i for i in range(config.runs)]
+    seeds = [config.base_seed + i for i in range(config.runs)]
+    for name, instance in zip(names, instances):
         if workers > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 records = list(
@@ -243,8 +248,8 @@ def serialize_report(report: ExperimentReport) -> str:
         f"runs : {report.runs}",
         f"base_seed : {report.base_seed}",
     ]
+    _check_report_names([res.name for res in report.results])
     for res in report.results:
-        _check_report_name(res.name)
         if res.costs:
             lines.append(
                 f"instance {res.name} : ave {res.ave!r} std {res.std!r} "
@@ -284,9 +289,14 @@ def read_report(text: str) -> ExperimentReport:
     header: dict[str, str] = {}
     numbers = {"runs": 0, "base_seed": 0}
     runs_by_instance: dict[str, list[RunRecord]] = {}  # in first-mention order
+    declared: set[str] = set()  # names of the instance lines read so far
     for number, line in lines[1:]:
         if line.startswith("instance "):
-            runs_by_instance.setdefault(line[len("instance "):].split(" : ")[0], [])
+            name = line[len("instance "):].split(" : ")[0]
+            if name in declared:
+                raise ValueError(f"report line {number}: instance {name!r} is declared twice")
+            declared.add(name)
+            runs_by_instance.setdefault(name, [])
         elif line.startswith("run "):
             parts = line.split()
             try:

@@ -32,7 +32,8 @@ def _slopes(text: str) -> tuple[float, ...]:
 
 
 def _add_instance_args(p: argparse.ArgumentParser, generate: bool = False):
-    p.add_argument("--instance", required=True, help="instance file (CARP DAT or Solomon)")
+    p.add_argument("--instance", action="append", required=True,
+                   help="instance file (CARP DAT or Solomon); bench takes it repeated")
     if not generate:
         p.add_argument("--annotation", help="time-dependent annotation sidecar")
     p.add_argument("--family", choices=["2lp", "3lp"], required=generate,
@@ -53,10 +54,17 @@ def _add_solver_args(p: argparse.ArgumentParser):
     p.add_argument("--ncs-procs", type=int, default=RunConfig.ncs_procs)
 
 
+def _one_instance(args) -> str:
+    """The path of the single ``--instance`` that every subcommand but bench takes."""
+    if len(args.instance) > 1:
+        raise ValueError(f"{args.command} takes one --instance, got {len(args.instance)}")
+    return args.instance[0]
+
+
 def _instance_config(args, **run) -> RunConfig:
     """The instance options of ``args``, plus the run settings ``run``."""
     return RunConfig(
-        instances=(args.instance,),
+        instances=tuple(args.instance),
         annotation=args.annotation,
         family=args.family,
         slope_set=args.slope_set,
@@ -84,7 +92,7 @@ def _config_from(args, **run) -> RunConfig:
 
 def cmd_solve(args) -> int:
     config = _config_from(args, runs=1)
-    inst = bench.prepare_instance(config, args.instance)
+    inst = bench.prepare_instance(config, _one_instance(args))
     sp = shortest_paths(inst)
     solution, _, trace = bench.solve_once_detailed(inst, config, args.seed)
     if args.trace:
@@ -120,7 +128,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    inst = bench.load_instance_text(Path(args.instance).read_text(),
+    inst = bench.load_instance_text(Path(_one_instance(args)).read_text(),
                                     max_customers=args.max_customers)
     _, ann = instance_io.generate_td(inst, args.family, args.slope_set, args.gen_seed)
     text = instance_io.serialize_annotation(ann)
@@ -132,7 +140,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    inst = bench.prepare_instance(_instance_config(args), args.instance)
+    inst = bench.prepare_instance(_instance_config(args), _one_instance(args))
     if not math.isfinite(inst.horizon):
         raise ValueError(
             "instance has no finite planning horizon; supply --annotation or --family"

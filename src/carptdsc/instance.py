@@ -9,7 +9,6 @@ either direction satisfies the task.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
@@ -169,38 +168,28 @@ class ShortestPaths:
 
 
 def shortest_paths(instance: Instance) -> ShortestPaths:
-    """All-pairs shortest paths by Dijkstra from every source vertex.
+    """All-pairs shortest paths by one Floyd–Warshall pass over (time, cost).
 
     Paths minimize travel time; ties are broken by lower travel cost, so
     the result is a pure function of the instance.
     """
     n = instance.num_vertices
-    adj: list[list[tuple[int, float, float]]] = [[] for _ in range(n)]
-    for arc in instance.arcs:
-        adj[arc.tail].append((arc.head, arc.travel_time, arc.travel_cost))
-    for nbrs in adj:
-        nbrs.sort()
-
     time = np.full((n, n), math.inf)
     cost = np.full((n, n), math.inf)
+    np.fill_diagonal(time, 0.0)
+    np.fill_diagonal(cost, 0.0)
+    for arc in instance.arcs:  # the lexicographically least of parallel arcs
+        u, v = arc.tail, arc.head
+        if (arc.travel_time, arc.travel_cost) < (time[u, v], cost[u, v]):
+            time[u, v], cost[u, v] = arc.travel_time, arc.travel_cost
 
-    for src in range(n):
-        dist_t = time[src]
-        dist_c = cost[src]
-        dist_t[src] = 0.0
-        dist_c[src] = 0.0
-        heap: list[tuple[float, float, int]] = [(0.0, 0.0, src)]
-        done = [False] * n
-        while heap:
-            dt, dc, u = heapq.heappop(heap)
-            if done[u]:
-                continue
-            done[u] = True
-            for v, at, ac in adj[u]:
-                nt, nc = dt + at, dc + ac
-                if (nt, nc) < (dist_t[v], dist_c[v]):
-                    dist_t[v] = nt
-                    dist_c[v] = nc
-                    heapq.heappush(heap, (nt, nc, v))
-
+    via_time = np.empty((n, n))
+    via_cost = np.empty((n, n))
+    for mid in range(n):
+        # row and column mid cannot change in their own step: in place is exact
+        np.add(time[:, mid, None], time[mid], out=via_time)
+        np.add(cost[:, mid, None], cost[mid], out=via_cost)
+        better = (via_time < time) | ((via_time == time) & (via_cost < cost))
+        np.copyto(time, via_time, where=better)
+        np.copyto(cost, via_cost, where=better)
     return ShortestPaths(time=time, cost=cost)

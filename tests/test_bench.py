@@ -412,3 +412,37 @@ def test_serialize_report_rejects_an_instance_name_with_whitespace(name):
     report = ExperimentReport("maens-gn", 1, 0, (InstanceResult(name, (RunRecord(0, 5.0, 0.5),)),))
     with pytest.raises(ValueError, match="contains whitespace"):
         serialize_report(report)
+
+
+def test_run_experiment_rejects_a_repeated_instance_name(tmp_path, monkeypatch):
+    # read back, two "instance gdb1" blocks would pool into one instance of 2 * runs runs
+    paths = []
+    for stem in ("a", "b"):
+        path = tmp_path / f"{stem}.dat"
+        path.write_text((DATA / "gdb1.dat").read_text())
+        paths.append(str(path))
+    solved = []
+    monkeypatch.setattr(bench, "solve_once_detailed", lambda *args: solved.append(args))
+    out = tmp_path / "report.txt"
+    config = RunConfig(instances=tuple(paths), algorithm="init-only", runs=2, out=str(out))
+    with pytest.raises(ValueError, match="instance name 'gdb1' repeats"):
+        run_experiment(config)
+    assert solved == [] and not out.exists()
+
+
+def test_serialize_report_rejects_a_repeated_instance_name():
+    from carptdsc.bench import ExperimentReport, InstanceResult, RunRecord
+
+    res = InstanceResult("gdb1", (RunRecord(0, 5.0, 0.5),))
+    with pytest.raises(ValueError, match="instance name 'gdb1' repeats"):
+        serialize_report(ExperimentReport("maens-gn", 1, 0, (res, res)))
+
+
+def test_read_report_rejects_a_second_instance_line_for_a_name():
+    text = (
+        "carptdsc-report v1\nalgorithm : a\nruns : 1\nbase_seed : 0\n"
+        "instance one : ave 1.0 std 0.0 best 1.0 ave_time 0.0\nrun one 0 1.0 0.0\n"
+        "instance one : ave 2.0 std 0.0 best 2.0 ave_time 0.0\nrun one 0 2.0 0.0\n"
+    )
+    with pytest.raises(ValueError, match="report line 7: instance 'one' is declared twice"):
+        read_report(text)

@@ -169,6 +169,25 @@ def test_bench_rejects_an_instance_name_with_whitespace(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_bench_runs_every_instance_given(capsys):
+    code, out, _ = run_cli(capsys, "bench", "--instance", GDB1, "--instance", R101,
+                           "--algorithm", "init-only", "--runs", "1")
+    assert code == 0
+    names = [line.split()[1] for line in out.splitlines() if line.startswith("instance ")]
+    assert names == ["gdb1", "r101_25"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve"],
+    ["generate", "--family", "3lp"],
+    ["oracle", "--plan", "0 1 3 0 5 0", "--oracle-step", "1"],
+])
+def test_single_instance_commands_reject_a_second_instance(capsys, argv):
+    code, out, err = run_cli(capsys, argv[0], "--instance", GDB1, "--instance", R101, *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == f"error: {argv[0]} takes one --instance, got 2\n"
+
+
 def test_stats_rejects_alpha_outside_the_unit_interval(tmp_path, capsys):
     # an exact p = 0.1: three runs each, every cost of a below every cost of b
     reports = []

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,8 +13,9 @@ from carptdsc import (
     parse_carp,
     shortest_paths,
 )
+from carptdsc.bench import load_instance_text
 
-from conftest import random_static_instance, rng_for
+from conftest import DATA, random_static_instance, rng_for
 from oracles import floyd_warshall
 
 
@@ -82,8 +84,33 @@ def test_sp_matches_floyd_warshall_oracle():
         rng = rng_for(100 + seed)
         inst, sp = random_static_instance(rng, n_vertices=8, n_extra_edges=8)
         t_oracle, c_oracle = floyd_warshall(inst)
-        assert np.allclose(sp.time, np.array(t_oracle))
-        assert np.allclose(sp.cost, np.array(c_oracle))
+        # same steps, same additions: equal bit for bit without infinite-time arcs
+        assert np.array_equal(sp.time, np.array(t_oracle))
+        assert np.array_equal(sp.cost, np.array(c_oracle))
+
+
+def test_sp_equal_time_tie_goes_to_the_lower_cost():
+    # 0 -> 2 directly, or through 1 in the same time at a lower cost
+    direct = Arc(1, 0, 2, 4.0, 9.0)
+    arcs = [direct, Arc(2, 0, 1, 1.0, 1.0), Arc(3, 1, 2, 3.0, 2.0), Arc(4, 2, 0, 4.0, 9.0)]
+    task = Task(1, direct, 1.0, ServiceCostFunction(1.0))
+    sp = shortest_paths(build_instance(3, arcs, [task], 0, 5.0, 1, 10.0))
+    assert (sp.time[0, 2], sp.cost[0, 2]) == (4.0, 3.0)
+
+
+# SHA-256 of the time and cost matrices' bytes; every shipped file has time = cost
+PINNED_SP_DIGESTS = {
+    "gdb1.dat": "3236f4e5b57053006b3c8a46cb156b691536626450e232c076bd5686ddfcd400",
+    "r101_25.txt": "b46c7265c438635e861093ca267efb445e6c48915e44c0ab1dd8696bde51c86f",
+    "long-routes-0.dat": "941875d25070f8bfbc9096e2813d6bc49c3162b234975e4f3d5909e0bcad241f",
+}
+
+
+@pytest.mark.parametrize("filename", sorted(PINNED_SP_DIGESTS))
+def test_sp_pinned_digests(filename):
+    sp = shortest_paths(load_instance_text((DATA / filename).read_text()))
+    digests = [hashlib.sha256(m.tobytes()).hexdigest() for m in (sp.time, sp.cost)]
+    assert digests == [PINNED_SP_DIGESTS[filename]] * 2
 
 
 def test_sp_triangle_inequality():
