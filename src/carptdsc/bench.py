@@ -60,6 +60,9 @@ class RunConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError(f"need at least one run, got {self.runs}")
+        if not 0 <= self.base_seed <= 2**32 - self.runs:  # seeds base_seed + i, i < runs
+            raise ValueError(f"seeds must lie in [0, 2**32), got base seed {self.base_seed} "
+                             f"for {self.runs} run(s)")
         if self.jobs < 1:
             raise ValueError(f"need at least one job, got {self.jobs}")
         if self.gss_eps is not None and not 0 < self.gss_eps < math.inf:
@@ -354,19 +357,10 @@ def _normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def _ranks(values: Sequence[float]) -> list[float]:
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        mid = (i + j) / 2.0 + 1.0  # midrank of the tie group
-        for idx in order[i:j + 1]:
-            ranks[idx] = mid
-        i = j + 1
-    return ranks
+def _ranks(values: Sequence[float]) -> tuple[list[float], np.ndarray]:
+    """Midranks of ``values``, and the size of each tie group."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse].tolist(), counts
 
 
 def _subset_sum_counts(values: Sequence[int], size: int) -> np.ndarray:
@@ -397,8 +391,7 @@ def rank_sum_p_value(a: Sequence[float], b: Sequence[float]) -> tuple[float, flo
     n, m = len(a), len(b)
     if n == 0 or m == 0:
         raise ValueError("both samples must be nonempty")
-    combined = list(a) + list(b)
-    ranks = _ranks(combined)
+    ranks, ties = _ranks(list(a) + list(b))
     w = sum(ranks[:n])
 
     if min(n, m) < 10:
@@ -414,12 +407,7 @@ def rank_sum_p_value(a: Sequence[float], b: Sequence[float]) -> tuple[float, flo
 
     big_n = n + m
     mu = n * (big_n + 1) / 2.0
-    tie_term = 0.0
-    seen: dict[float, int] = {}
-    for v in combined:
-        seen[v] = seen.get(v, 0) + 1
-    for count in seen.values():
-        tie_term += count ** 3 - count
+    tie_term = int((ties ** 3 - ties).sum())
     var = n * m / 12.0 * ((big_n + 1) - tie_term / (big_n * (big_n - 1)))
     if var <= 0:  # all values identical
         return w, 1.0

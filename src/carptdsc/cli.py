@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import bench, instance_io
@@ -32,69 +33,48 @@ def _slopes(text: str) -> tuple[float, ...]:
 
 
 def _add_instance_args(p: argparse.ArgumentParser, generate: bool = False):
-    p.add_argument("--instance", action="append", required=True,
+    p.add_argument("--instance", action="append", required=True, dest="instances",
+                   metavar="INSTANCE",
                    help="instance file (CARP DAT or Solomon); bench takes it repeated")
     if not generate:
         p.add_argument("--annotation", help="time-dependent annotation sidecar")
     p.add_argument("--family", choices=["2lp", "3lp"], required=generate,
                    help="generate a time-dependent cost layer of this family")
-    p.add_argument("--slope-set", type=_slopes, default=RunConfig.slope_set,
+    p.add_argument("--slope-set", type=_slopes,
                    help="comma-separated slope magnitudes for 3LP generation")
-    p.add_argument("--gen-seed", type=int, default=RunConfig.gen_seed, help="generator seed")
+    p.add_argument("--gen-seed", type=int, help="generator seed")
     p.add_argument("--max-customers", type=int, help="truncate a Solomon file")
 
 
 def _add_solver_args(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=RunConfig.base_seed)
-    p.add_argument("--psize", type=int, default=RunConfig.psize)
-    p.add_argument("--generations", type=int, default=RunConfig.generations)
-    p.add_argument("--pls", type=float, default=RunConfig.pls)
+    p.add_argument("--seed", type=int, dest="base_seed", metavar="SEED")
+    p.add_argument("--psize", type=int)
+    p.add_argument("--generations", type=int)
+    p.add_argument("--pls", type=float)
     p.add_argument("--gss-eps", type=float, help="gss interval threshold (default 1e-3 * horizon)")
-    p.add_argument("--ncs-budget", type=int, default=RunConfig.ncs_budget)
-    p.add_argument("--ncs-procs", type=int, default=RunConfig.ncs_procs)
+    p.add_argument("--ncs-budget", type=int)
+    p.add_argument("--ncs-procs", type=int)
+    p.add_argument("--algorithm", choices=bench.ALGORITHMS)
 
 
 def _one_instance(args) -> str:
     """The path of the single ``--instance`` that every subcommand but bench takes."""
-    if len(args.instance) > 1:
-        raise ValueError(f"{args.command} takes one --instance, got {len(args.instance)}")
-    return args.instance[0]
+    if len(args.instances) > 1:
+        raise ValueError(f"{args.command} takes one --instance, got {len(args.instances)}")
+    return args.instances[0]
 
 
-def _instance_config(args, **run) -> RunConfig:
-    """The instance options of ``args``, plus the run settings ``run``."""
-    return RunConfig(
-        instances=tuple(args.instance),
-        annotation=args.annotation,
-        family=args.family,
-        slope_set=args.slope_set,
-        gen_seed=args.gen_seed,
-        max_customers=args.max_customers,
-        **run,
-    )
-
-
-def _config_from(args, **run) -> RunConfig:
-    """The instance and solver options of ``args``, plus the run settings ``run``."""
-    return _instance_config(
-        args,
-        algorithm=args.algorithm,
-        base_seed=args.seed,
-        psize=args.psize,
-        generations=args.generations,
-        pls=args.pls,
-        gss_eps=args.gss_eps,
-        ncs_budget=args.ncs_budget,
-        ncs_procs=args.ncs_procs,
-        **run,
-    )
+def _config(args, **run) -> RunConfig:
+    """The run settings ``args`` holds, then ``run``; a flag left unset keeps its default."""
+    given = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__}
+    return RunConfig(**{**given, "instances": tuple(args.instances), **run})
 
 
 def cmd_solve(args) -> int:
-    config = _config_from(args, runs=1)
+    config = _config(args, runs=1, out=None)
     inst = bench.prepare_instance(config, _one_instance(args))
     sp = shortest_paths(inst)
-    solution, _, trace = bench.solve_once_detailed(inst, config, args.seed)
+    solution, _, trace = bench.solve_once_detailed(inst, config, config.base_seed)
     if args.trace:
         if trace is None:
             raise ValueError("--trace needs a population-based algorithm")
@@ -117,8 +97,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    config = _config_from(args, runs=args.runs, jobs=args.jobs, out=args.out)
-    report = bench.run_experiment(config)
+    report = bench.run_experiment(_config(args))
     sys.stdout.write(bench.serialize_report(report))
     failures = sum(res.failures for res in report.results)
     if failures:
@@ -128,9 +107,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    config = _config(args, out=None)
     inst = bench.load_instance_text(Path(_one_instance(args)).read_text(),
-                                    max_customers=args.max_customers)
-    _, ann = instance_io.generate_td(inst, args.family, args.slope_set, args.gen_seed)
+                                    max_customers=config.max_customers)
+    _, ann = instance_io.generate_td(inst, config.family, config.slope_set, config.gen_seed)
     text = instance_io.serialize_annotation(ann)
     if args.out:
         Path(args.out).write_text(text)
@@ -140,7 +120,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    inst = bench.prepare_instance(_instance_config(args), _one_instance(args))
+    inst = bench.prepare_instance(_config(args, out=None), _one_instance(args))
     if not math.isfinite(inst.horizon):
         raise ValueError(
             "instance has no finite planning horizon; supply --annotation or --family"
@@ -200,35 +180,35 @@ def cmd_stats(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="carptdsc")
     sub = parser.add_subparsers(dest="command", required=True)
+    # a setting flag left unset is left out of ``args``, so RunConfig's default holds
+    run_parser = partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    p = sub.add_parser("solve", help="one seeded run")
+    p = run_parser("solve", help="one seeded run")
     _add_instance_args(p)
     _add_solver_args(p)
-    p.add_argument("--algorithm", choices=bench.ALGORITHMS, default=RunConfig.algorithm)
     p.add_argument("--trace", help="write the per-generation best-cost trace CSV here")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_solve)
+    p.set_defaults(fn=cmd_solve, trace=None, out=None)
 
-    p = sub.add_parser("bench", help="repeated-run benchmark protocol")
+    p = run_parser("bench", help="repeated-run benchmark protocol")
     _add_instance_args(p)
     _add_solver_args(p)
-    p.add_argument("--algorithm", choices=bench.ALGORITHMS, default=RunConfig.algorithm)
-    p.add_argument("--runs", type=int, default=RunConfig.runs)
-    p.add_argument("--jobs", type=int, default=RunConfig.jobs)
+    p.add_argument("--runs", type=int)
+    p.add_argument("--jobs", type=int)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_bench)
 
-    p = sub.add_parser("generate", help="create an annotation sidecar")
+    p = run_parser("generate", help="create an annotation sidecar")
     _add_instance_args(p, generate=True)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_generate)
+    p.set_defaults(fn=cmd_generate, out=None)
 
-    p = sub.add_parser("oracle", help="grid-oracle departure verification")
+    p = run_parser("oracle", help="grid-oracle departure verification")
     _add_instance_args(p)
     p.add_argument("--plan", required=True, help="0-delimited task sequence, e.g. '0 1 3 0 2 0'")
     p.add_argument("--oracle-step", type=float, required=True)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_oracle)
+    p.set_defaults(fn=cmd_oracle, out=None)
 
     p = sub.add_parser("stats", help="compare two report files")
     p.add_argument("report_a")

@@ -43,6 +43,8 @@ import numpy as np
 
 from .costfn import ServiceCostFunction
 from .instance import Arc, Instance, Task, build_instance, shortest_paths
+from .maens import init_individual
+from .solution import RouteEvaluator, split_routes
 
 ANNOTATION_TAG = "carptdsc-annotation v1"
 
@@ -241,6 +243,8 @@ def parse_solomon(text: str, max_customers: Optional[int] = None) -> Instance:
         if not all(math.isfinite(x) for x in row[1:3]):
             raise ParseError(f"non-finite coordinates in row {row}")
     if max_customers is not None:
+        if max_customers < 0:
+            raise ParseError(f"max_customers must be non-negative, got {max_customers}")
         rows = rows[: max_customers + 1]
     n = len(rows)  # depot + customers
 
@@ -321,19 +325,17 @@ def generate_td(
     twice the cost of one path-scanning construction at time 0 on the
     static instance.  Pure function of (instance, family, slope_set, seed).
     """
-    from .maens import init_individual  # deferred: maens builds on this module's output
-
     family = family.lower()
     if family not in ("2lp", "3lp"):
         raise ValueError(f"family must be '2lp' or '3lp', got {family!r}")
     if family == "3lp" and not slope_set:
         raise ValueError("3LP generation needs a non-empty slope set")
+    if seed < 0:
+        raise ValueError(f"generator seed must be non-negative, got {seed}")
 
     rng = np.random.Generator(np.random.PCG64(seed))
 
     sp = shortest_paths(static_instance)
-    from .solution import RouteEvaluator, split_routes
-
     plan = init_individual(static_instance, sp, rng)
     evaluator = RouteEvaluator(static_instance, sp)
     construction_cost = sum(

@@ -277,8 +277,6 @@ def crossover(
         for idx in rng.permutation(len(missing)):
             _cheapest_insertion(tables, missing[idx], ev, lam)
         routes = [table.route for table in tables]
-    if not routes:
-        raise ValueError("crossover produced an empty plan")
     return join_routes(routes)
 
 
@@ -399,8 +397,6 @@ def _split_sequence(seq: list[int], ev: RouteEvaluator, lam: float) -> list[list
                 dp[i] = cost
                 cut[i] = j
             j -= 1
-    if not math.isfinite(dp[n]):
-        raise SolverError("split found no capacity-feasible segmentation")
     routes, i = [], n
     while i > 0:
         routes.append(list(seq[cut[i]:i]))

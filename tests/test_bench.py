@@ -190,6 +190,19 @@ def test_config_validation():
         RunConfig(instances=("x",), algorithm="magic")
 
 
+@pytest.mark.parametrize("base_seed,runs", [(-1, 1), (-20, 20), (2**32, 1), (2**32 - 19, 20)])
+def test_config_rejects_seeds_outside_32_bits(base_seed, runs):
+    # mix_seed keeps the low 32 bits, so -1 would repeat 2**32 - 1 and 2**32 repeat 0
+    with pytest.raises(ValueError, match=rf"seeds must lie in \[0, 2\*\*32\), "
+                                         rf"got base seed {base_seed} for {runs} run"):
+        RunConfig(instances=("x",), base_seed=base_seed, runs=runs)
+
+
+@pytest.mark.parametrize("base_seed,runs", [(0, 1), (2**32 - 1, 1), (2**32 - 20, 20)])
+def test_config_accepts_every_32_bit_seed(base_seed, runs):
+    assert RunConfig(instances=("x",), base_seed=base_seed, runs=runs).base_seed == base_seed
+
+
 def test_compare_reports_partition_two_instances():
     text = (
         "carptdsc-report v1\n"
@@ -247,10 +260,10 @@ def _enumerated_p_value(a, b):
     """Two-sided exact p by enumerating every assignment of ranks to a."""
     import itertools
 
-    from carptdsc.bench import _ranks
+    from scipy.stats import rankdata
 
     n = len(a)
-    ranks = _ranks(list(a) + list(b))
+    ranks = list(rankdata(list(a) + list(b)))
     w = sum(ranks[:n])
     le = ge = total = 0
     for combo in itertools.combinations(range(len(ranks)), n):

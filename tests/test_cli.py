@@ -56,6 +56,62 @@ def test_solve_solomon_with_truncation(capsys):
     assert out.startswith("route 1:")
 
 
+@pytest.mark.parametrize("count", ["-1", "-5"])
+def test_solve_rejects_a_negative_max_customers(capsys, count):
+    code, out, err = run_cli(capsys, "solve", "--instance", R101, "--max-customers", count,
+                             "--algorithm", "init-only")
+    assert (code, out) == (1, "")
+    assert err == f"error: max_customers must be non-negative, got {count}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["solve", "--seed", "-1"], "seeds must lie in [0, 2**32), got base seed -1 for 1 run(s)"),
+    (["solve", "--seed", "4294967296", "--algorithm", "init-only"],
+     "seeds must lie in [0, 2**32), got base seed 4294967296 for 1 run(s)"),
+    (["bench", "--seed", "-1", "--runs", "1"],
+     "seeds must lie in [0, 2**32), got base seed -1 for 1 run(s)"),
+    (["bench", "--seed", "4294967295", "--runs", "2", "--algorithm", "init-only"],
+     "seeds must lie in [0, 2**32), got base seed 4294967295 for 2 run(s)"),
+    (["solve", "--family", "3lp", "--gen-seed", "-1"], "generator seed must be non-negative, got -1"),
+    (["generate", "--family", "3lp", "--gen-seed", "-1"],
+     "generator seed must be non-negative, got -1"),
+])
+def test_seeds_outside_their_range_are_rejected(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv[0], "--instance", GDB1, *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv,run", [
+    (["solve"], {"runs": 1}),
+    (["bench"], {}),
+    (["oracle", "--plan", "0 1 0", "--oracle-step", "1"], {}),
+    (["generate", "--family", "3lp"], {"family": "3lp"}),
+])
+def test_bare_instance_builds_the_default_config(monkeypatch, capsys, argv, run):
+    from carptdsc import bench, cli
+    from carptdsc.bench import RunConfig
+
+    built = []
+    config = cli._config
+
+    def record(args, **kw):
+        built.append(config(args, **kw))
+        return built[-1]
+
+    def stop(*args, **kwargs):
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(cli, "_config", record)
+    for name in ("prepare_instance", "run_experiment", "load_instance_text"):
+        monkeypatch.setattr(bench, name, stop)
+    code, _, err = run_cli(capsys, argv[0], "--instance", GDB1, *argv[1:])
+    assert (code, err) == (1, "error: stop\n")
+    want = RunConfig(instances=(GDB1,), **run)
+    assert built == [want]
+    assert (built[0].maens_params, built[0].ncs_params) == (want.maens_params, want.ncs_params)
+
+
 def test_generate_and_reuse_annotation(tmp_path, capsys):
     ann_path = str(tmp_path / "gdb1-3lp.ann")
     code, _, _ = run_cli(

@@ -76,6 +76,13 @@ def test_solomon_truncation(r101_text):
     assert len(inst.tasks) == 10
 
 
+@pytest.mark.parametrize("count", [-1, -5])
+def test_solomon_rejects_a_negative_truncation(r101_text, count):
+    # rows[:count + 1] would slice from the end: -1 keeps no customer, -5 keeps 21
+    with pytest.raises(ParseError, match=f"max_customers must be non-negative, got {count}$"):
+        parse_solomon(r101_text, max_customers=count)
+
+
 def test_solomon_window_mapping(r101_text):
     inst = parse_solomon(r101_text)
     # customer 1: window [161, 171], service 10, slope 1
@@ -122,6 +129,13 @@ def test_generate_2lp(gdb1_text):
         assert fn.bt == 0.0 and fn.et == 0.0 and fn.k == 1.0
         assert fn.c_min == inst.tasks[tid].cost_fn.c_min
     assert math.isfinite(inst2.horizon) and inst2.horizon > 0
+
+
+def test_generate_rejects_a_negative_seed(gdb1_text):
+    _, inst = parse_carp(gdb1_text)
+    for family in ("2lp", "3lp"):
+        with pytest.raises(ValueError, match="generator seed must be non-negative, got -1$"):
+            generate_td(inst, family, (2.0,), seed=-1)
 
 
 def test_generate_deterministic(gdb1_text):
