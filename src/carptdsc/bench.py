@@ -27,7 +27,7 @@ from . import instance_io
 from .departure import NcsParams, optimize_departures
 from .instance import Instance, shortest_paths
 from .maens import MaensParams, evolve, init_individual
-from .solution import RouteEvaluator, Solution, check_feasibility, split_routes
+from .solution import Solution, check_feasibility, evaluate_solution, split_routes
 
 ALGORITHMS = ("maens-gn", "maens-only", "init-only")
 REPORT_TAG = "carptdsc-report v1"
@@ -123,9 +123,11 @@ class ExperimentReport:
 
 
 def load_instance_text(text: str, max_customers: Optional[int] = None) -> Instance:
-    """Sniff and parse either supported instance format."""
+    """Sniff and parse either supported instance format; only Solomon takes ``max_customers``."""
     stripped = text.lstrip()
     if stripped.upper().startswith("NAME"):
+        if max_customers is not None:
+            raise instance_io.ParseError("--max-customers applies to Solomon files, not DAT")
         _, inst = instance_io.parse_carp(text)
         return inst
     return instance_io.parse_solomon(text, max_customers=max_customers)
@@ -168,7 +170,7 @@ def solve_once_detailed(
         departures = tuple(0.0 for _ in split_routes(plan))
 
     solution = Solution(plan=plan, departures=departures)
-    cost = RouteEvaluator(instance, sp).solution_cost(solution)
+    cost = evaluate_solution(solution, instance, sp)
     return solution, cost, trace
 
 
@@ -426,16 +428,13 @@ def wilcoxon_rank_sum(
     """Two-sided rank-sum verdict for minimization: is ``a`` better than ``b``?"""
     _check_alpha(alpha)
     w, p = rank_sum_p_value(a, b)
+    verdict = "equivalent"
     if p < alpha:
         med_a, med_b = statistics.median(a), statistics.median(b)
         if med_a < med_b:
             verdict = "better"
         elif med_a > med_b:
             verdict = "worse"
-        else:
-            verdict = "equivalent"
-    else:
-        verdict = "equivalent"
     return RankSumResult(statistic=w, p_value=p, verdict=verdict)
 
 
@@ -478,7 +477,6 @@ def compare_reports(
     by_name_b = {res.name: res for res in b.results}
     rows = []
     all_failed = []
-    wins = draws = losses = 0
     no_best_a = no_best_b = 0
     for res_a in a.results:
         res_b = by_name_b.get(res_a.name)
@@ -487,13 +485,6 @@ def compare_reports(
         if not (res_a.costs and res_b.costs):
             all_failed.append(res_a.name)
             continue
-        verdict = wilcoxon_rank_sum(res_a.costs, res_b.costs, alpha=alpha).verdict
-        if verdict == "better":
-            wins += 1
-        elif verdict == "worse":
-            losses += 1
-        else:
-            draws += 1
         key_a = res_a.ave if no_best_on_ave else res_a.best
         key_b = res_b.ave if no_best_on_ave else res_b.best
         if key_a <= key_b:
@@ -506,14 +497,15 @@ def compare_reports(
                 ave_a=res_a.ave,
                 ave_b=res_b.ave,
                 pdr_a_vs_b=pdr(res_a.ave, res_b.ave),
-                verdict=verdict,
+                verdict=wilcoxon_rank_sum(res_a.costs, res_b.costs, alpha=alpha).verdict,
             )
         )
+    verdicts = [row.verdict for row in rows]
     return ReportComparison(
         rows=tuple(rows),
-        wins=wins,
-        draws=draws,
-        losses=losses,
+        wins=verdicts.count("better"),
+        draws=verdicts.count("equivalent"),
+        losses=verdicts.count("worse"),
         no_best_a=no_best_a,
         no_best_b=no_best_b,
         all_failed=tuple(all_failed),

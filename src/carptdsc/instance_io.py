@@ -78,11 +78,30 @@ class TdAnnotation:
     records: tuple[tuple[int, float, float, float], ...]
 
 
-def _num(text: str, what: str) -> float:
+def _num(text: str, lineno: int, what: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ParseError(f"non-numeric {what}: {text!r}") from None
+        raise ParseError(f"line {lineno}: non-numeric {what}: {text!r}") from None
+
+
+def _int(text: str, lineno: int, what: str) -> int:
+    """``text`` as an integer; a float spelling must be whole and finite."""
+    try:
+        return int(text)
+    except ValueError:
+        value = _num(text, lineno, what)
+    if not value.is_integer():  # nor are NaN and the infinities
+        raise ParseError(f"line {lineno}: {what} must be a whole number, got {text!r}")
+    return int(value)
+
+
+def _cost_fn(where: str, **fields: float) -> ServiceCostFunction:
+    """A task's cost function; a field it rejects is a ParseError naming ``where``."""
+    try:
+        return ServiceCostFunction(**fields)
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
 _EDGE_RE = re.compile(
@@ -92,7 +111,7 @@ _EDGE_RE = re.compile(
 
 def read_carp(text: str) -> StaticInstanceFile:
     """Parse the DAT layout into its raw record lists."""
-    header: dict[str, str] = {}
+    header: dict[str, tuple[str, int]] = {}  # key: (value, line)
     required: list[tuple[int, int, float, float]] = []
     non_required: list[tuple[int, int, float]] = []
     section = None
@@ -109,18 +128,21 @@ def read_carp(text: str) -> StaticInstanceFile:
             elif key == "NON_REQUIRED_EDGE_LIST":
                 section = "non_required"
             else:
-                header[key] = value
+                header[key] = (value, lineno)
                 section = None
             continue
         m = _EDGE_RE.match(line)
         if m is None or section is None:
             raise ParseError(f"line {lineno}: unrecognized line {line!r}")
         i, j = int(m.group(1)), int(m.group(2))
-        cost = _num(m.group(3), "edge cost")
+        cost = _num(m.group(3), lineno, "edge cost")
         if section == "required":
             if m.group(4) is None:
                 raise ParseError(f"line {lineno}: required edge missing demand")
-            required.append((i, j, cost, _num(m.group(4), "edge demand")))
+            r = len(required)
+            # checked here, where its line is known; carp_to_instance builds it
+            _cost_fn(f"line {lineno}: tasks {2 * r + 1} and {2 * r + 2}", c_min=cost)
+            required.append((i, j, cost, _num(m.group(4), lineno, "edge demand")))
         else:
             if m.group(4) is not None:
                 raise ParseError(f"line {lineno}: non-required edge carries demand")
@@ -130,8 +152,8 @@ def read_carp(text: str) -> StaticInstanceFile:
                 "VEHICLES", "CAPACITY", "DEPOT"):
         if key not in header:
             raise ParseError(f"missing header field {key}")
-    n_req = int(_num(header["REQUIRED_EDGES"], "required-edge count"))
-    n_non = int(_num(header["NON_REQUIRED_EDGES"], "non-required-edge count"))
+    n_req = _int(*header["REQUIRED_EDGES"], "REQUIRED_EDGES")
+    n_non = _int(*header["NON_REQUIRED_EDGES"], "NON_REQUIRED_EDGES")
     if n_req != len(required):
         raise ParseError(
             f"header claims {n_req} required edges, found {len(required)}"
@@ -141,13 +163,13 @@ def read_carp(text: str) -> StaticInstanceFile:
             f"header claims {n_non} non-required edges, found {len(non_required)}"
         )
     return StaticInstanceFile(
-        name=header["NAME"],
-        vertices=int(_num(header["VERTICES"], "vertex count")),
+        name=header["NAME"][0],
+        vertices=_int(*header["VERTICES"], "VERTICES"),
         required_edges=tuple(required),
         non_required_edges=tuple(non_required),
-        vehicles=int(_num(header["VEHICLES"], "vehicle count")),
-        capacity=_num(header["CAPACITY"], "capacity"),
-        depot=int(_num(header["DEPOT"], "depot")),
+        vehicles=_int(*header["VEHICLES"], "VEHICLES"),
+        capacity=_num(*header["CAPACITY"], "CAPACITY"),
+        depot=_int(*header["DEPOT"], "DEPOT"),
     )
 
 
@@ -163,7 +185,6 @@ def carp_to_instance(f: StaticInstanceFile) -> Instance:
         | {j for i, j, *_ in f.required_edges}
         | {i for i, j, _ in f.non_required_edges}
         | {j for i, j, _ in f.non_required_edges}
-        | {f.depot}
     )
     if len(labels) > f.vertices:
         raise ParseError(
@@ -216,27 +237,29 @@ def parse_solomon(text: str, max_customers: Optional[int] = None) -> Instance:
     Row 0 is the depot; ``max_customers``, when given, keeps only that many
     customers, the first in the file.
     """
-    numeric_rows: list[list[float]] = []
-    for raw in text.splitlines():
+    numeric_rows: list[tuple[int, list[str], list[float]]] = []  # (line, fields, values)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts:
             continue
         try:
-            numeric_rows.append([float(p) for p in parts])
+            numeric_rows.append((lineno, parts, [float(p) for p in parts]))
         except ValueError:
             continue  # title and column-header lines
     if not numeric_rows:
         raise ParseError("no numeric rows found")
-    two_field = [r for r in numeric_rows if len(r) == 2]
+    two_field = [row for row in numeric_rows if len(row[1]) == 2]
     if not two_field:
         raise ParseError("missing vehicle NUMBER/CAPACITY header row")
-    vehicles, capacity = int(two_field[0][0]), two_field[0][1]
-    rows = []
-    for r in numeric_rows:
+    lineno, parts, (_, capacity) = two_field[0]
+    vehicles = _int(parts[0], lineno, "vehicle count")
+    rows, row_lines = [], []
+    for lineno, parts, r in numeric_rows:
         if len(r) == 7:
-            rows.append((int(r[0]), *r[1:]))
+            rows.append((_int(parts[0], lineno, "customer number"), *r[1:]))
+            row_lines.append(lineno)
         elif len(r) != 2:
-            raise ParseError(f"malformed customer row: {r}")
+            raise ParseError(f"line {lineno}: malformed customer row: {r}")
     if not rows or rows[0][0] != 0:
         raise ParseError("first customer row must be the depot (id 0)")
     for row in rows:
@@ -264,7 +287,8 @@ def parse_solomon(text: str, max_customers: Optional[int] = None) -> Instance:
         _, _, _, demand, ready, due, service = rows[vid]
         arc_id += 1
         arc = Arc(arc_id, vid, vid, 0.0, 0.0)
-        fn = ServiceCostFunction(c_min=service, bt=ready, et=due, k=1.0)
+        fn = _cost_fn(f"line {row_lines[vid]}: task {vid}", c_min=service, bt=ready, et=due,
+                      k=1.0)
         tasks.append(Task(vid, arc, demand, fn, inverse_id=None))
 
     depot_due = rows[0][5]
@@ -384,33 +408,35 @@ def serialize_annotation(ann: TdAnnotation) -> str:
 
 
 def read_annotation(text: str) -> TdAnnotation:
-    lines = [l.strip() for l in text.splitlines() if l.strip()]
-    if not lines or lines[0] != ANNOTATION_TAG:
+    lines = [(n, l.strip()) for n, l in enumerate(text.splitlines(), start=1) if l.strip()]
+    if not lines or lines[0][1] != ANNOTATION_TAG:
         raise ParseError(f"missing or unsupported format tag (want {ANNOTATION_TAG!r})")
-    header: dict[str, str] = {}
+    header: dict[str, tuple[str, int]] = {}  # key: (value, line)
     records: list[tuple[int, float, float, float]] = []
-    for line in lines[1:]:
+    for n, line in lines[1:]:
         if line.startswith("task "):
             parts = line.split()
             if len(parts) != 8 or parts[2] != "c_min" or parts[4] != "bt" or parts[6] != "et":
-                raise ParseError(f"malformed task record: {line!r}")
-            records.append(
-                (int(parts[1]), float(parts[3]), float(parts[5]), float(parts[7]))
-            )
+                raise ParseError(f"line {n}: malformed task record: {line!r}")
+            tid = _int(parts[1], n, "task ID")
+            c_min, bt, et = (_num(parts[i], n, parts[i - 1]) for i in (3, 5, 7))
+            # checked where its line is known; apply_annotation adds and checks the slope k
+            _cost_fn(f"line {n}: task {tid}", c_min=c_min, bt=bt, et=et)
+            records.append((tid, c_min, bt, et))
         else:
             key, _, value = line.partition(":")
-            header[key.strip()] = value.strip()
+            header[key.strip()] = (value.strip(), n)
     for key in ("family", "k", "horizon", "seed", "tasks"):
         if key not in header:
             raise ParseError(f"annotation missing field {key!r}")
-    if int(header["tasks"]) != len(records):
+    if _int(*header["tasks"], "tasks") != len(records):
         raise ParseError(
-            f"annotation claims {header['tasks']} tasks, found {len(records)}"
+            f"annotation claims {header['tasks'][0]} tasks, found {len(records)}"
         )
     return TdAnnotation(
-        family=header["family"],
-        k=float(header["k"]),
-        horizon=float(header["horizon"]),
-        seed=int(header["seed"]),
+        family=header["family"][0],
+        k=_num(*header["k"], "k"),
+        horizon=_num(*header["horizon"], "horizon"),
+        seed=_int(*header["seed"], "seed"),
         records=tuple(records),
     )

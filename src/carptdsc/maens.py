@@ -336,8 +336,6 @@ def _scan_swap(tables, ev, lam, rng) -> bool:
     route are spliced by walking from the first through the second.
     """
     positions = [(ri, pi) for ri, t in enumerate(tables) for pi in range(len(t.route))]
-    if len(positions) < 2:
-        return False
     orientations = ev.instance.orientations
     bases = [t.penalized(lam) for t in tables]
     pair_idx = [(a, b) for i, a in enumerate(positions) for b in positions[i + 1:]]
@@ -406,10 +404,10 @@ def _split_sequence(seq: list[int], ev: RouteEvaluator, lam: float) -> list[list
 
 def _merge_split(tables, ev, lam, rng) -> bool:
     """Dissolve ``MERGE_SPLIT_ROUTES`` routes and rebuild them; keep if improving."""
-    if len(tables) < 2:
+    if len(tables) < MERGE_SPLIT_ROUTES:
         return False
-    count = min(MERGE_SPLIT_ROUTES, len(tables))
-    picked = sorted(int(i) for i in rng.choice(len(tables), size=count, replace=False))
+    picked = sorted(int(i) for i in rng.choice(len(tables), size=MERGE_SPLIT_ROUTES,
+                                               replace=False))
     pair_root = ev.instance.pair_root
     roots = [pair_root(tid) for ri in picked for tid in tables[ri].route]
     old_contrib = sum(tables[ri].penalized(lam) for ri in picked)

@@ -4,10 +4,12 @@ A routing plan is a flat task-ID sequence using 0 as separator, starting
 and ending at the depot, e.g. (0, 1, 3, 0, 2, 4, 0) encodes two routes.
 A solution pairs the plan with one departure time per route.
 
-Route cost follows the arrival-time recurrence: service and travel costs
-equal service and travel times, no waiting is allowed, so each task's
-time of beginning of service is the departure time plus all preceding
-service costs and shortest-path travel times.  ``RouteEvaluator.walk``
+Route cost follows the arrival-time recurrence: a service cost equals
+its service time and no waiting is allowed, so each task's time of
+beginning of service is the departure time plus all preceding service
+costs and shortest-path travel times.  An arc's travel cost is a field of
+its own: the DAT and Solomon readers set it to the travel time, but an
+arc may take 12 time units and cost 0.  ``RouteEvaluator.walk``
 is the one forward pass for stage 1, ``evaluate`` and the feasibility
 checks, and ``splice`` screens stage-1 candidates within a bound of it;
 ``total`` and ``profile`` are stage 2's scalar and vector sweeps.
@@ -116,10 +118,7 @@ def split_routes(plan: Sequence[int]) -> list[tuple[int, ...]]:
                 current = []
         else:
             current.append(tid)
-    if current:
-        # plan[-1] == 0 was checked, so the last run is always flushed
-        raise PlanError("plan does not end with the separator 0")
-    return routes
+    return routes  # plan[-1] == 0 was checked, so the last run was flushed
 
 
 def join_routes(routes: Sequence[Sequence[int]]) -> RoutingPlan:
@@ -410,12 +409,6 @@ class RouteEvaluator:
         total += self.sp_cost[v][self.depot]
         return total
 
-    def solution_cost(self, solution: Solution) -> float:
-        return sum(
-            self.total(route, t)
-            for route, t in zip(self.routes(solution), solution.departures)
-        )
-
 
 def evaluate_route(
     route: Sequence[int], t: float, instance: Instance, sp: ShortestPaths
@@ -425,8 +418,12 @@ def evaluate_route(
 
 
 def evaluate_solution(solution: Solution, instance: Instance, sp: ShortestPaths) -> float:
-    """Total cost, the sum of independent per-route costs."""
-    return RouteEvaluator(instance, sp).solution_cost(solution)
+    """Total cost: the per-route costs added with ``+`` in route order."""
+    evaluator = RouteEvaluator(instance, sp)
+    total = 0.0
+    for route, t in zip(evaluator.routes(solution), solution.departures):
+        total += evaluator.total(route, t)
+    return total
 
 
 def check_feasibility(

@@ -459,3 +459,11 @@ def test_read_report_rejects_a_second_instance_line_for_a_name():
     )
     with pytest.raises(ValueError, match="report line 7: instance 'one' is declared twice"):
         read_report(text)
+
+
+def test_max_customers_is_rejected_for_a_dat_file():
+    # a DAT file has no customers to keep
+    text = (DATA / "gdb1.dat").read_text()
+    with pytest.raises(bench.instance_io.ParseError, match="^--max-customers applies to "):
+        bench.load_instance_text(text, max_customers=3)
+    assert len(bench.load_instance_text(text).tasks) == 44

@@ -454,3 +454,69 @@ def test_non_finite_inputs_are_rejected(tmp_path, capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == f"error: {message}\n"
+
+
+def _edited(tmp_path, source, edits):
+    """A copy of ``source`` in ``tmp_path`` with each (old, new) text replaced once."""
+    text = Path(source).read_text()
+    for old, new in edits:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    path = tmp_path / ("edited-" + Path(source).name)
+    path.write_text(text)
+    return str(path)
+
+
+def _instance(source, *edits):
+    return lambda tmp_path: ["solve", "--instance", _edited(tmp_path, source, edits),
+                             "--algorithm", "init-only"]
+
+
+def _annotation(*edits):
+    def argv(tmp_path):
+        path = tmp_path / "gdb1.ann"
+        main(["generate", "--instance", GDB1, "--family", "3lp", "--slope-set", "2",
+              "--gen-seed", "3", "--out", str(path)])
+        return ["solve", "--instance", GDB1, "--annotation", _edited(tmp_path, path, edits),
+                "--algorithm", "init-only"]
+    return argv
+
+
+# line 11 of the annotation above
+TASK_5 = "task 5 c_min 19.0 bt 316.4198175685346 et 364.80434393518965"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (lambda tmp_path: ["solve", "--instance", GDB1, "--algorithm", "init-only",
+                       "--max-customers", "3"],
+     "--max-customers applies to Solomon files, not DAT"),
+    (_instance(GDB1, ("VERTICES : 12", "VERTICES : nan")),
+     "line 3: VERTICES must be a whole number, got 'nan'"),
+    (_instance(GDB1, ("DEPOT : 1", "DEPOT : inf")),
+     "line 32: DEPOT must be a whole number, got 'inf'"),
+    (_instance(GDB1, ("REQUIRED_EDGES : 22", "REQUIRED_EDGES : 22.7")),
+     "line 4: REQUIRED_EDGES must be a whole number, got '22.7'"),
+    (_instance(R101, ("\n    1      41 ", "\n  nan      41 ")),
+     "line 11: customer number must be a whole number, got 'nan'"),
+    (_annotation((TASK_5, TASK_5.replace("task 5", "task 5.5"))),
+     "line 11: task ID must be a whole number, got '5.5'"),
+    (_annotation((TASK_5, TASK_5.replace("c_min 19.0", "c_min x"))),
+     "line 11: non-numeric c_min: 'x'"),
+    (_instance(GDB1, ("( 1, 2) cost 13 demand 1", "( 1, 2) cost nan demand 1")),
+     "line 9: tasks 1 and 2: c_min must be finite, got nan"),
+    (_annotation((TASK_5, TASK_5.replace("bt 316.4198175685346", "bt 900"))),
+     "line 11: task 5: need 0 <= bt <= et, got bt=900.0, et=364.80434393518965"),
+    (_instance(R101, ("  7         50  ", "  7        500  ")),
+     "line 12: task 2: need 0 <= bt <= et, got bt=500.0, et=60.0"),
+    (_instance(GDB1, ("VERTICES : 12", "VERTICES : 13"), ("DEPOT : 1", "DEPOT : 13")),
+     "depot vertex 13 never appears in the edge lists"),
+    (_instance(GDB1, ("DEPOT : 1", "DEPOT : 99")),
+     "depot vertex 99 never appears in the edge lists"),
+], ids=["max-customers-on-dat", "vertices-nan", "depot-inf", "required-edges-fraction",
+        "customer-number-nan", "annotation-task-id-fraction", "annotation-c-min-text",
+        "edge-cost-nan", "annotation-bt-after-et", "customer-ready-after-due",
+        "isolated-depot", "unknown-depot"])
+def test_malformed_input_files_name_their_field(tmp_path, capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"

@@ -335,7 +335,6 @@ def _solution_costs(inst, sp, ev, sol):
     """Every entry point that costs or checks a whole solution."""
     return [
         lambda: evaluate_solution(sol, inst, sp),
-        lambda: ev.solution_cost(sol),
         lambda: format_solution(sol, inst, sp),
         lambda: check_feasibility(sol, inst, sp),
     ]
