@@ -67,6 +67,9 @@ class RunConfig:
             raise ValueError(f"need at least one job, got {self.jobs}")
         if self.gss_eps is not None and not 0 < self.gss_eps < math.inf:
             raise ValueError(f"gss_eps must be finite and positive, got {self.gss_eps}")
+        if self.annotation is not None and self.family is not None:
+            raise ValueError("--annotation supplies the time-dependent costs and --family "
+                             "generates them; give one, not both")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         object.__setattr__(self, "maens_params", MaensParams(
@@ -463,15 +466,14 @@ def compare_reports(
     a: ExperimentReport,
     b: ExperimentReport,
     alpha: float = 0.05,
-    no_best_on_ave: bool = False,
 ) -> ReportComparison:
     """Instance-by-instance comparison of two reports (a vs b).
 
     win/draw/loss counts partition the common instances on which both
     reports have a successful run; the others are listed in
     ``all_failed``.  No.best counts instances where each report attains
-    the better Best value (or better Ave with ``no_best_on_ave``); both
-    score on ties.  ``alpha`` is checked even when no instance is compared.
+    the better Best value; both score on ties.  ``alpha`` is checked even
+    when no instance is compared.
     """
     _check_alpha(alpha)
     by_name_b = {res.name: res for res in b.results}
@@ -485,11 +487,9 @@ def compare_reports(
         if not (res_a.costs and res_b.costs):
             all_failed.append(res_a.name)
             continue
-        key_a = res_a.ave if no_best_on_ave else res_a.best
-        key_b = res_b.ave if no_best_on_ave else res_b.best
-        if key_a <= key_b:
+        if res_a.best <= res_b.best:
             no_best_a += 1
-        if key_b <= key_a:
+        if res_b.best <= res_a.best:
             no_best_b += 1
         rows.append(
             InstanceComparison(

@@ -67,6 +67,13 @@ def _one_instance(args) -> str:
 def _config(args, **run) -> RunConfig:
     """The run settings ``args`` holds, then ``run``; a flag left unset keeps its default."""
     given = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__}
+    # only here is a generation flag set to its default told from one left unset
+    for name in ("slope_set", "gen_seed"):
+        if name in given and "family" not in given:
+            raise ValueError(f"--{name.replace('_', '-')} needs --family, "
+                             "or no cost layer is generated")
+    if given.get("family") == "2lp" and "slope_set" in given:
+        raise ValueError("--slope-set applies to --family 3lp; 2lp has slope 1 everywhere")
     return RunConfig(**{**given, "instances": tuple(args.instances), **run})
 
 
@@ -148,8 +155,7 @@ def cmd_oracle(args) -> int:
 def cmd_stats(args) -> int:
     rep_a = bench.read_report(Path(args.report_a).read_text())
     rep_b = bench.read_report(Path(args.report_b).read_text())
-    cmp = bench.compare_reports(rep_a, rep_b, alpha=args.alpha,
-                                no_best_on_ave=args.nobest_on_ave)
+    cmp = bench.compare_reports(rep_a, rep_b, alpha=args.alpha)
     for row in cmp.rows:
         print(f"{row.name}: ave {row.ave_a:.3f} vs {row.ave_b:.3f} "
               f"pdr {row.pdr_a_vs_b:+.3f}% verdict {row.verdict}")
@@ -214,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("report_a")
     p.add_argument("report_b")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--nobest-on-ave", action="store_true")
     p.add_argument("--lb", help="file of '<instance> <lower bound>' lines")
     p.set_defaults(fn=cmd_stats)
     return parser

@@ -2,7 +2,8 @@
 
 An instance holds the full arc set (required and deadhead), the task list
 (required arcs, each with a demand and a time-dependent cost function),
-the depot, vehicle capacity and fleet size, and the planning horizon.
+the depot, vehicle capacity, and the planning horizon.  The fleet is
+unlimited, as in MAENS: a plan may have any number of routes.
 Undirected source edges are imported as two mutually-inverse arcs; serving
 either direction satisfies the task.
 """
@@ -50,7 +51,6 @@ class Instance:
     tasks: Mapping[int, Task]
     depot: int
     capacity: float
-    fleet_size: int
     horizon: float
     real_task_ids: tuple[int, ...] = field(init=False)  # every task ID, sorted
     roots: tuple[int, ...] = field(init=False)  # every pair root, sorted
@@ -82,7 +82,6 @@ def build_instance(
     tasks: Sequence[Task],
     depot: int,
     capacity: float,
-    fleet_size: int,
     horizon: float,
     name: str = "",
 ) -> Instance:
@@ -105,6 +104,9 @@ def build_instance(
             )
         if not (arc.travel_time >= 0 and arc.travel_cost >= 0):  # also rejects NaN
             raise InstanceError(f"arc {arc.id} travel time and cost must be non-negative, "
+                                f"got {arc.travel_time} and {arc.travel_cost}")
+        if math.inf in (arc.travel_time, arc.travel_cost):
+            raise InstanceError(f"arc {arc.id} travel time and cost must be finite, "
                                 f"got {arc.travel_time} and {arc.travel_cost}")
     if not tasks:
         raise InstanceError("instance has no tasks")
@@ -130,6 +132,15 @@ def build_instance(
             )
         task_map[task.id] = task
 
+    # Below 2**53 every float64 integer is exact, so sums of integral costs
+    # are too.  Far beyond it, rounding outweighs a move's gain: one edge
+    # cost of 1e308 made local search cycle through "improving" moves.
+    total = (sum(arc.travel_time + arc.travel_cost for arc in arcs)
+             + sum(task.cost_fn.c_min for task in tasks))
+    if total >= 2**53:
+        raise InstanceError(f"arc travel times, arc travel costs and task minimum service "
+                            f"costs sum to {total:g}; they must stay below 2**53")
+
     for task in task_map.values():
         if task.inverse_id is not None:
             twin = task_map.get(task.inverse_id)
@@ -149,7 +160,6 @@ def build_instance(
         tasks=task_map,
         depot=depot,
         capacity=float(capacity),
-        fleet_size=int(fleet_size),
         horizon=float(horizon),
     )
 

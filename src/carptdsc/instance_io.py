@@ -61,7 +61,6 @@ class StaticInstanceFile:
     vertices: int
     required_edges: tuple[tuple[int, int, float, float], ...]  # (i, j, cost, demand)
     non_required_edges: tuple[tuple[int, int, float], ...]  # (i, j, cost)
-    vehicles: int
     capacity: float
     depot: int
 
@@ -152,6 +151,7 @@ def read_carp(text: str) -> StaticInstanceFile:
                 "VEHICLES", "CAPACITY", "DEPOT"):
         if key not in header:
             raise ParseError(f"missing header field {key}")
+    _int(*header["VEHICLES"], "VEHICLES")  # checked, not stored: the fleet is unlimited
     n_req = _int(*header["REQUIRED_EDGES"], "REQUIRED_EDGES")
     n_non = _int(*header["NON_REQUIRED_EDGES"], "NON_REQUIRED_EDGES")
     if n_req != len(required):
@@ -167,7 +167,6 @@ def read_carp(text: str) -> StaticInstanceFile:
         vertices=_int(*header["VERTICES"], "VERTICES"),
         required_edges=tuple(required),
         non_required_edges=tuple(non_required),
-        vehicles=_int(*header["VEHICLES"], "VEHICLES"),
         capacity=_num(*header["CAPACITY"], "CAPACITY"),
         depot=_int(*header["DEPOT"], "DEPOT"),
     )
@@ -220,7 +219,6 @@ def carp_to_instance(f: StaticInstanceFile) -> Instance:
         tasks=tasks,
         depot=index[f.depot],
         capacity=f.capacity,
-        fleet_size=f.vehicles,
         horizon=math.inf,
         name=f.name,
     )
@@ -252,7 +250,7 @@ def parse_solomon(text: str, max_customers: Optional[int] = None) -> Instance:
     if not two_field:
         raise ParseError("missing vehicle NUMBER/CAPACITY header row")
     lineno, parts, (_, capacity) = two_field[0]
-    vehicles = _int(parts[0], lineno, "vehicle count")
+    _int(parts[0], lineno, "vehicle count")  # checked, not stored: the fleet is unlimited
     rows, row_lines = [], []
     for lineno, parts, r in numeric_rows:
         if len(r) == 7:
@@ -262,6 +260,10 @@ def parse_solomon(text: str, max_customers: Optional[int] = None) -> Instance:
             raise ParseError(f"line {lineno}: malformed customer row: {r}")
     if not rows or rows[0][0] != 0:
         raise ParseError("first customer row must be the depot (id 0)")
+    for position, (row, lineno) in enumerate(zip(rows[1:], row_lines[1:]), start=1):
+        if row[0] != position:  # tasks are numbered by row, so the file's numbers must agree
+            raise ParseError(f"line {lineno}: customer number must be {position}, "
+                             f"its row's position after the depot, got {row[0]}")
     for row in rows:
         if not all(math.isfinite(x) for x in row[1:3]):
             raise ParseError(f"non-finite coordinates in row {row}")
@@ -298,7 +300,6 @@ def parse_solomon(text: str, max_customers: Optional[int] = None) -> Instance:
         tasks=tasks,
         depot=0,
         capacity=capacity,
-        fleet_size=vehicles,
         horizon=depot_due,
     )
 
@@ -327,7 +328,6 @@ def apply_annotation(instance: Instance, ann: TdAnnotation) -> Instance:
         tasks=tasks,
         depot=instance.depot,
         capacity=instance.capacity,
-        fleet_size=instance.fleet_size,
         horizon=ann.horizon,
         name=instance.name,
     )

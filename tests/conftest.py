@@ -52,8 +52,7 @@ def make_fig4_instance(horizon: float = 20.0):
         Task(3, arcs[2], 1.0, FIG4_FNS[2]),
     ]
     inst = build_instance(
-        3, arcs, tasks, depot=0, capacity=10.0, fleet_size=1,
-        horizon=horizon, name="fig4",
+        3, arcs, tasks, depot=0, capacity=10.0, horizon=horizon, name="fig4",
     )
     return inst, shortest_paths(inst)
 
@@ -79,8 +78,7 @@ def make_tie_instance():
         Task(3, arcs[3], 1.0, FIG4_FNS[2]),
     ]
     inst = build_instance(
-        3, arcs, tasks, depot=0, capacity=10.0, fleet_size=1,
-        horizon=100.0, name="tie",
+        3, arcs, tasks, depot=0, capacity=10.0, horizon=100.0, name="tie",
     )
     return inst, shortest_paths(inst)
 
@@ -146,7 +144,6 @@ def random_static_file(rng, n_vertices=8, n_extra_edges=6, n_required=6,
         vertices=n_vertices,
         required_edges=required,
         non_required_edges=non_required,
-        vehicles=4,
         capacity=capacity,
         depot=depot,
     )
@@ -256,7 +253,7 @@ def chain_route_instance(rng, n_tasks, k, window_mode, horizon=None,
     ]
     inst = build_instance(
         n_vertices, arcs, tasks, depot=0, capacity=float(n_tasks),
-        fleet_size=1, horizon=horizon, name=name,
+        horizon=horizon, name=name,
     )
     route = tuple(range(1, n_tasks + 1))
     return inst, route, shortest_paths(inst)

@@ -1,3 +1,4 @@
+import signal
 import sys
 from pathlib import Path
 
@@ -512,11 +513,44 @@ TASK_5 = "task 5 c_min 19.0 bt 316.4198175685346 et 364.80434393518965"
      "depot vertex 13 never appears in the edge lists"),
     (_instance(GDB1, ("DEPOT : 1", "DEPOT : 99")),
      "depot vertex 99 never appears in the edge lists"),
+    # a full solve: local search cycled through rounding-sized "gains" here
+    (lambda tmp_path: ["solve", "--instance", _edited(tmp_path, GDB1, [
+        ("( 1, 2) cost 13 demand 1", "( 1, 2) cost 1e308 demand 1")]),
+        "--generations", "2", "--psize", "2"],
+     "arc travel times, arc travel costs and task minimum service costs sum to inf; "
+     "they must stay below 2**53"),
+    (_instance(GDB1, ("NON_REQUIRED_EDGES : 0", "NON_REQUIRED_EDGES : 1"),
+               ("DEPOT : 1", "( 1, 12) cost inf\nDEPOT : 1")),
+     "arc 45 travel time and cost must be finite, got inf and inf"),
+    (_instance(R101, ("\n    2      35 ", "\n    1      35 ")),
+     "line 12: customer number must be 2, its row's position after the depot, got 1"),
+    (lambda tmp_path: [*_annotation()(tmp_path), "--family", "2lp"],
+     "--annotation supplies the time-dependent costs and --family generates them; "
+     "give one, not both"),
+    (lambda tmp_path: ["solve", "--instance", GDB1, "--algorithm", "init-only",
+                       "--slope-set", "2", "--gen-seed", "5"],
+     "--slope-set needs --family, or no cost layer is generated"),
+    (lambda tmp_path: [*_annotation()(tmp_path), "--gen-seed", "5"],
+     "--gen-seed needs --family, or no cost layer is generated"),
+    (lambda tmp_path: ["solve", "--instance", GDB1, "--algorithm", "init-only",
+                       "--family", "2lp", "--slope-set", "2"],
+     "--slope-set applies to --family 3lp; 2lp has slope 1 everywhere"),
 ], ids=["max-customers-on-dat", "vertices-nan", "depot-inf", "required-edges-fraction",
         "customer-number-nan", "annotation-task-id-fraction", "annotation-c-min-text",
         "edge-cost-nan", "annotation-bt-after-et", "customer-ready-after-due",
-        "isolated-depot", "unknown-depot"])
+        "isolated-depot", "unknown-depot", "edge-cost-1e308", "non-required-edge-cost-inf",
+        "customer-renumbered", "annotation-with-family", "slope-set-without-family",
+        "gen-seed-without-family", "slope-set-with-2lp"])
 def test_malformed_input_files_name_their_field(tmp_path, capsys, argv, message):
-    code, out, err = run_cli(capsys, *argv(tmp_path))
+    def hung(signum, frame):  # a case that loops fails here rather than hanging the suite
+        pytest.fail("no answer within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        code, out, err = run_cli(capsys, *argv(tmp_path))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert (code, out) == (1, "")
     assert err == f"error: {message}\n"

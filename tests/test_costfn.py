@@ -112,7 +112,7 @@ def test_classify_mixed_slopes_rejected():
         Task(1, arcs[0], 1.0, ServiceCostFunction(1.0, 0.0, 0.0, 1.0)),
         Task(2, arcs[1], 1.0, ServiceCostFunction(1.0, 0.0, 0.0, 2.0)),
     ]
-    inst = build_instance(2, arcs, tasks, 0, 5.0, 1, 10.0)
+    inst = build_instance(2, arcs, tasks, 0, 5.0, 10.0)
     with pytest.raises(HeterogeneousSlopeError):
         classify(inst)
 

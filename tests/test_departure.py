@@ -43,7 +43,7 @@ def test_gss_flat_optimum_region():
     arc = Arc(1, 0, 1, 0, 0)
     back = Arc(2, 1, 0, 0, 0)
     task = Task(1, arc, 1.0, ServiceCostFunction(1.0, 1.0, 3.0, 0.5))
-    inst = build_instance(2, [arc, back], [task], 0, 5.0, 1, 20.0)
+    inst = build_instance(2, [arc, back], [task], 0, 5.0, 20.0)
     sp = shortest_paths(inst)
     obj = route_objective((1,), inst, sp)
     eps = 1e-5
@@ -252,7 +252,7 @@ def test_dispatcher_propagates_classification_failure():
         Task(1, arcs[0], 1.0, ServiceCostFunction(1.0, 1.0, 2.0, 1.0)),
         Task(2, arcs[1], 1.0, ServiceCostFunction(1.0, 1.0, 2.0, 3.0)),
     ]
-    inst = build_instance(2, arcs, tasks, 0, 5.0, 1, 10.0)
+    inst = build_instance(2, arcs, tasks, 0, 5.0, 10.0)
     sp = shortest_paths(inst)
     with pytest.raises(HeterogeneousSlopeError):
         optimize_departures((0, 1, 0, 2, 0), inst, sp)
@@ -263,7 +263,7 @@ def test_dispatcher_requires_finite_horizon_for_three_segment():
 
     arcs = [Arc(1, 0, 1, 1, 1), Arc(2, 1, 0, 1, 1)]
     tasks = [Task(1, arcs[0], 1.0, ServiceCostFunction(1.0, 1.0, 2.0, 2.0))]
-    inst = build_instance(2, arcs, tasks, 0, 5.0, 1, math.inf)
+    inst = build_instance(2, arcs, tasks, 0, 5.0, math.inf)
     sp = shortest_paths(inst)
     with pytest.raises(ValueError, match="finite planning horizon"):
         optimize_departures((0, 1, 0), inst, sp)

@@ -23,7 +23,7 @@ def two_vertex_instance(demand=3.0, capacity=5.0):
     arc = Arc(1, 0, 1, 2.0, 2.0)
     back = Arc(2, 1, 0, 2.0, 2.0)
     task = Task(1, arc, demand, ServiceCostFunction(2.0))
-    return build_instance(2, [arc, back], [task], 0, capacity, 1, 100.0)
+    return build_instance(2, [arc, back], [task], 0, capacity, 100.0)
 
 
 def test_minimal_instance():
@@ -42,7 +42,7 @@ def test_duplicate_task_id_rejected():
     fn = ServiceCostFunction(1.0)
     tasks = [Task(7, arc, 1.0, fn), Task(7, arc, 1.0, fn)]
     with pytest.raises(InstanceError, match="duplicate"):
-        build_instance(2, [arc], tasks, 0, 5.0, 1, 10.0)
+        build_instance(2, [arc], tasks, 0, 5.0, 10.0)
 
 
 def test_unservable_demand_rejected():
@@ -53,7 +53,7 @@ def test_unservable_demand_rejected():
 def test_dangling_vertex_rejected():
     arc = Arc(1, 0, 5, 1, 1)
     with pytest.raises(InstanceError):
-        build_instance(2, [arc], [], 0, 5.0, 1, 10.0)
+        build_instance(2, [arc], [], 0, 5.0, 10.0)
 
 
 def test_asymmetric_inverse_rejected():
@@ -62,7 +62,7 @@ def test_asymmetric_inverse_rejected():
     fn = ServiceCostFunction(1.0)
     tasks = [Task(1, a, 1.0, fn, inverse_id=2), Task(2, b, 1.0, fn, inverse_id=None)]
     with pytest.raises(InstanceError, match="not symmetric"):
-        build_instance(2, [a, b], tasks, 0, 5.0, 1, 10.0)
+        build_instance(2, [a, b], tasks, 0, 5.0, 10.0)
 
 
 def test_sp_self_distance_zero():
@@ -94,7 +94,7 @@ def test_sp_equal_time_tie_goes_to_the_lower_cost():
     direct = Arc(1, 0, 2, 4.0, 9.0)
     arcs = [direct, Arc(2, 0, 1, 1.0, 1.0), Arc(3, 1, 2, 3.0, 2.0), Arc(4, 2, 0, 4.0, 9.0)]
     task = Task(1, direct, 1.0, ServiceCostFunction(1.0))
-    sp = shortest_paths(build_instance(3, arcs, [task], 0, 5.0, 1, 10.0))
+    sp = shortest_paths(build_instance(3, arcs, [task], 0, 5.0, 10.0))
     assert (sp.time[0, 2], sp.cost[0, 2]) == (4.0, 3.0)
 
 
@@ -127,7 +127,7 @@ def test_sp_unreachable_flagged():
     # one-way arc only: 1 cannot reach 0
     arc = Arc(1, 0, 1, 1, 1)
     task = Task(1, arc, 1.0, ServiceCostFunction(1.0))
-    inst = build_instance(2, [arc], [task], 0, 5.0, 1, 10.0)
+    inst = build_instance(2, [arc], [task], 0, 5.0, 10.0)
     sp = shortest_paths(inst)
     assert math.isinf(sp.time[1, 0])
 

@@ -24,7 +24,6 @@ def test_gdb1_parse_counts(gdb1_text):
     assert inst.num_required == 22
     assert len(inst.tasks) == 44
     assert inst.capacity == 5.0
-    assert inst.fleet_size == 5
     assert math.isinf(inst.horizon)
 
 
@@ -67,7 +66,6 @@ def test_solomon_parse_counts(r101_text):
     inst = parse_solomon(r101_text)
     assert len(inst.tasks) == 25
     assert inst.capacity == 200.0
-    assert inst.fleet_size == 25
     assert inst.horizon == 230.0
 
 
@@ -210,8 +208,8 @@ def test_annotation_version_tag(gdb1_text):
 def _pinned_view(inst):
     """Plain header fields, then a digest of repr(arcs) and repr of the tasks by ID."""
     body = repr((inst.arcs, [inst.tasks[tid] for tid in inst.real_task_ids]))
-    return (inst.name, inst.num_vertices, inst.depot, inst.capacity, inst.fleet_size,
-            inst.horizon, len(inst.arcs), inst.real_task_ids,
+    return (inst.name, inst.num_vertices, inst.depot, inst.capacity, inst.horizon,
+            len(inst.arcs), inst.real_task_ids,
             hashlib.sha256(body.encode()).hexdigest()[:16])
 
 
@@ -223,17 +221,17 @@ def _annotated_gdb1(gdb1_text, r101_text):
 
 # The parsed instances of the two-step Solomon parser, whose task map also
 # held a depot entry 0: name (none for Solomon files, which bench names by
-# file stem), vertices, depot, capacity, fleet size, horizon, arc count,
+# file stem), vertices, depot, capacity, horizon, arc count,
 # task IDs, digest
 PINNED_INSTANCES = [
     (lambda g, r: parse_carp(g)[1],
-     ("gdb1", 12, 0, 5.0, 5, math.inf, 44, tuple(range(1, 45)), "826add7110b559b4")),
+     ("gdb1", 12, 0, 5.0, math.inf, 44, tuple(range(1, 45)), "826add7110b559b4")),
     (lambda g, r: parse_solomon(r),
-     ("", 26, 0, 200.0, 25, 230.0, 650, tuple(range(1, 26)), "e679be44d8babf8b")),
+     ("", 26, 0, 200.0, 230.0, 650, tuple(range(1, 26)), "e679be44d8babf8b")),
     (lambda g, r: parse_solomon(r, max_customers=10),
-     ("", 11, 0, 200.0, 25, 230.0, 110, tuple(range(1, 11)), "3e2da12032c9db7a")),
+     ("", 11, 0, 200.0, 230.0, 110, tuple(range(1, 11)), "3e2da12032c9db7a")),
     (_annotated_gdb1,
-     ("gdb1", 12, 0, 5.0, 5, 796.0, 44, tuple(range(1, 45)), "a00481f65f9f341b")),
+     ("gdb1", 12, 0, 5.0, 796.0, 44, tuple(range(1, 45)), "a00481f65f9f341b")),
 ]
 
 

@@ -71,8 +71,7 @@ def make_desk_instance():
         Task(7, e4[0], 2.0, fn(5.0), inverse_id=8),
         Task(8, e4[1], 2.0, fn(5.0), inverse_id=7),
     ]
-    inst = build_instance(4, arcs, tasks, 0, capacity=5.0, fleet_size=2,
-                          horizon=1e9, name="desk")
+    inst = build_instance(4, arcs, tasks, 0, capacity=5.0, horizon=1e9, name="desk")
     return inst, shortest_paths(inst)
 
 
@@ -92,7 +91,7 @@ def test_select_uniform_when_equal_costs():
     arcs = [Arc(1, 0, 1, 1, 1), Arc(2, 0, 2, 1, 1), Arc(3, 1, 0, 1, 1), Arc(4, 2, 0, 1, 1)]
     fn = ServiceCostFunction(2.0, 0.0, 0.0, 1.0)
     tasks = [Task(1, arcs[0], 1.0, fn), Task(2, arcs[1], 1.0, fn)]
-    inst = build_instance(3, arcs, tasks, 0, 9.0, 1, 100.0)
+    inst = build_instance(3, arcs, tasks, 0, 9.0, 100.0)
     probs = selection_probabilities(inst, [1, 2], 0.0)
     assert probs == [0.5, 0.5]
     rng = rng_for(1)
@@ -126,7 +125,7 @@ def test_init_single_task_plan():
     arc = Arc(1, 0, 1, 2, 2)
     back = Arc(2, 1, 0, 2, 2)
     inst = build_instance(2, [arc, back], [Task(1, arc, 1.0, ServiceCostFunction(1.0))],
-                          0, 5.0, 1, 100.0)
+                          0, 5.0, 100.0)
     sp = shortest_paths(inst)
     assert init_individual(inst, sp, rng_for(4)) == (0, 1, 0)
 
@@ -220,7 +219,7 @@ def make_one_way_pair_instance(inverses=True):
                  Task(3, arcs[2], 1.0, fn, 4), Task(4, arcs[3], 1.0, fn, 3)]
     else:
         tasks = [Task(1, arcs[0], 1.0, fn), Task(3, arcs[2], 1.0, fn)]
-    inst = build_instance(4, arcs, tasks, 0, 10.0, 1, 1e9)
+    inst = build_instance(4, arcs, tasks, 0, 10.0, 1e9)
     return inst, shortest_paths(inst)
 
 
@@ -265,7 +264,7 @@ def test_local_search_fixed_point_at_optimum():
         Task(3, e2[0], 1.0, ServiceCostFunction(3.0), inverse_id=4),
         Task(4, e2[1], 1.0, ServiceCostFunction(3.0), inverse_id=3),
     ]
-    inst = build_instance(3, arcs, tasks, 0, 5.0, 1, 1e9)
+    inst = build_instance(3, arcs, tasks, 0, 5.0, 1e9)
     sp = shortest_paths(inst)
     best_plan, best_cost = brute_force_optimum(inst, sp)
     ev = RouteEvaluator(inst, sp)
@@ -336,7 +335,7 @@ def test_evolve_fails_explicitly_without_feasible_plan():
     back = Arc(2, 1, 0, 5, 5)
     inst = build_instance(
         2, [arc, back], [Task(1, arc, 1.0, ServiceCostFunction(5.0))],
-        0, 5.0, 1, horizon=0.5,
+        0, 5.0, horizon=0.5,
     )
     sp = shortest_paths(inst)
     with pytest.raises(SolverError, match="no feasible plan"):

@@ -303,7 +303,7 @@ def _broken_instance():
         Task(2, arcs[2], 1.0, ServiceCostFunction(1.0)),
         Task(3, arcs[3], 1.0, ServiceCostFunction(1.0)),
     ]
-    inst = build_instance(4, arcs, tasks, 0, 5.0, 1, 100.0)
+    inst = build_instance(4, arcs, tasks, 0, 5.0, 100.0)
     sp = shortest_paths(inst)
     return inst, sp, RouteEvaluator(inst, sp)
 

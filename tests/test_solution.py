@@ -116,7 +116,7 @@ def test_unreachable_leg_rejected():
         Task(1, arcs[0], 1.0, ServiceCostFunction(1.0)),
         Task(2, arcs[2], 1.0, ServiceCostFunction(1.0)),  # tail 2 is unreachable
     ]
-    inst = build_instance(3, arcs, tasks, 0, 5.0, 1, 100.0)
+    inst = build_instance(3, arcs, tasks, 0, 5.0, 100.0)
     sp = shortest_paths(inst)
     with pytest.raises(PlanError, match="no deadhead path"):
         evaluate_route((2,), 0.0, inst, sp)
@@ -209,7 +209,7 @@ def test_feasibility_capacity_excess(fig4):
 
     tight = build_instance(
         3, list(inst.arcs), [inst.tasks[i] for i in (1, 2, 3)],
-        depot=0, capacity=2.0, fleet_size=1, horizon=1000.0,
+        depot=0, capacity=2.0, horizon=1000.0,
     )
     sp2 = __import__("carptdsc").shortest_paths(tight)
     rep = check_feasibility(Solution((0, 1, 2, 3, 0), (0.0,)), tight, sp2)
