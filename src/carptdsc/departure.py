@@ -175,11 +175,8 @@ def ncs(
         f_lo, f_hi = min(pool), max(pool)
         f_span = max(f_hi - f_lo, 1e-300)
         # Bhattacharyya distance of N(t, var) to the nearest N(m, var):
-        # monotone in (t - m) ** 2, so the nearest mean gives the minimum;
-        # the log term is 0.0 unless sigma * sigma is subnormal
-        var = sigma * sigma
-        var2 = var + var
-        offset = 0.5 * math.log(var2 / (2.0 * sigma * sigma))
+        # monotone in (t - m) ** 2, so the nearest mean gives the minimum
+        var2 = 2.0 * (sigma * sigma)
         # the nearest other mean is t's nearer sorted neighbour on either
         # side that is not its own parent; the infinite ends are never
         # nearer than the other finite means
@@ -193,7 +190,7 @@ def ncs(
             right = r + 1 if order[r] == i else r
             sq = (t - ranked[left]) ** 2
             sq_right = (t - ranked[right]) ** 2
-            dists.append(0.25 * (sq_right if sq_right < sq else sq) / var2 + offset)
+            dists.append(0.25 * (sq_right if sq_right < sq else sq) / var2)
         d_hi = max(max(dists), 1e-300)
 
         spread = max(0.1 * (1.0 - used / budget), 0.01)

@@ -134,12 +134,17 @@ def build_instance(
 
     # Below 2**53 every float64 integer is exact, so sums of integral costs
     # are too.  Far beyond it, rounding outweighs a move's gain: one edge
-    # cost of 1e308 made local search cycle through "improving" moves.
+    # cost of 1e308, or a horizon of 1e300, made local search cycle through
+    # "improving" moves.  A task's cost for a start in [0, horizon] peaks at
+    # an end, c_min + k * max(bt, horizon - et); with k > 0 and no horizon
+    # it has no bound.
     total = (sum(arc.travel_time + arc.travel_cost for arc in arcs)
-             + sum(task.cost_fn.c_min for task in tasks))
+             + sum(fn.c_min + (fn.k * max(fn.bt, horizon - fn.et) if fn.k else 0.0)
+                   for fn in (task.cost_fn for task in tasks)))
     if total >= 2**53:
-        raise InstanceError(f"arc travel times, arc travel costs and task minimum service "
-                            f"costs sum to {total:g}; they must stay below 2**53")
+        raise InstanceError(f"arc travel times, arc travel costs and task service costs at "
+                            f"their peak on [0, horizon] sum to {total:g}; they must stay "
+                            f"below 2**53")
 
     for task in task_map.values():
         if task.inverse_id is not None:

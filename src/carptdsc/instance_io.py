@@ -44,7 +44,7 @@ import numpy as np
 from .costfn import ServiceCostFunction
 from .instance import Arc, Instance, Task, build_instance, shortest_paths
 from .maens import init_individual
-from .solution import RouteEvaluator, split_routes
+from .solution import Solution, evaluate_solution, split_routes
 
 ANNOTATION_TAG = "carptdsc-annotation v1"
 
@@ -185,10 +185,6 @@ def carp_to_instance(f: StaticInstanceFile) -> Instance:
         | {i for i, j, _ in f.non_required_edges}
         | {j for i, j, _ in f.non_required_edges}
     )
-    if len(labels) > f.vertices:
-        raise ParseError(
-            f"{len(labels)} distinct vertices referenced, header says {f.vertices}"
-        )
     index = {label: idx for idx, label in enumerate(labels)}
 
     arcs: list[Arc] = []
@@ -213,6 +209,10 @@ def carp_to_instance(f: StaticInstanceFile) -> Instance:
 
     if f.depot not in index:
         raise ParseError(f"depot vertex {f.depot} never appears in the edge lists")
+    if len(labels) != f.vertices:  # a vertex no edge touches could only take memory
+        raise ParseError(
+            f"{len(labels)} distinct vertices referenced, header says {f.vertices}"
+        )
     return build_instance(
         vertices=f.vertices,
         arcs=arcs,
@@ -264,9 +264,9 @@ def parse_solomon(text: str, max_customers: Optional[int] = None) -> Instance:
         if row[0] != position:  # tasks are numbered by row, so the file's numbers must agree
             raise ParseError(f"line {lineno}: customer number must be {position}, "
                              f"its row's position after the depot, got {row[0]}")
-    for row in rows:
+    for row, lineno in zip(rows, row_lines):
         if not all(math.isfinite(x) for x in row[1:3]):
-            raise ParseError(f"non-finite coordinates in row {row}")
+            raise ParseError(f"line {lineno}: coordinates must be finite, got {row[1:3]}")
     if max_customers is not None:
         if max_customers < 0:
             raise ParseError(f"max_customers must be non-negative, got {max_customers}")
@@ -361,11 +361,8 @@ def generate_td(
 
     sp = shortest_paths(static_instance)
     plan = init_individual(static_instance, sp, rng)
-    evaluator = RouteEvaluator(static_instance, sp)
-    construction_cost = sum(
-        evaluator.total(route, 0.0) for route in split_routes(plan)
-    )
-    horizon = 2.0 * construction_cost
+    departures = tuple(0.0 for _ in split_routes(plan))
+    horizon = 2.0 * evaluate_solution(Solution(plan, departures), static_instance, sp)
 
     records: list[tuple[int, float, float, float]] = []
     if family == "2lp":
@@ -420,7 +417,7 @@ def read_annotation(text: str) -> TdAnnotation:
                 raise ParseError(f"line {n}: malformed task record: {line!r}")
             tid = _int(parts[1], n, "task ID")
             c_min, bt, et = (_num(parts[i], n, parts[i - 1]) for i in (3, 5, 7))
-            # checked where its line is known; apply_annotation adds and checks the slope k
+            # checked where its line is known; apply_annotation adds the slope k
             _cost_fn(f"line {n}: task {tid}", c_min=c_min, bt=bt, et=et)
             records.append((tid, c_min, bt, et))
         else:
@@ -433,9 +430,19 @@ def read_annotation(text: str) -> TdAnnotation:
         raise ParseError(
             f"annotation claims {header['tasks'][0]} tasks, found {len(records)}"
         )
+    family, line = header["family"]
+    if family not in ("2lp", "3lp"):
+        raise ParseError(f"line {line}: family must be '2lp' or '3lp', got {family!r}")
+    # classify's rule: two-segment iff every window is bt = et = 0
+    if (family == "2lp") != all(bt == et == 0.0 for _, _, bt, et in records):
+        raise ParseError(f"line {line}: family {family} disagrees with the task records; "
+                         "2lp holds if and only if every task has bt = et = 0")
+    k = _num(*header["k"], "k")
+    if not 0 <= k < math.inf:
+        raise ParseError(f"line {header['k'][1]}: k must be finite and non-negative, got {k}")
     return TdAnnotation(
-        family=header["family"][0],
-        k=_num(*header["k"], "k"),
+        family=family,
+        k=k,
         horizon=_num(*header["horizon"], "horizon"),
         seed=_int(*header["seed"], "seed"),
         records=tuple(records),

@@ -82,9 +82,6 @@ class FeasibilityReport:
     capacity_respected: bool      # per-route demand within capacity
     horizon_tasks: bool           # every service start within [0, horizon]
     horizon_return: bool          # every return-to-depot within [0, horizon]
-    capacity_excess: tuple[float, ...]
-    duplicates: tuple[int, ...]
-    missing: tuple[int, ...]
     returns: tuple[float, ...]    # each route's time back at the depot
 
     @property
@@ -433,27 +430,23 @@ def check_feasibility(
     evaluator = RouteEvaluator(instance, sp)
     routes = evaluator.routes(solution)
 
-    seen_pairs: dict[int, int] = {}
-    duplicates: list[int] = []
-    inverse_clash = False
+    seen_pairs: dict[int, int] = {}  # pair root: the orientation served first
+    duplicate = inverse_clash = False
     for route in routes:
         for tid in route:
             root = instance.pair_root(tid)
             if root in seen_pairs:
-                duplicates.append(tid)
+                duplicate = True
                 if seen_pairs[root] != tid:
                     inverse_clash = True
             else:
                 seen_pairs[root] = tid
 
-    missing = [root for root in instance.roots if root not in seen_pairs]
-
-    excess: list[float] = []
     returns: list[float] = []
-    horizon_tasks_ok = True
+    capacity_ok = horizon_tasks_ok = True
     for route, t in zip(routes, solution.departures):
-        load = sum(evaluator.rows[tid][6] for tid in route)
-        excess.append(max(0.0, load - instance.capacity))
+        if sum(evaluator.rows[tid][6] for tid in route) > instance.capacity:
+            capacity_ok = False
         if t < 0:  # violates the lower end of the time window
             horizon_tasks_ok = False
         ev = evaluator.evaluate(route, max(t, 0.0))
@@ -464,15 +457,12 @@ def check_feasibility(
         returns.append(ev.arrival_times[-1])
 
     return FeasibilityReport(
-        no_duplicate_service=not duplicates,
+        no_duplicate_service=not duplicate,
         no_inverse_service=not inverse_clash,
-        all_tasks_served=not missing,
-        capacity_respected=all(e == 0.0 for e in excess),
+        all_tasks_served=len(seen_pairs) == instance.num_required,
+        capacity_respected=capacity_ok,
         horizon_tasks=horizon_tasks_ok,
         horizon_return=not any(r > instance.horizon for r in returns),
-        capacity_excess=tuple(excess),
-        duplicates=tuple(duplicates),
-        missing=tuple(missing),
         returns=tuple(returns),
     )
 

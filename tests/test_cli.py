@@ -1,10 +1,16 @@
+import random
+import re
 import signal
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
+from carptdsc.bench import RunConfig, prepare_instance, solve_once_detailed
 from carptdsc.cli import main
+from carptdsc.instance import InstanceError
+from carptdsc.instance_io import ParseError, generate_td, parse_carp, serialize_annotation
 
 from conftest import DATA
 
@@ -473,18 +479,22 @@ def _instance(source, *edits):
                              "--algorithm", "init-only"]
 
 
-def _annotation(*edits):
+def _annotation(*edits, solver=("--algorithm", "init-only")):
     def argv(tmp_path):
         path = tmp_path / "gdb1.ann"
         main(["generate", "--instance", GDB1, "--family", "3lp", "--slope-set", "2",
               "--gen-seed", "3", "--out", str(path)])
         return ["solve", "--instance", GDB1, "--annotation", _edited(tmp_path, path, edits),
-                "--algorithm", "init-only"]
+                *solver]
     return argv
 
 
-# line 11 of the annotation above
+# lines 4, 11 and 12 of the annotation above
+HORIZON = ("horizon : 714.0", "horizon : 1e300")
 TASK_5 = "task 5 c_min 19.0 bt 316.4198175685346 et 364.80434393518965"
+TASK_6 = TASK_5.replace("task 5", "task 6")
+TOO_LARGE = ("arc travel times, arc travel costs and task service costs at their peak on "
+             "[0, horizon] sum to {}; they must stay below 2**53")
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -517,8 +527,7 @@ TASK_5 = "task 5 c_min 19.0 bt 316.4198175685346 et 364.80434393518965"
     (lambda tmp_path: ["solve", "--instance", _edited(tmp_path, GDB1, [
         ("( 1, 2) cost 13 demand 1", "( 1, 2) cost 1e308 demand 1")]),
         "--generations", "2", "--psize", "2"],
-     "arc travel times, arc travel costs and task minimum service costs sum to inf; "
-     "they must stay below 2**53"),
+     TOO_LARGE.format("inf")),
     (_instance(GDB1, ("NON_REQUIRED_EDGES : 0", "NON_REQUIRED_EDGES : 1"),
                ("DEPOT : 1", "( 1, 12) cost inf\nDEPOT : 1")),
      "arc 45 travel time and cost must be finite, got inf and inf"),
@@ -535,22 +544,97 @@ TASK_5 = "task 5 c_min 19.0 bt 316.4198175685346 et 364.80434393518965"
     (lambda tmp_path: ["solve", "--instance", GDB1, "--algorithm", "init-only",
                        "--family", "2lp", "--slope-set", "2"],
      "--slope-set applies to --family 3lp; 2lp has slope 1 everywhere"),
+    # a full solve: local search cycled here too, and ncs overflowed squaring 1e300
+    (_annotation(HORIZON, (TASK_5, "task 5 c_min 19.0 bt 1e299 et 2e299"),
+                 (TASK_6, "task 6 c_min 19.0 bt 1e299 et 2e299"),
+                 solver=("--generations", "2", "--psize", "2")),
+     TOO_LARGE.format("8.72e+301")),
+    (_annotation(HORIZON, solver=("--generations", "2", "--psize", "2")),
+     TOO_LARGE.format("8.8e+301")),
+    (_annotation(("family : 3lp", "family : banana")),
+     "line 2: family must be '2lp' or '3lp', got 'banana'"),
+    (_annotation(("family : 3lp", "family : 2lp")),
+     "line 2: family 2lp disagrees with the task records; "
+     "2lp holds if and only if every task has bt = et = 0"),
+    (_annotation(("k : 2.0", "k : -inf")), "line 3: k must be finite and non-negative, got -inf"),
+    (_instance(R101, ("\n    1      41 ", "\n    1     inf ")),
+     "line 11: coordinates must be finite, got (inf, 49.0)"),
+    (_instance(GDB1, ("VERTICES : 12", "VERTICES : 13")),
+     "12 distinct vertices referenced, header says 13"),
 ], ids=["max-customers-on-dat", "vertices-nan", "depot-inf", "required-edges-fraction",
         "customer-number-nan", "annotation-task-id-fraction", "annotation-c-min-text",
         "edge-cost-nan", "annotation-bt-after-et", "customer-ready-after-due",
         "isolated-depot", "unknown-depot", "edge-cost-1e308", "non-required-edge-cost-inf",
         "customer-renumbered", "annotation-with-family", "slope-set-without-family",
-        "gen-seed-without-family", "slope-set-with-2lp"])
+        "gen-seed-without-family", "slope-set-with-2lp", "annotation-huge-horizon-and-windows",
+        "annotation-huge-horizon", "annotation-family-unknown", "annotation-family-disagrees",
+        "annotation-k-minus-inf", "customer-coordinate-inf", "vertex-no-edge-touches"])
 def test_malformed_input_files_name_their_field(tmp_path, capsys, argv, message):
+    with _answers_within_10_s("this case"):
+        code, out, err = run_cli(capsys, *argv(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+@contextmanager
+def _answers_within_10_s(what):
     def hung(signum, frame):  # a case that loops fails here rather than hanging the suite
-        pytest.fail("no answer within 10 s")
+        pytest.fail(f"{what}: no answer within 10 s")
 
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(10)
     try:
-        code, out, err = run_cli(capsys, *argv(tmp_path))
+        yield
+    except Exception as exc:
+        pytest.fail(f"{what}: {type(exc).__name__}: {exc}")
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert (code, out) == (1, "")
-    assert err == f"error: {message}\n"
+
+
+FUZZ_VALUES = ("0", "-1", "1e308", "nan", "inf", "-inf", "", "x")
+NUMBER = re.compile(r"\d+(?:\.\d+)?(?:e[+-]?\d+)?")
+
+
+def test_mutated_input_files_solve_or_fail_to_load(tmp_path):
+    """A seeded mutation fuzzer over the three input formats.
+
+    Each case changes one number of gdb1.dat, r101_25.txt or a gdb1 3LP
+    annotation to one of ``FUZZ_VALUES``, or drops, duplicates or
+    truncates one line.  The copy must load and solve ``init-only``, or
+    fail to load with a ParseError or InstanceError.
+    """
+    _, gdb1 = parse_carp(Path(GDB1).read_text())
+    sources = {"gdb1.dat": Path(GDB1).read_text(), "r101_25.txt": Path(R101).read_text(),
+               "gdb1.ann": serialize_annotation(generate_td(gdb1, "3lp", (2.0,), 3)[1])}
+    mutated = tmp_path / "mutated"
+    rng = random.Random(0)
+    for case in range(2000):
+        source = rng.choice(list(sources))
+        text = sources[source]
+        if rng.random() < 0.5:
+            m = rng.choice(list(NUMBER.finditer(text)))
+            value = rng.choice(FUZZ_VALUES)
+            what = f"{m.group()!r} at offset {m.start()} -> {value!r}"
+            text = text[:m.start()] + value + text[m.end():]
+        else:
+            lines = text.splitlines(keepends=True)
+            i = rng.randrange(len(lines))
+            what, lines[i] = rng.choice((
+                ("dropped", ""),
+                ("duplicated", lines[i] * 2),
+                ("truncated", lines[i][:rng.randrange(len(lines[i]))]),
+            ))
+            what = f"line {i + 1} {what}"
+            text = "".join(lines)
+        mutated.write_text(text)
+        if source == "gdb1.ann":
+            config = RunConfig(instances=(GDB1,), algorithm="init-only", annotation=str(mutated))
+        else:
+            config = RunConfig(instances=(str(mutated),), algorithm="init-only")
+        with _answers_within_10_s(f"case {case}, {source}: {what}"):
+            try:
+                inst = prepare_instance(config, config.instances[0])
+            except (ParseError, InstanceError):
+                continue
+            solve_once_detailed(inst, config, 0)

@@ -262,7 +262,8 @@ def test_dispatcher_requires_finite_horizon_for_three_segment():
     from carptdsc import Arc, ServiceCostFunction, Task, build_instance, shortest_paths
 
     arcs = [Arc(1, 0, 1, 1, 1), Arc(2, 1, 0, 1, 1)]
-    tasks = [Task(1, arcs[0], 1.0, ServiceCostFunction(1.0, 1.0, 2.0, 2.0))]
+    # slope 0: with k > 0 and no horizon, build_instance rejects the unbounded cost
+    tasks = [Task(1, arcs[0], 1.0, ServiceCostFunction(1.0, 1.0, 2.0, 0.0))]
     inst = build_instance(2, arcs, tasks, 0, 5.0, math.inf)
     sp = shortest_paths(inst)
     with pytest.raises(ValueError, match="finite planning horizon"):

