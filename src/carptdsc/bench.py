@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import instance_io
-from .departure import NcsParams, optimize_departures
+from .departure import optimize_departures
 from .instance import Instance, shortest_paths
 from .maens import MaensParams, evolve, init_individual
 from .solution import Solution, check_feasibility, evaluate_solution, split_routes
@@ -48,14 +48,10 @@ class RunConfig:
     psize: int = MaensParams.psize
     generations: int = MaensParams.generations
     pls: float = MaensParams.pls
-    gss_eps: Optional[float] = None  # None: optimize_departures's default
-    ncs_budget: int = NcsParams.budget
-    ncs_procs: int = NcsParams.process_count
     max_customers: Optional[int] = None  # Solomon truncation
     out: Optional[str] = None
-    # the solver settings above, checked by their own classes; seed 0
+    # the solver settings above, checked by their own class; seed 0
     maens_params: MaensParams = field(init=False, repr=False, compare=False)
-    ncs_params: NcsParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.runs < 1:
@@ -65,8 +61,6 @@ class RunConfig:
                              f"for {self.runs} run(s)")
         if self.jobs < 1:
             raise ValueError(f"need at least one job, got {self.jobs}")
-        if self.gss_eps is not None and not 0 < self.gss_eps < math.inf:
-            raise ValueError(f"gss_eps must be finite and positive, got {self.gss_eps}")
         if self.annotation is not None and self.family is not None:
             raise ValueError("--annotation supplies the time-dependent costs and --family "
                              "generates them; give one, not both")
@@ -74,8 +68,6 @@ class RunConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; choose from {ALGORITHMS}")
         object.__setattr__(self, "maens_params", MaensParams(
             psize=self.psize, generations=self.generations, pls=self.pls))
-        object.__setattr__(self, "ncs_params", NcsParams(
-            process_count=self.ncs_procs, budget=self.ncs_budget))
 
 
 @dataclass(frozen=True)
@@ -165,10 +157,7 @@ def solve_once_detailed(
         trace = result.trace
 
     if config.algorithm == "maens-gn":
-        departures = optimize_departures(
-            plan, instance, sp, gss_eps=config.gss_eps,
-            ncs_params=replace(config.ncs_params, seed=seed),
-        )
+        departures = optimize_departures(plan, instance, sp, seed=seed)
     else:
         departures = tuple(0.0 for _ in split_routes(plan))
 

@@ -51,9 +51,6 @@ def _add_solver_args(p: argparse.ArgumentParser):
     p.add_argument("--psize", type=int)
     p.add_argument("--generations", type=int)
     p.add_argument("--pls", type=float)
-    p.add_argument("--gss-eps", type=float, help="gss interval threshold (default 1e-3 * horizon)")
-    p.add_argument("--ncs-budget", type=int)
-    p.add_argument("--ncs-procs", type=int)
     p.add_argument("--algorithm", choices=bench.ALGORITHMS)
 
 
@@ -133,7 +130,13 @@ def cmd_oracle(args) -> int:
             "instance has no finite planning horizon; supply --annotation or --family"
         )
     sp = shortest_paths(inst)
-    plan = tuple(int(x) for x in args.plan.replace(",", " ").split())
+    plan = []
+    for field in args.plan.replace(",", " ").split():
+        try:
+            plan.append(int(field))
+        except ValueError:
+            raise ValueError(f"--plan takes whole task IDs, got {field!r}") from None
+    plan = tuple(plan)
     routes = split_routes(plan)
     evaluator = RouteEvaluator(inst, sp)
     total = 0.0

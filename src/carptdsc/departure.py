@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -26,6 +26,7 @@ from .maens import mix_seed
 from .solution import DepartureTimes, RouteEvaluator, RoutingPlan, split_routes
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # interval shrink factor per iteration
+GSS_EPS = 1e-3           # optimize_departures stops gss at this times the horizon
 NCS_SIGMA_DIVISOR = 6.0  # ncs's first step size is the interval length over this
 NCS_EPOCH_ADAPT = 10     # ncs adapts its step size every this many epochs
 ORACLE_SLICE = 16384     # grid_oracle sweeps its grid this many points at a time
@@ -231,7 +232,10 @@ def grid_oracle(
         raise ValueError(f"step must be finite and positive, got {step}")
     if lo > hi:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
-    count = int(math.floor((hi - lo) / step + 1e-9))
+    steps = (hi - lo) / step
+    if not math.isfinite(steps):
+        raise ValueError(f"step {step} is too small: a grid on [{lo}, {hi}] would be infinite")
+    count = int(math.floor(steps + 1e-9))
     ts = lo + step * np.arange(count + 1)
     if ts[-1] > hi:  # the 1e-9 slack can step just past hi
         ts[-1] = hi
@@ -250,16 +254,16 @@ def optimize_departures(
     plan: RoutingPlan,
     instance: Instance,
     sp: ShortestPaths,
-    gss_eps: Optional[float] = None,
-    ncs_params: Optional[NcsParams] = None,
+    seed: int = 0,
 ) -> DepartureTimes:
     """Optimal (or near-optimal) departure time for every route of ``plan``.
 
     Two-segment instances get all-zero departures.  Three-segment
     instances are routed to gss when the slope magnitude is <= 1 and to
-    ncs otherwise, each route independently on [0, horizon].  Per-route
-    ncs seeds derive from the route index, so the result is independent
-    of optimization order.  ``gss_eps`` defaults to 1e-3 of the horizon.
+    ncs otherwise, each route independently on [0, horizon]: gss stops at
+    ``GSS_EPS`` times the horizon, and ncs runs with ``NcsParams``'
+    defaults.  Per-route ncs seeds mix ``seed`` with the route's tasks, so
+    the result is independent of optimization order.
     """
     routes = split_routes(plan)
     kind = classify(instance)
@@ -269,22 +273,17 @@ def optimize_departures(
     horizon = instance.horizon
     if not math.isfinite(horizon):
         raise ValueError("departure optimization needs a finite planning horizon")
-    if gss_eps is None:
-        gss_eps = 1e-3 * horizon
-    if ncs_params is None:
-        ncs_params = NcsParams()
 
     evaluator = RouteEvaluator(instance, sp)
     departures: list[float] = []
     for route in routes:
         obj = _objective(evaluator, route)
         if kind.k <= 1.0:
-            t_star, _ = gss(obj, 0.0, horizon, gss_eps)
+            t_star, _ = gss(obj, 0.0, horizon, GSS_EPS * horizon)
         else:
             # the ncs stream is keyed to the route content, so a route's
             # departure does not depend on its position in the plan
-            route_params = replace(ncs_params, seed=mix_seed(ncs_params.seed, route))
-            t_star, _ = ncs(obj, 0.0, horizon, route_params)
+            t_star, _ = ncs(obj, 0.0, horizon, NcsParams(seed=mix_seed(seed, route)))
         departures.append(t_star)
     return tuple(departures)
 

@@ -440,10 +440,14 @@ def read_annotation(text: str) -> TdAnnotation:
     k = _num(*header["k"], "k")
     if not 0 <= k < math.inf:
         raise ParseError(f"line {header['k'][1]}: k must be finite and non-negative, got {k}")
+    horizon = _num(*header["horizon"], "horizon")
+    if not 0 < horizon < math.inf:
+        raise ParseError(f"line {header['horizon'][1]}: horizon must be finite and positive, "
+                         f"got {horizon}")
     return TdAnnotation(
         family=family,
         k=k,
-        horizon=_num(*header["horizon"], "horizon"),
+        horizon=horizon,
         seed=_int(*header["seed"], "seed"),
         records=tuple(records),
     )

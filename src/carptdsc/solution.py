@@ -445,7 +445,10 @@ def check_feasibility(
     returns: list[float] = []
     capacity_ok = horizon_tasks_ok = True
     for route, t in zip(routes, solution.departures):
-        if sum(evaluator.rows[tid][6] for tid in route) > instance.capacity:
+        load = 0.0
+        for tid in route:  # in route order, as walk adds them; sum() compensates from 3.12 on
+            load += evaluator.rows[tid][6]
+        if load > instance.capacity:
             capacity_ok = False
         if t < 0:  # violates the lower end of the time window
             horizon_tasks_ok = False

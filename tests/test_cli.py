@@ -116,7 +116,7 @@ def test_bare_instance_builds_the_default_config(monkeypatch, capsys, argv, run)
     assert (code, err) == (1, "error: stop\n")
     want = RunConfig(instances=(GDB1,), **run)
     assert built == [want]
-    assert (built[0].maens_params, built[0].ncs_params) == (want.maens_params, want.ncs_params)
+    assert built[0].maens_params == want.maens_params
 
 
 def test_generate_and_reuse_annotation(tmp_path, capsys):
@@ -196,8 +196,6 @@ def test_bench_rejects_fewer_than_one_job(capsys, jobs):
     ("--psize", "1", "population size must be >= 2, got 1"),
     ("--generations", "0", "need at least one generation"),
     ("--pls", "2", "local-search probability must be in [0, 1], got 2.0"),
-    ("--ncs-procs", "1", "need at least 2 search processes, got 1"),
-    ("--ncs-budget", "0", "evaluation budget must be positive, got 0"),
 ])
 def test_bench_rejects_bad_solver_settings_before_any_run(capsys, flag, value, message):
     code, out, err = run_cli(capsys, "bench", "--instance", GDB1, "--runs", "2", flag, value)
@@ -382,16 +380,6 @@ def test_solve_rejects_an_instance_without_tasks(tmp_path, capsys, extra):
     assert err == "error: instance has no tasks\n"
 
 
-@pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
-def test_solve_rejects_a_bad_gss_eps(capsys, eps):
-    code, out, err = run_cli(
-        capsys, "solve", "--instance", GDB1, "--family", "3lp", "--slope-set", "0.5",
-        "--gen-seed", "3", "--psize", "4", "--generations", "2", "--gss-eps", eps,
-    )
-    assert (code, out) == (1, "")
-    assert err == f"error: gss_eps must be finite and positive, got {float(eps)}\n"
-
-
 def test_solve_out_file_matches_stdout(tmp_path, capsys):
     out_path = tmp_path / "sol.txt"
     code, out, _ = run_cli(
@@ -405,15 +393,17 @@ def test_solve_out_file_matches_stdout(tmp_path, capsys):
 QUICK = ("--generations", "1", "--psize", "2")
 
 
-def _nan_horizon_annotation(tmp_path):
-    path = tmp_path / "gdb1.ann"
-    main(["generate", "--instance", GDB1, "--family", "3lp", "--slope-set", "2",
-          "--gen-seed", "3", "--out", str(path)])
-    lines = ["horizon : nan" if line.startswith("horizon") else line
-             for line in path.read_text().splitlines()]
-    path.write_text("\n".join(lines) + "\n")
-    return ["solve", "--instance", GDB1, "--annotation", str(path), "--algorithm", "maens-only",
-            *QUICK]
+def _horizon_annotation(value):
+    def argv(tmp_path):
+        path = tmp_path / "gdb1.ann"
+        main(["generate", "--instance", GDB1, "--family", "3lp", "--slope-set", "2",
+              "--gen-seed", "3", "--out", str(path)])
+        lines = [f"horizon : {value}" if line.startswith("horizon") else line
+                 for line in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        return ["solve", "--instance", GDB1, "--annotation", str(path),
+                "--algorithm", "maens-only", *QUICK]
+    return argv
 
 
 def _nan_capacity_instance(tmp_path):
@@ -437,9 +427,9 @@ def _nan_edge_cost_instance(tmp_path):
     return ["solve", "--instance", str(path), *QUICK]
 
 
-def _oracle(step):
+def _oracle(step, plan="0 1 3 0 5 0"):
     return ["oracle", "--instance", GDB1, "--family", "3lp", "--slope-set", "2",
-            "--gen-seed", "3", "--plan", "0 1 3 0 5 0", "--oracle-step", step]
+            "--gen-seed", "3", "--plan", plan, "--oracle-step", step]
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -449,12 +439,15 @@ def _oracle(step):
      "k must be finite, got inf"),
     (_oracle("nan"), "step must be finite and positive, got nan"),
     (_oracle("inf"), "step must be finite and positive, got inf"),
-    (_nan_horizon_annotation, "planning horizon must be positive, got nan"),
+    (_oracle("1e-320"), "step 1e-320 is too small: a grid on [0.0, 714.0] would be infinite"),
+    (_horizon_annotation("nan"), "line 4: horizon must be finite and positive, got nan"),
+    (_horizon_annotation("inf"), "line 4: horizon must be finite and positive, got inf"),
     (_nan_capacity_instance, "vehicle capacity must be positive, got nan"),
     (_nan_demand_instance, "task 1 demand must be non-negative, got nan"),
     (_nan_edge_cost_instance, "arc 45 travel time and cost must be non-negative, got nan and nan"),
 ], ids=["slope-nan", "slope-inf", "oracle-step-nan", "oracle-step-inf",
-        "horizon-nan", "capacity-nan", "demand-nan", "edge-cost-nan"])
+        "oracle-step-subnormal", "horizon-nan", "horizon-inf", "capacity-nan", "demand-nan",
+        "edge-cost-nan"])
 def test_non_finite_inputs_are_rejected(tmp_path, capsys, argv, message):
     if callable(argv):
         argv = argv(tmp_path)
@@ -561,6 +554,7 @@ TOO_LARGE = ("arc travel times, arc travel costs and task service costs at their
      "line 11: coordinates must be finite, got (inf, 49.0)"),
     (_instance(GDB1, ("VERTICES : 12", "VERTICES : 13")),
      "12 distinct vertices referenced, header says 13"),
+    (lambda tmp_path: _oracle("1", plan="0 1.5 0"), "--plan takes whole task IDs, got '1.5'"),
 ], ids=["max-customers-on-dat", "vertices-nan", "depot-inf", "required-edges-fraction",
         "customer-number-nan", "annotation-task-id-fraction", "annotation-c-min-text",
         "edge-cost-nan", "annotation-bt-after-et", "customer-ready-after-due",
@@ -568,7 +562,8 @@ TOO_LARGE = ("arc travel times, arc travel costs and task service costs at their
         "customer-renumbered", "annotation-with-family", "slope-set-without-family",
         "gen-seed-without-family", "slope-set-with-2lp", "annotation-huge-horizon-and-windows",
         "annotation-huge-horizon", "annotation-family-unknown", "annotation-family-disagrees",
-        "annotation-k-minus-inf", "customer-coordinate-inf", "vertex-no-edge-touches"])
+        "annotation-k-minus-inf", "customer-coordinate-inf", "vertex-no-edge-touches",
+        "oracle-plan-fraction"])
 def test_malformed_input_files_name_their_field(tmp_path, capsys, argv, message):
     with _answers_within_10_s("this case"):
         code, out, err = run_cli(capsys, *argv(tmp_path))

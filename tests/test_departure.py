@@ -214,7 +214,7 @@ def test_dispatcher_small_slope_matches_oracle():
     rng = rng_for(23)
     inst, route, sp = chain_route_instance(rng, 4, 0.5, "aligned")
     plan = join_routes([route])
-    deps = optimize_departures(plan, inst, sp, gss_eps=1e-7 * inst.horizon)
+    deps = optimize_departures(plan, inst, sp)
     evaluator = RouteEvaluator(inst, sp)
     got = evaluator.total(route, deps[0])
     _, want = grid_oracle(
@@ -225,7 +225,7 @@ def test_dispatcher_small_slope_matches_oracle():
 
 def test_dispatcher_large_slope_uses_ncs(fig4):
     inst, sp = fig4  # k = 2
-    deps = optimize_departures((0, 1, 2, 3, 0), inst, sp, ncs_params=NcsParams(seed=4))
+    deps = optimize_departures((0, 1, 2, 3, 0), inst, sp, seed=4)
     evaluator = RouteEvaluator(inst, sp)
     assert evaluator.total((1, 2, 3), deps[0]) <= 1.02 * (83.0 / 9.0)
 
@@ -238,8 +238,8 @@ def test_route_independence():
     roots = sorted({inst3.pair_root(t) for t in inst3.real_task_ids})
     plan_a = join_routes([roots[:3], roots[3:]])
     plan_b = join_routes([roots[3:], roots[:3]])
-    deps_a = optimize_departures(plan_a, inst3, sp, ncs_params=NcsParams(seed=0))
-    deps_b = optimize_departures(plan_b, inst3, sp, ncs_params=NcsParams(seed=0))
+    deps_a = optimize_departures(plan_a, inst3, sp, seed=0)
+    deps_b = optimize_departures(plan_b, inst3, sp, seed=0)
     assert deps_a == (deps_b[1], deps_b[0])
 
 

@@ -215,6 +215,24 @@ def test_feasibility_capacity_excess(fig4):
     assert not rep.capacity_respected
 
 
+def test_feasibility_adds_demands_in_route_order_as_stage_1_does():
+    # Added in order these demands make 2.8 exactly; sum() compensates rounding
+    # from Python 3.12 on and makes 2.8000000000000003, over the capacity
+    from carptdsc import Arc, ServiceCostFunction, Task, build_instance, shortest_paths
+
+    arcs = [Arc(i + 1, i, (i + 1) % 4, 1.0, 1.0) for i in range(4)]
+    fn = ServiceCostFunction(1.0, 0.0, 100.0)
+    demands = (1.1, 0.45, 0.15, 1.1)
+    inst = build_instance(4, arcs, [Task(a.id, a, d, fn) for a, d in zip(arcs, demands)],
+                          depot=0, capacity=2.8, horizon=100.0)
+    sp = shortest_paths(inst)
+    route = (1, 2, 3, 4)
+    evaluator = RouteEvaluator(inst, sp)
+    assert evaluator.walk(evaluator.origin, route)[1] == 0.0  # stage 1: no violation
+    rep = check_feasibility(Solution(join_routes([route]), (0.0,)), inst, sp)
+    assert rep.capacity_respected and rep.feasible
+
+
 def test_feasibility_horizon_split(fig4):
     inst, sp = fig4  # horizon 20
     # at t=0 the fig4 route finishes at 23 > 20 but services start at <= 18

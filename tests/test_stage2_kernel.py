@@ -146,7 +146,7 @@ def test_profile_leaves_its_input_alone():
 
 
 # Departures of the search before it shared one step size (gdb1 3LP,
-# generator seed 3, NcsParams(seed=s)) for the plans init_individual
+# generator seed 3, seed=s) for the plans init_individual
 # built from rng_for(s).
 GOLDEN_DEPARTURES = {
     (1.0, 0): (
@@ -186,7 +186,7 @@ GOLDEN_DEPARTURES = {
 def test_pinned_departures(k, seed):
     inst, sp, _ = CASES[k]
     plan, want = GOLDEN_DEPARTURES[(k, seed)]
-    deps = optimize_departures(plan, inst, sp, ncs_params=NcsParams(seed=seed))
+    deps = optimize_departures(plan, inst, sp, seed=seed)
     assert [t.hex() for t in deps] == want
 
 
