@@ -89,6 +89,12 @@ def cmd_solve(args) -> int:
     sys.stdout.write(text)
     if args.out:
         Path(args.out).write_text(text)
+    _warn_if_infeasible("the final plan", solution, inst, sp)
+    return 0
+
+
+def _warn_if_infeasible(what: str, solution: Solution, inst, sp) -> None:
+    """One ``warning:`` line on stderr naming each check ``solution`` fails."""
     report = check_feasibility(solution, inst, sp)
     if report.broken:
         problems = [", ".join(report.broken)]
@@ -96,8 +102,7 @@ def cmd_solve(args) -> int:
             if back > inst.horizon:
                 problems.append(f"route {i} departs at {t:.6f} and returns at {back:.6f}, "
                                 f"after the horizon {inst.horizon:g}")
-        print("warning: the final plan is infeasible: " + "; ".join(problems), file=sys.stderr)
-    return 0
+        print(f"warning: {what} is infeasible: " + "; ".join(problems), file=sys.stderr)
 
 
 def cmd_bench(args) -> int:
@@ -149,9 +154,10 @@ def cmd_oracle(args) -> int:
         print(f"route {i}: oracle depart {t_star:.6f} cost {cost:.6f} "
               f"(cost at 0: {evaluator.total(route, 0.0):.6f})")
     print(f"total {total:.6f}")
+    sol = Solution(plan=plan, departures=tuple(departures))
     if args.out:
-        sol = Solution(plan=plan, departures=tuple(departures))
         Path(args.out).write_text(format_solution(sol, inst, sp))
+    _warn_if_infeasible("the plan at the oracle departures", sol, inst, sp)
     return 0
 
 

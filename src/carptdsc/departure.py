@@ -6,8 +6,8 @@ family and slope magnitude: two-segment costs are non-decreasing in the
 departure time, so 0 is optimal; three-segment costs with slope <= 1 are
 (similar-)unimodal or non-decreasing and handled by golden-section search;
 slopes > 1 can produce non-unimodal route costs and are handled by a
-negatively-correlated stochastic search.  A brute-force grid oracle is
-provided for verification.
+negatively-correlated stochastic search.  A grid oracle, exact on its
+grid, is provided for verification.
 """
 
 from __future__ import annotations
@@ -37,15 +37,20 @@ class ScalarObjective:
 
     ``vector_fn``, when given, must agree with ``fn`` pointwise and is used
     to batch grid sweeps; batched points count toward ``evaluations``.
+    ``slope_changes``, when given, returns the times t >= 0 where the
+    objective's slope may change (it is affine between them), or None
+    when they are not known; only :func:`grid_oracle` calls it.
     """
 
     def __init__(
         self,
         fn: Callable[[float], float],
         vector_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        slope_changes: Optional[Callable[[], Optional[list[float]]]] = None,
     ):
         self.fn = fn
         self.vector_fn = vector_fn
+        self.slope_changes = slope_changes
         self.evaluations = 0
 
     def __call__(self, t: float) -> float:
@@ -59,9 +64,25 @@ class ScalarObjective:
         return np.array([self.fn(float(t)) for t in ts])
 
 
+def _slope_changes(evaluator: RouteEvaluator, route: tuple[int, ...]) -> Optional[list[float]]:
+    """Departures where the route's cost may change slope, from its table.
+
+    Suffix 0 of the table is linear between the pieces' first service
+    starts u = t + (depot leg); its first piece starts the table's domain,
+    u = 0, so only the others are slope changes.  None over the piece cap.
+    """
+    suffix = evaluator.table(route).suffixes[0]
+    if suffix is None:
+        return None
+    leg = evaluator.sp_time[evaluator.depot][evaluator.rows[route[0]][0]]
+    return [u - leg for u in suffix[2][1:]]
+
+
 def _objective(evaluator: RouteEvaluator, route: tuple[int, ...]) -> ScalarObjective:
+    # the slope changes are computed on demand: gss and ncs never ask for them
     return ScalarObjective(
-        fn=partial(evaluator.total, route), vector_fn=partial(evaluator.profile, route)
+        fn=partial(evaluator.total, route), vector_fn=partial(evaluator.profile, route),
+        slope_changes=partial(_slope_changes, evaluator, route),
     )
 
 
@@ -136,7 +157,8 @@ def ncs(
     distance to the nearest other process is a scaled squared distance to
     the nearest other mean, read off the means sorted once per epoch.
     Each batch of points is evaluated through ``obj.fn`` and counted in
-    ``obj.evaluations``.
+    ``obj.evaluations``; a proposal clamped to lo or hi counts too, but
+    ``obj.fn`` prices each end only once.
     """
     if lo >= hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -147,6 +169,7 @@ def ncs(
     sigma = span / NCS_SIGMA_DIVISOR
 
     fn = obj.fn
+    ends: dict[float, float] = {}  # the cost at lo and at hi, once priced
     means = (lo + span * rng.random(nproc)).tolist()[:budget]
     fits = [fn(t) for t in means]
     used = len(means)
@@ -165,7 +188,10 @@ def ncs(
             (t if t < hi else hi) if (t := m + sigma * z) > lo else lo
             for m, z in zip(means, steps)
         ]
-        proposal_fits = [fn(t) for t in proposals]
+        proposal_fits = [
+            fn(t) if lo < t < hi else ends[t] if t in ends else ends.setdefault(t, fn(t))
+            for t in proposals
+        ]
         used += count
         obj.evaluations += count
         f = min(proposal_fits)
@@ -222,11 +248,18 @@ def grid_oracle(
 ) -> tuple[float, float]:
     """Exhaustive minimum over {lo, lo+step, ...} up to and including hi.
 
-    Ties break toward the smaller departure time.  Verification tool: it
-    makes O((hi - lo) / step) evaluations, in slices of ``ORACLE_SLICE``
-    points through the objective's ``vector_fn`` when it has one (for a
-    route, the in-place ``RouteEvaluator.profile`` sweep), so the sweep's
-    work arrays stay in cache.
+    Ties break toward the smaller departure time.  Verification tool.
+    When ``obj.slope_changes`` lists the slope changes (a route's
+    objective within the piece cap) and lo >= 0, the objective is affine
+    between them, so on the grid points of one piece it is least at the
+    piece's first or last point: only the points ⌊(x - lo) / step⌋ + {-1,
+    0, 1, 2} around each slope change x, the first and last grid points
+    and hi are evaluated, at most 4·(slope changes) + 3 of them,
+    whatever (hi - lo) / step.  Otherwise the whole grid is evaluated,
+    O((hi - lo) / step) points, in slices of ``ORACLE_SLICE`` points
+    through the objective's ``vector_fn`` when it has one (for a route,
+    the in-place ``RouteEvaluator.profile`` sweep), so the sweep's work
+    arrays stay in cache.
     """
     if not 0 < step < math.inf:
         raise ValueError(f"step must be finite and positive, got {step}")
@@ -236,7 +269,19 @@ def grid_oracle(
     if not math.isfinite(steps):
         raise ValueError(f"step {step} is too small: a grid on [{lo}, {hi}] would be infinite")
     count = int(math.floor(steps + 1e-9))
-    ts = lo + step * np.arange(count + 1)
+    # the slope changes are listed for t >= 0 only
+    changes = obj.slope_changes() if obj.slope_changes is not None and lo >= 0 else None
+    if changes is None:
+        indices = np.arange(count + 1)
+    else:
+        picked = {0, count}
+        for x in changes:
+            q = (x - lo) / step
+            if -3.0 < q < count + 2.0:  # else no bracketing index is on the grid
+                i = math.floor(q)
+                picked.update(j for j in range(i - 1, i + 3) if 0 <= j <= count)
+        indices = np.array(sorted(picked), dtype=float)  # float: count may pass 2**63
+    ts = lo + step * indices
     if ts[-1] > hi:  # the 1e-9 slack can step just past hi
         ts[-1] = hi
     elif ts[-1] < hi:

@@ -124,7 +124,10 @@ def select_next_task(
         1.0 / max(instance.tasks[tid].cost_fn.value(current_time), SCORE_FLOOR)
         for tid in candidates
     ]
-    pick = rng.random() * sum(scores)
+    total = 0.0
+    for score in scores:  # in order: the built-in sum compensates rounding from 3.12 on
+        total += score
+    pick = rng.random() * total
     acc = 0.0
     for tid, score in zip(candidates, scores):
         acc += score
@@ -410,10 +413,13 @@ def _merge_split(tables, ev, lam, rng) -> bool:
                                                replace=False))
     pair_root = ev.instance.pair_root
     roots = [pair_root(tid) for ri in picked for tid in tables[ri].route]
-    old_contrib = sum(tables[ri].penalized(lam) for ri in picked)
+    old_contrib = new_contrib = 0.0  # ordered +: the built-in sum compensates from 3.12 on
+    for ri in picked:
+        old_contrib += tables[ri].penalized(lam)
     seq = [tid for route in _path_scan(ev, roots, math.inf, rng) for tid in route]
     rebuilt = [ev.table(route) for route in _split_sequence(seq, ev, lam)]
-    new_contrib = sum(t.penalized(lam) for t in rebuilt)
+    for t in rebuilt:
+        new_contrib += t.penalized(lam)
     if new_contrib - old_contrib < -IMPROVE_EPS:
         tables[:] = [t for ri, t in enumerate(tables) if ri not in picked] + rebuilt
         return True

@@ -251,6 +251,24 @@ def reference_ncs(obj, lo, hi, params):
     return best_t, best_f
 
 
+def reference_grid_sweep(obj, lo, hi, step):
+    """Minimum over grid_oracle's whole grid, priced in one ``vector_fn`` call.
+
+    The grid is lo + step * i for i = 0..count, where count rounds (hi -
+    lo) / step down with a 1e-9 slack; its last point is clamped to hi,
+    or hi follows it.  The first minimum wins, so ties go to the smaller t.
+    """
+    count = int(math.floor((hi - lo) / step + 1e-9))
+    ts = lo + step * np.arange(count + 1)
+    if ts[-1] > hi:
+        ts[-1] = hi
+    elif ts[-1] < hi:
+        ts = np.append(ts, hi)
+    costs = obj.vector_fn(ts)
+    i = int(np.argmin(costs))
+    return float(ts[i]), float(costs[i])
+
+
 def whole_route_penalized(ev, route, lam):
     """Penalized cost of ``route`` departing at 0, by one walk of the whole route."""
     total, violation = ev.walk(ev.origin, route)

@@ -456,6 +456,21 @@ def test_non_finite_inputs_are_rejected(tmp_path, capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+def test_oracle_warns_about_an_infeasible_plan(capsys):
+    # task 1 served twice and every other task left unserved; stdout and
+    # exit status stay as for a feasible plan
+    code, out, err = run_cli(capsys, *_oracle("0.1", plan="0 1 1 0"))
+    assert code == 0
+    assert out.splitlines()[-1] == "total 61.742807"
+    assert err == ("warning: the plan at the oracle departures is infeasible: "
+                   "no_duplicate_service, all_tasks_served\n")
+    # a plan that serves every task once, each route back by the horizon
+    full = "0 1 42 19 28 0 7 10 35 11 17 0 40 5 29 38 31 0 23 44 0 15 22 34 26 4 0 14 0"
+    code, out, err = run_cli(capsys, *_oracle("0.1", plan=full))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "total 1424.542493"
+
+
 def _edited(tmp_path, source, edits):
     """A copy of ``source`` in ``tmp_path`` with each (old, new) text replaced once."""
     text = Path(source).read_text()

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,16 +9,21 @@ from carptdsc import (
     ScalarObjective,
     grid_oracle,
     gss,
+    init_individual,
     ncs,
     optimize_departures,
     route_objective,
+    shortest_paths,
+    solution,
 )
 from carptdsc.departure import ORACLE_SLICE
-from carptdsc.instance_io import generate_td
+from carptdsc.instance_io import generate_td, parse_carp
 from carptdsc.solution import RouteEvaluator, join_routes, split_routes
 
-from conftest import chain_route_instance, make_fig4_instance, random_route, random_static_instance, rng_for
-from oracles import gss_eval_bound
+from conftest import (
+    DATA, chain_route_instance, make_fig4_instance, random_route, random_static_instance, rng_for,
+)
+from oracles import gss_eval_bound, reference_grid_sweep
 
 
 def quadratic(center=5.0):
@@ -154,6 +160,104 @@ def test_grid_oracle_fig4_fine(fig4):
     t, cost = grid_oracle(obj, 0.0, 20.0, 1e-3)
     assert t == pytest.approx(52.0 / 9.0, abs=2e-3)
     assert cost == pytest.approx(83.0 / 9.0, abs=2e-2)
+
+
+_, GDB1 = parse_carp((DATA / "gdb1.dat").read_text())
+ORACLE_CASES = [("2lp", 1.0)] + [("3lp", k) for k in (0.3, 0.5, 1.0, 2.0, 3.0)]
+
+
+def _seeded_routes(family, k):
+    """gdb1 with a generated cost layer: a construction plan's routes, random
+    routes of up to 12 tasks, and chain routes with windows anywhere."""
+    inst, _ = generate_td(GDB1, family, (k,) if family == "3lp" else (), int(10 * k))
+    sp = shortest_paths(inst)
+    rng = rng_for(int(100 * k))
+    cases = [(inst, sp, route) for route in split_routes(init_individual(inst, sp, rng))]
+    cases += [(inst, sp, random_route(rng, inst, 12)) for _ in range(8)]
+    for _ in range(4 if family == "3lp" else 0):
+        chain, route, chain_sp = chain_route_instance(rng, int(rng.integers(3, 11)), k, "general")
+        cases.append((chain, chain_sp, route))
+    return cases
+
+
+def _slope_change_count(inst, sp, route):
+    """Pieces of the route table's suffix 0 after the first, each a slope change."""
+    return len(RouteEvaluator(inst, sp).table(route).suffixes[0][2]) - 1
+
+
+@pytest.mark.parametrize("family,k", ORACLE_CASES)
+@pytest.mark.parametrize("steps", [1e5, 1e5 - 0.5], ids=["grid-ends-at-hi", "hi-appended"])
+def test_grid_oracle_on_routes_matches_the_full_sweep(family, k, steps):
+    for inst, sp, route in _seeded_routes(family, k):
+        horizon = inst.horizon
+        obj = route_objective(route, inst, sp)
+        got = grid_oracle(obj, 0.0, horizon, horizon / steps)
+        want = reference_grid_sweep(route_objective(route, inst, sp), 0.0, horizon, horizon / steps)
+        assert repr(got) == repr(want), route
+
+
+@pytest.mark.parametrize("family,k", ORACLE_CASES)
+def test_grid_oracle_over_the_piece_cap_sweeps_the_grid(monkeypatch, family, k):
+    monkeypatch.setattr(solution, "SUFFIX_PIECE_CAP", 0)  # every suffix is None
+    for inst, sp, route in _seeded_routes(family, k):
+        horizon = inst.horizon
+        obj = route_objective(route, inst, sp)
+        got = grid_oracle(obj, 0.0, horizon, horizon / 1e5)
+        assert repr(got) == repr(reference_grid_sweep(obj, 0.0, horizon, horizon / 1e5))
+        assert obj.evaluations >= 100_001  # the reference calls vector_fn, which counts none
+
+
+def _one_task_instance(bt, et, k):
+    """Task 1 from the depot 0 to vertex 1 at time 0, on [0, 20]."""
+    from carptdsc import Arc, ServiceCostFunction, Task, build_instance
+
+    arc = Arc(1, 0, 1, 0, 0)
+    back = Arc(2, 1, 0, 0, 0)
+    task = Task(1, arc, 1.0, ServiceCostFunction(1.0, bt, et, k))
+    inst = build_instance(2, [arc, back], [task], 0, 5.0, 20.0)
+    return inst, shortest_paths(inst)
+
+
+def test_grid_oracle_on_a_flat_route_takes_the_smallest_t():
+    inst, sp = _one_task_instance(0.0, 20.0, 1.0)  # its window covers every departure
+    obj = route_objective((1,), inst, sp)
+    assert grid_oracle(obj, 0.0, 20.0, 20.0 / 1e5) == (0.0, 1.0)
+    # an aligned chain is flat around its minimum: the first flat point wins
+    for seed in range(5):
+        inst, route, sp = chain_route_instance(rng_for(seed), 6, 0.5, "aligned")
+        step = inst.horizon / 1e5
+        got = grid_oracle(route_objective(route, inst, sp), 0.0, inst.horizon, step)
+        want = reference_grid_sweep(route_objective(route, inst, sp), 0.0, inst.horizon, step)
+        assert got == want
+        assert RouteEvaluator(inst, sp).total(route, got[0] - step) > got[1]
+
+
+def test_grid_oracle_on_a_route_can_end_at_the_appended_hi():
+    inst, sp = _one_task_instance(50.0, 60.0, 1.0)  # early all the way: cheapest at hi
+    obj = route_objective((1,), inst, sp)
+    assert grid_oracle(obj, 0.0, 20.0, 3.0) == (20.0, 31.0) == reference_grid_sweep(
+        route_objective((1,), inst, sp), 0.0, 20.0, 3.0)
+    assert obj.evaluations == 3  # 0, 18 and hi
+
+
+def test_grid_oracle_on_a_route_prices_only_around_slope_changes():
+    for inst, sp, route in _seeded_routes("3lp", 2.0):
+        obj = route_objective(route, inst, sp)
+        grid_oracle(obj, 0.0, inst.horizon, inst.horizon / 1e5)
+        assert obj.evaluations <= 4 * _slope_change_count(inst, sp, route) + 3
+
+
+def test_grid_oracle_on_a_route_at_a_billion_steps_is_quick():
+    for inst, sp, route in _seeded_routes("3lp", 3.0)[:6]:
+        horizon = inst.horizon
+        obj = route_objective(route, inst, sp)
+        # without the slope changes this grid would be swept, 8 GB per array
+        assert obj.slope_changes() is not None
+        start = time.perf_counter()
+        _, fine = grid_oracle(obj, 0.0, horizon, horizon * 1e-9)
+        assert time.perf_counter() - start < 1.0
+        _, coarse = grid_oracle(route_objective(route, inst, sp), 0.0, horizon, horizon / 1e5)
+        assert fine <= coarse + 1e-9 * coarse
 
 
 def test_ncs_constant_objective():

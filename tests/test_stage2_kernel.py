@@ -21,6 +21,7 @@ from carptdsc import (
     ncs,
     optimize_departures,
     shortest_paths,
+    split_routes,
 )
 from carptdsc.maens import _stream, mix_seed
 
@@ -111,7 +112,28 @@ def test_ncs_with_duplicate_means_matches_reference(edge, nproc, budget, seed):
     want = reference_ncs(want_obj, lo, hi, params)
     assert repr(got) == repr(want) == repr((end, 0.0))
     assert got_obj.evaluations == want_obj.evaluations == budget
-    assert got_obj.hits == want_obj.hits >= 2 * nproc
+    # the reference prices every proposal clamped to the end, ncs only the first
+    assert want_obj.hits >= 2 * nproc
+    assert got_obj.hits == 1
+
+
+def test_ncs_prices_each_end_of_a_route_once():
+    # proposals clamped to 0 or H reuse the cost there: fewer calls of fn
+    # than counted evaluations, and the same result as the reference, which
+    # prices every proposal
+    inst, _, ev = CASES[2.0]
+    plan, _ = GOLDEN_DEPARTURES[(2.0, 0)]
+    for seed, route in enumerate(split_routes(plan)):
+        calls = []
+        got_obj = ScalarObjective(lambda t: calls.append(t) or ev.total(route, t))
+        want_obj = _objective(ev, route)
+        params = NcsParams(seed=seed)
+        got = ncs(got_obj, 0.0, inst.horizon, params)
+        want = reference_ncs(want_obj, 0.0, inst.horizon, params)
+        assert repr(got) == repr(want)
+        assert got_obj.evaluations == want_obj.evaluations == params.budget
+        assert calls.count(0.0) <= 1 and calls.count(inst.horizon) <= 1
+        assert len(calls) < got_obj.evaluations
 
 
 def _sweep_points(inst, ev, route):
