@@ -32,6 +32,7 @@ from .solution import Solution, check_feasibility, evaluate_solution, split_rout
 ALGORITHMS = ("maens-gn", "maens-only", "init-only")
 REPORT_TAG = "carptdsc-report v1"
 RUN_LINE = "run <instance> <seed> <cost or failed> <seconds> [reason]"
+ALPHA = 0.05  # significance level of the rank-sum verdicts
 
 
 @dataclass(frozen=True)
@@ -409,19 +410,14 @@ def rank_sum_p_value(a: Sequence[float], b: Sequence[float]) -> tuple[float, flo
     return w, min(1.0, 2.0 * _normal_sf(abs(z)))
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0 < alpha < 1:  # also rejects NaN
-        raise ValueError(f"significance level must lie in (0, 1), got {alpha}")
+def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float]) -> RankSumResult:
+    """Two-sided rank-sum verdict for minimization: is ``a`` better than ``b``?
 
-
-def wilcoxon_rank_sum(
-    a: Sequence[float], b: Sequence[float], alpha: float = 0.05
-) -> RankSumResult:
-    """Two-sided rank-sum verdict for minimization: is ``a`` better than ``b``?"""
-    _check_alpha(alpha)
+    A difference is significant at the level ``ALPHA``.
+    """
     w, p = rank_sum_p_value(a, b)
     verdict = "equivalent"
-    if p < alpha:
+    if p < ALPHA:
         med_a, med_b = statistics.median(a), statistics.median(b)
         if med_a < med_b:
             verdict = "better"
@@ -451,20 +447,14 @@ class ReportComparison:
     all_failed: tuple[str, ...]
 
 
-def compare_reports(
-    a: ExperimentReport,
-    b: ExperimentReport,
-    alpha: float = 0.05,
-) -> ReportComparison:
+def compare_reports(a: ExperimentReport, b: ExperimentReport) -> ReportComparison:
     """Instance-by-instance comparison of two reports (a vs b).
 
     win/draw/loss counts partition the common instances on which both
     reports have a successful run; the others are listed in
     ``all_failed``.  No.best counts instances where each report attains
-    the better Best value; both score on ties.  ``alpha`` is checked even
-    when no instance is compared.
+    the better Best value; both score on ties.
     """
-    _check_alpha(alpha)
     by_name_b = {res.name: res for res in b.results}
     rows = []
     all_failed = []
@@ -486,7 +476,7 @@ def compare_reports(
                 ave_a=res_a.ave,
                 ave_b=res_b.ave,
                 pdr_a_vs_b=pdr(res_a.ave, res_b.ave),
-                verdict=wilcoxon_rank_sum(res_a.costs, res_b.costs, alpha=alpha).verdict,
+                verdict=wilcoxon_rank_sum(res_a.costs, res_b.costs).verdict,
             )
         )
     verdicts = [row.verdict for row in rows]

@@ -164,7 +164,7 @@ def cmd_oracle(args) -> int:
 def cmd_stats(args) -> int:
     rep_a = bench.read_report(Path(args.report_a).read_text())
     rep_b = bench.read_report(Path(args.report_b).read_text())
-    cmp = bench.compare_reports(rep_a, rep_b, alpha=args.alpha)
+    cmp = bench.compare_reports(rep_a, rep_b)
     for row in cmp.rows:
         print(f"{row.name}: ave {row.ave_a:.3f} vs {row.ave_b:.3f} "
               f"pdr {row.pdr_a_vs_b:+.3f}% verdict {row.verdict}")
@@ -228,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="compare two report files")
     p.add_argument("report_a")
     p.add_argument("report_b")
-    p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--lb", help="file of '<instance> <lower bound>' lines")
     p.set_defaults(fn=cmd_stats)
     return parser

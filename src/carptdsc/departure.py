@@ -16,6 +16,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -29,27 +30,22 @@ INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # interval shrink factor per iteration
 GSS_EPS = 1e-3           # optimize_departures stops gss at this times the horizon
 NCS_SIGMA_DIVISOR = 6.0  # ncs's first step size is the interval length over this
 NCS_EPOCH_ADAPT = 10     # ncs adapts its step size every this many epochs
-ORACLE_SLICE = 16384     # grid_oracle sweeps its grid this many points at a time
 
 
 class ScalarObjective:
     """Deterministic scalar objective on [lo, hi] with an evaluation counter.
 
-    ``vector_fn``, when given, must agree with ``fn`` pointwise and is used
-    to batch grid sweeps; batched points count toward ``evaluations``.
     ``slope_changes``, when given, returns the times t >= 0 where the
-    objective's slope may change (it is affine between them), or None
-    when they are not known; only :func:`grid_oracle` calls it.
+    objective's slope may change (it is affine between them); only
+    :func:`grid_oracle` calls it.
     """
 
     def __init__(
         self,
         fn: Callable[[float], float],
-        vector_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        slope_changes: Optional[Callable[[], Optional[list[float]]]] = None,
+        slope_changes: Optional[Callable[[], list[float]]] = None,
     ):
         self.fn = fn
-        self.vector_fn = vector_fn
         self.slope_changes = slope_changes
         self.evaluations = 0
 
@@ -57,33 +53,22 @@ class ScalarObjective:
         self.evaluations += 1
         return self.fn(t)
 
-    def sample(self, ts: np.ndarray) -> np.ndarray:
-        self.evaluations += len(ts)
-        if self.vector_fn is not None:
-            return self.vector_fn(ts)
-        return np.array([self.fn(float(t)) for t in ts])
 
-
-def _slope_changes(evaluator: RouteEvaluator, route: tuple[int, ...]) -> Optional[list[float]]:
+def _slope_changes(evaluator: RouteEvaluator, route: tuple[int, ...]) -> list[float]:
     """Departures where the route's cost may change slope, from its table.
 
     Suffix 0 of the table is linear between the pieces' first service
     starts u = t + (depot leg); its first piece starts the table's domain,
-    u = 0, so only the others are slope changes.  None over the piece cap.
+    u = 0, so only the others are slope changes.
     """
-    suffix = evaluator.table(route).suffixes[0]
-    if suffix is None:
-        return None
     leg = evaluator.sp_time[evaluator.depot][evaluator.rows[route[0]][0]]
-    return [u - leg for u in suffix[2][1:]]
+    return [u - leg for u in evaluator.table(route).suffixes[0][2][1:]]
 
 
 def _objective(evaluator: RouteEvaluator, route: tuple[int, ...]) -> ScalarObjective:
     # the slope changes are computed on demand: gss and ncs never ask for them
-    return ScalarObjective(
-        fn=partial(evaluator.total, route), vector_fn=partial(evaluator.profile, route),
-        slope_changes=partial(_slope_changes, evaluator, route),
-    )
+    return ScalarObjective(fn=partial(evaluator.total, route),
+                           slope_changes=partial(_slope_changes, evaluator, route))
 
 
 def route_objective(
@@ -250,16 +235,13 @@ def grid_oracle(
 
     Ties break toward the smaller departure time.  Verification tool.
     When ``obj.slope_changes`` lists the slope changes (a route's
-    objective within the piece cap) and lo >= 0, the objective is affine
-    between them, so on the grid points of one piece it is least at the
-    piece's first or last point: only the points ⌊(x - lo) / step⌋ + {-1,
-    0, 1, 2} around each slope change x, the first and last grid points
-    and hi are evaluated, at most 4·(slope changes) + 3 of them,
-    whatever (hi - lo) / step.  Otherwise the whole grid is evaluated,
-    O((hi - lo) / step) points, in slices of ``ORACLE_SLICE`` points
-    through the objective's ``vector_fn`` when it has one (for a route,
-    the in-place ``RouteEvaluator.profile`` sweep), so the sweep's work
-    arrays stay in cache.
+    objective) and lo >= 0, the objective is affine between them, so on
+    the grid points of one piece it is least at the piece's first or
+    last point: only the points ⌊(x - lo) / step⌋ + {-1, 0, 1, 2} around
+    each slope change x, the first and last grid points and hi are
+    evaluated, at most 4·(slope changes) + 3 of them, whatever (hi - lo)
+    / step.  Otherwise every grid point is evaluated, O((hi - lo) / step)
+    of them.
     """
     if not 0 < step < math.inf:
         raise ValueError(f"step must be finite and positive, got {step}")
@@ -270,29 +252,25 @@ def grid_oracle(
         raise ValueError(f"step {step} is too small: a grid on [{lo}, {hi}] would be infinite")
     count = int(math.floor(steps + 1e-9))
     # the slope changes are listed for t >= 0 only
-    changes = obj.slope_changes() if obj.slope_changes is not None and lo >= 0 else None
-    if changes is None:
-        indices = np.arange(count + 1)
+    if obj.slope_changes is None or lo < 0:
+        indices = range(count + 1)
     else:
         picked = {0, count}
-        for x in changes:
+        for x in obj.slope_changes():
             q = (x - lo) / step
             if -3.0 < q < count + 2.0:  # else no bracketing index is on the grid
                 i = math.floor(q)
                 picked.update(j for j in range(i - 1, i + 3) if 0 <= j <= count)
-        indices = np.array(sorted(picked), dtype=float)  # float: count may pass 2**63
-    ts = lo + step * indices
-    if ts[-1] > hi:  # the 1e-9 slack can step just past hi
-        ts[-1] = hi
-    elif ts[-1] < hi:
-        ts = np.append(ts, hi)
+        indices = sorted(picked)
+    # made one at a time; indices ends at count, which the 1e-9 slack can put past hi
+    end = lo + step * count
+    ts = chain((lo + step * i for i in indices[:-1]), (min(end, hi),), (hi,) if end < hi else ())
     best_t, best_f = float(lo), math.inf
-    for start in range(0, len(ts), ORACLE_SLICE):
-        costs = obj.sample(ts[start:start + ORACLE_SLICE])
-        idx = int(np.argmin(costs))
-        if costs[idx] < best_f:
-            best_t, best_f = float(ts[start + idx]), float(costs[idx])
-    return best_t, best_f
+    for t in ts:
+        f = obj(t)
+        if f < best_f:
+            best_t, best_f = t, f
+    return float(best_t), float(best_f)
 
 
 def optimize_departures(

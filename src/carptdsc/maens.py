@@ -183,8 +183,10 @@ def _path_scan(
             load += demand
             route.append(chosen)
             unserved.discard(instance.pair_root(chosen))
-        if not route:
-            raise SolverError("constructor could not place any remaining task")
+        if not route:  # every task fits an empty vehicle, so none is reachable
+            names = " ".join(str(root) for root in sorted(unserved))
+            raise SolverError("constructor could not place any remaining task: "
+                              f"the depot cannot reach the unserved tasks {names}")
         routes.append(route)
     return routes
 
@@ -500,7 +502,7 @@ def evolve(
     attempts = 0
     while len(plans) < params.psize and attempts < 50 * params.psize:
         rng = _stream(params.seed, 0, attempts)
-        plans[join_routes(_path_scan(ev, instance.roots, instance.capacity, rng))] = None
+        plans[init_individual(instance, sp, rng)] = None
         attempts += 1
     distinct = [assess(ev, plan) for plan in plans]
     # tiny instances have fewer distinct plans than psize: repeat them in turn

@@ -12,7 +12,8 @@ its own: the DAT and Solomon readers set it to the travel time, but an
 arc may take 12 time units and cost 0.  ``RouteEvaluator.walk``
 is the one forward pass for stage 1, ``evaluate`` and the feasibility
 checks, and ``splice`` screens stage-1 candidates within a bound of it;
-``total`` and ``profile`` are stage 2's scalar and vector sweeps.
+``total`` is stage 2's scalar sweep, and ``profile`` the same sweep
+vectorized, which only the benchmark harness and the tests call.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ TaskRow = tuple[int, int, float, float, float, float, float]
 RouteState = tuple[float, float, float, int, float]
 INF = float("inf")
 SCREEN_TOL = 1e-9  # relative rounding bound of a splice screen (tau per unit of scale)
-SUFFIX_PIECE_CAP = 64  # pieces above which a suffix is walked instead
 
 
 class RouteTable(NamedTuple):
@@ -41,7 +41,7 @@ class RouteTable(NamedTuple):
 
     route: Sequence[int]
     prefixes: list[RouteState]
-    suffixes: list  # each a suffix function or None
+    suffixes: list  # the suffix function of each route[j:]
     total: float
     violation: float
 
@@ -140,10 +140,10 @@ class RouteEvaluator:
     :meth:`walk` is the route kernel: stage 1 scores routes with it,
     :meth:`evaluate` reads its states, and every route check goes
     through it; :meth:`splice` screens a changed route within a bound of
-    it.  Stage 2 keeps two sweeps of its own: :meth:`total`, a
-    scalar pass that is faster than a walk and adds services and deadhead
-    in one running sum (so it can differ from a walk in the last bits),
-    and :meth:`profile`, the same pass vectorized over departure times.
+    it.  Stage 2 prices with :meth:`total`, a scalar pass that is faster
+    than a walk and adds services and deadhead in one running sum (so it
+    can differ from a walk in the last bits); :meth:`profile`, the same
+    pass vectorized, serves only the benchmark harness and the tests.
     """
 
     def __init__(self, instance: Instance, sp: ShortestPaths):
@@ -227,8 +227,7 @@ class RouteEvaluator:
         S): values at u = lo, slopes, rounding scale, and S >= |C|, |D|.
         Composed from the back: where a task's ramp slope is σ, the next
         start moves by f = 1 + σ per unit of u, so a piece maps back with
-        slopes σ + f·C and f·D (in reverse order for f < 0).  A suffix of
-        more than ``SUFFIX_PIECE_CAP`` pieces and every longer one are None.
+        slopes σ + f·C and f·D (in reverse order for f < 0).
         """
         route = [*table.route[:i], *tasks, *table.route[j:]]
         prefixes = table.prefixes[:i + 1]
@@ -236,8 +235,8 @@ class RouteEvaluator:
         sp_time, sp_cost, rows = self.sp_time, self.sp_cost, self.rows
         end = i + len(tasks)  # suffix j of table is suffix end here
         suffixes = [None] * end + table.suffixes[j:]
-        w, over, los, pieces = suffixes[end] or (None, None, None, None)
-        for m in range(end - 1, -1, -1) if los else ():
+        w, over, los, pieces = suffixes[end]
+        for m in range(end - 1, -1, -1):
             tail, head, c_min, bt, et, k, demand = rows[route[m]]
             leg_t, leg_c = sp_time[head][w], sp_cost[head][w]
             new_los, new = [], []
@@ -268,8 +267,6 @@ class RouteEvaluator:
                     new_los.append(u)
                     new.append((u, cost, sigma + f * slope, ret, f * ret_slope,
                                 err + cost + ret + (scale + new_scale) * x, new_scale))
-            if len(new) > SUFFIX_PIECE_CAP:
-                break
             suffixes[m] = (w, over, los, pieces) = (tail, over + demand, new_los, new)
         return RouteTable(route, prefixes, suffixes, total, violation)
 
@@ -278,47 +275,45 @@ class RouteEvaluator:
         """Penalized cost at ``lam`` of ``route[:i] + tasks + route[j:]``, and tau.
 
         A walk of ``tasks`` from prefix state i and one bisection into
-        suffix j give a screen within tau of the route's :meth:`walk`; a
-        None suffix, unreachable leg or non-finite screen is walked, tau 0.
+        suffix j give a screen within tau of the route's :meth:`walk`; an
+        unreachable leg or a non-finite screen is walked, tau 0.
         """
         cur, services, deadhead, v, load = table.prefixes[i]
-        suffix = table.suffixes[j]
-        if suffix is not None:
-            sp_time, sp_cost, rows = self.sp_time, self.sp_cost, self.rows
-            cost = services + deadhead
-            for tid in tasks:  # an unreachable leg leaves cur, and so u, inf or NaN
-                tail, head, c_min, bt, et, k, demand = rows[tid]
-                cost += sp_cost[v][tail]
-                cur += sp_time[v][tail]
-                if cur < bt:
-                    sc = c_min + k * (bt - cur)
-                elif cur > et:
-                    sc = c_min + k * (cur - et)
-                else:
-                    sc = c_min
-                cost += sc
-                cur += sc
-                v = head
-                load += demand
-            w, over, los, pieces = suffix
-            u = cur + sp_time[v][w]
-            if u < INF:
-                lo, rest, slope, ret, ret_slope, err, scale = pieces[
-                    bisect_right(los, u) - 1 if len(los) > 1 else 0]
-                d = u - lo
-                cost += sp_cost[v][w] + rest + slope * d
-                late = ret + ret_slope * d - self.horizon
-                over += load
-                # the walk's cost and return are within tau of these, its load
-                # within load_tol; an excess that cannot be positive is 0 there
-                tau = SCREEN_TOL * (err + scale * u + cost)
-                if late > -tau or over > -self.load_tol:
-                    excess = (late if late > 0.0 else 0.0) + (over if over > 0.0 else 0.0)
-                    cost += lam * excess
-                    tau += lam * ((tau if late > -tau else 0.0) + SCREEN_TOL * excess
-                                  + (self.load_tol if over > -self.load_tol else 0.0))
-                if tau < INF:
-                    return cost, tau
+        sp_time, sp_cost, rows = self.sp_time, self.sp_cost, self.rows
+        cost = services + deadhead
+        for tid in tasks:  # an unreachable leg leaves cur, and so u, inf or NaN
+            tail, head, c_min, bt, et, k, demand = rows[tid]
+            cost += sp_cost[v][tail]
+            cur += sp_time[v][tail]
+            if cur < bt:
+                sc = c_min + k * (bt - cur)
+            elif cur > et:
+                sc = c_min + k * (cur - et)
+            else:
+                sc = c_min
+            cost += sc
+            cur += sc
+            v = head
+            load += demand
+        w, over, los, pieces = table.suffixes[j]
+        u = cur + sp_time[v][w]
+        if u < INF:
+            lo, rest, slope, ret, ret_slope, err, scale = pieces[
+                bisect_right(los, u) - 1 if len(los) > 1 else 0]
+            d = u - lo
+            cost += sp_cost[v][w] + rest + slope * d
+            late = ret + ret_slope * d - self.horizon
+            over += load
+            # the walk's cost and return are within tau of these, its load
+            # within load_tol; an excess that cannot be positive is 0 there
+            tau = SCREEN_TOL * (err + scale * u + cost)
+            if late > -tau or over > -self.load_tol:
+                excess = (late if late > 0.0 else 0.0) + (over if over > 0.0 else 0.0)
+                cost += lam * excess
+                tau += lam * ((tau if late > -tau else 0.0) + SCREEN_TOL * excess
+                              + (self.load_tol if over > -self.load_tol else 0.0))
+            if tau < INF:
+                return cost, tau
         return self.splice_walk(table, i, tasks, j, lam), 0.0
 
     def splice_walk(self, table: RouteTable, i: int, tasks: Sequence[int], j: int,

@@ -13,12 +13,16 @@ sys.path.insert(0, str(Path(__file__).parent))  # tests import oracles/builders
 
 from carptdsc import (
     Arc,
+    RouteEvaluator,
     ServiceCostFunction,
     Task,
     build_instance,
+    init_individual,
     shortest_paths,
+    split_routes,
 )
-from carptdsc.instance_io import StaticInstanceFile, carp_to_instance
+from carptdsc.instance_io import StaticInstanceFile, carp_to_instance, generate_td, parse_carp
+from carptdsc.maens import assess, local_search
 
 DATA = Path(__file__).parent / "data"
 
@@ -101,6 +105,26 @@ def gdb1_text():
 @pytest.fixture(scope="session")
 def r101_text():
     return (DATA / "r101_25.txt").read_text()
+
+
+@pytest.fixture(scope="session")
+def long_suffix_routes():
+    """{(capacity, k): (instance, shortest paths, routes)} on long-routes-0.dat
+    with CAPACITY 60 or 120 and a 3LP layer of slope k = 2 or 3: the routes
+    of one local search from a construction plan, whose route tables have
+    suffixes of hundreds of pieces."""
+    text = (DATA / "long-routes-0.dat").read_text()
+    cases = {}
+    for capacity in (60, 120):
+        _, static = parse_carp(text.replace("CAPACITY : 30", f"CAPACITY : {capacity}"))
+        for k in (2.0, 3.0):
+            inst, _ = generate_td(static, "3lp", (k,), 0)
+            sp = shortest_paths(inst)
+            ev = RouteEvaluator(inst, sp)
+            searched = local_search(assess(ev, init_individual(inst, sp, rng_for(0))),
+                                    rng_for(1), ev, 1.0)
+            cases[capacity, k] = (inst, sp, [list(r) for r in split_routes(searched.plan)])
+    return cases
 
 
 # ---------------------------------------------------------------------------

@@ -251,8 +251,13 @@ def reference_ncs(obj, lo, hi, params):
     return best_t, best_f
 
 
-def reference_grid_sweep(obj, lo, hi, step):
-    """Minimum over grid_oracle's whole grid, priced in one ``vector_fn`` call.
+def reference_grid_sweep(costs_at, lo, hi, step):
+    """Minimum over grid_oracle's whole grid, priced in one ``costs_at`` call.
+
+    ``costs_at`` maps an array of departure times to their costs; for a
+    route, ``partial(RouteEvaluator.profile, route)`` prices every point
+    in one vectorized pass, independent of the scalar ``total`` calls
+    that grid_oracle makes.
 
     The grid is lo + step * i for i = 0..count, where count rounds (hi -
     lo) / step down with a 1e-9 slack; its last point is clamped to hi,
@@ -264,7 +269,7 @@ def reference_grid_sweep(obj, lo, hi, step):
         ts[-1] = hi
     elif ts[-1] < hi:
         ts = np.append(ts, hi)
-    costs = obj.vector_fn(ts)
+    costs = costs_at(ts)
     i = int(np.argmin(costs))
     return float(ts[i]), float(costs[i])
 

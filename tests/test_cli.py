@@ -10,7 +10,9 @@ import pytest
 from carptdsc.bench import RunConfig, prepare_instance, solve_once_detailed
 from carptdsc.cli import main
 from carptdsc.instance import InstanceError
-from carptdsc.instance_io import ParseError, generate_td, parse_carp, serialize_annotation
+from carptdsc.instance_io import (
+    ParseError, generate_td, parse_carp, read_annotation, serialize_annotation,
+)
 
 from conftest import DATA
 
@@ -136,6 +138,28 @@ def test_generate_and_reuse_annotation(tmp_path, capsys):
     assert "depart" in out
 
 
+def test_generate_without_out_writes_the_annotation_to_stdout(tmp_path, capsys):
+    ann_path = tmp_path / "gdb1.ann"
+    argv = ["generate", "--instance", GDB1, "--family", "3lp", "--slope-set", "2",
+            "--gen-seed", "4"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    run_cli(capsys, *argv, "--out", str(ann_path))
+    assert out == ann_path.read_text()
+    _, static = parse_carp(Path(GDB1).read_text())
+    _, ann = generate_td(static, "3lp", (2.0,), 4)
+    assert read_annotation(out) == ann
+
+
+def test_solve_trace_needs_a_population(tmp_path, capsys):
+    trace_path = tmp_path / "trace.csv"
+    code, out, err = run_cli(capsys, "solve", "--instance", GDB1, "--algorithm", "init-only",
+                             "--trace", str(trace_path))
+    assert (code, out) == (1, "")
+    assert err == "error: --trace needs a population-based algorithm\n"
+    assert not trace_path.exists()
+
+
 def test_solve_trace_csv(tmp_path, capsys):
     trace_path = tmp_path / "trace.csv"
     code, _, _ = run_cli(
@@ -183,6 +207,43 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert code == 0
     assert out.count("oracle depart") == 2
     assert out.strip().splitlines()[-1].startswith("total ")
+
+
+def test_oracle_out_writes_the_plan_at_the_oracle_departures(tmp_path, capsys):
+    out_path = tmp_path / "plan.txt"
+    code, out, _ = run_cli(
+        capsys, "oracle", "--instance", GDB1, "--family", "3lp", "--slope-set", "2",
+        "--gen-seed", "3", "--plan", "0 1 3 0 5 0", "--oracle-step", "0.5",
+        "--out", str(out_path),
+    )
+    assert code == 0
+    departs = re.findall(r"oracle depart (\S+) cost (\S+)", out)
+    lines = out_path.read_text().splitlines()
+    assert len(departs) == 2 and len(lines) == 3
+    for (t, cost), line in zip(departs, lines):
+        assert line.endswith(f"; depart {t}; cost {cost}")
+    assert lines[-1] == out.splitlines()[-1]  # the total line
+
+
+def test_unreachable_tasks_are_named(tmp_path, capsys):
+    # an edge (13, 14) that no deadhead path joins to the depot's component
+    text = (Path(GDB1).read_text().replace("VERTICES : 12", "VERTICES : 14")
+            .replace("REQUIRED_EDGES : 22", "REQUIRED_EDGES : 23", 1)
+            .replace("NON_REQUIRED_EDGE_LIST :",
+                     "( 13, 14) cost 5 demand 1\nNON_REQUIRED_EDGE_LIST :"))
+    path = tmp_path / "island.dat"
+    path.write_text(text)
+    reason = ("constructor could not place any remaining task: "
+              "the depot cannot reach the unserved tasks 45")
+    for extra in ((), ("--family", "3lp")):
+        code, out, err = run_cli(capsys, "solve", "--instance", str(path), *extra)
+        assert (code, out, err) == (1, "", f"error: {reason}\n")
+    code, out, err = run_cli(capsys, "bench", "--instance", str(path), "--runs", "2")
+    assert code == 0
+    run_lines = [line.split(" ", 5) for line in out.splitlines() if line.startswith("run ")]
+    assert [fields[:4] + fields[5:] for fields in run_lines] == [
+        ["run", "gdb1", str(seed), "failed", reason] for seed in (0, 1)]
+    assert err == "warning: 2 run(s) failed; aggregates cover the rest\n"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -247,24 +308,6 @@ def test_single_instance_commands_reject_a_second_instance(capsys, argv):
     code, out, err = run_cli(capsys, argv[0], "--instance", GDB1, "--instance", R101, *argv[1:])
     assert (code, out) == (1, "")
     assert err == f"error: {argv[0]} takes one --instance, got 2\n"
-
-
-def test_stats_rejects_alpha_outside_the_unit_interval(tmp_path, capsys):
-    # an exact p = 0.1: three runs each, every cost of a below every cost of b
-    reports = []
-    for name, costs in (("a", (1.0, 2.0, 3.0)), ("b", (4.0, 5.0, 6.0))):
-        path = tmp_path / f"{name}.txt"
-        path.write_text(
-            "carptdsc-report v1\nalgorithm : a\nruns : 3\nbase_seed : 0\n"
-            + "".join(f"run gdb1 {i} {c} 0.5\n" for i, c in enumerate(costs))
-        )
-        reports.append(str(path))
-    code, out, _ = run_cli(capsys, "stats", *reports, "--alpha", "0.2")
-    assert (code, "verdict better" in out) == (0, True)
-    for alpha in ("2", "nan", "-1", "0", "1"):
-        code, out, err = run_cli(capsys, "stats", *reports, "--alpha", alpha)
-        assert (code, out) == (1, "")
-        assert err == f"error: significance level must lie in (0, 1), got {float(alpha)}\n"
 
 
 def test_stats_subcommand(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,9 +15,7 @@ from carptdsc import (
     optimize_departures,
     route_objective,
     shortest_paths,
-    solution,
 )
-from carptdsc.departure import ORACLE_SLICE
 from carptdsc.instance_io import generate_td, parse_carp
 from carptdsc.solution import RouteEvaluator, join_routes, split_routes
 
@@ -106,7 +105,10 @@ def test_grid_oracle_clamps_overshoot_to_hi(hi, step):
 def _table_objective(values):
     """Objective on the grid 0, 1, ..., len(values) - 1, read off ``values``."""
     values = np.asarray(values, dtype=float)
-    return ScalarObjective(lambda t: values[int(t)], lambda ts: values[ts.astype(int)])
+    return ScalarObjective(lambda t: values[int(t)])
+
+
+SLICE = 16384  # a grid size; the tie and count tests place points around its multiples
 
 
 def _one_array_argmin(values):
@@ -114,7 +116,7 @@ def _one_array_argmin(values):
     return float(i), float(values[i])
 
 
-@pytest.mark.parametrize("n", [1, 1000, ORACLE_SLICE, ORACLE_SLICE + 1, 2 * ORACLE_SLICE + 100])
+@pytest.mark.parametrize("n", [1, 1000, SLICE, SLICE + 1, 2 * SLICE + 100])
 def test_grid_oracle_slices_match_one_array_argmin(n):
     # few distinct values, so the minimum recurs in most slices
     values = rng_for(n).integers(3, 9, n)
@@ -124,13 +126,13 @@ def test_grid_oracle_slices_match_one_array_argmin(n):
 
 
 @pytest.mark.parametrize("first,second", [
-    (ORACLE_SLICE - 1, ORACLE_SLICE),
-    (ORACLE_SLICE, 2 * ORACLE_SLICE),
-    (0, 2 * ORACLE_SLICE + 99),
-    (2 * ORACLE_SLICE + 50, 2 * ORACLE_SLICE + 70),  # both in the partial last slice
+    (SLICE - 1, SLICE),
+    (SLICE, 2 * SLICE),
+    (0, 2 * SLICE + 99),
+    (2 * SLICE + 50, 2 * SLICE + 70),  # both in the partial last slice
 ])
 def test_grid_oracle_tie_across_slices_takes_smaller_t(first, second):
-    values = np.ones(2 * ORACLE_SLICE + 100)
+    values = np.ones(2 * SLICE + 100)
     values[[first, second]] = 0.0
     obj = _table_objective(values)
     assert grid_oracle(obj, 0.0, len(values) - 1.0, 1.0) == (float(first), 0.0)
@@ -138,19 +140,18 @@ def test_grid_oracle_tie_across_slices_takes_smaller_t(first, second):
 
 
 def test_grid_oracle_appended_hi_is_its_own_slice():
-    # ORACLE_SLICE grid points, then hi itself in a slice of one
-    values = np.ones(ORACLE_SLICE)
+    # SLICE grid points, then hi itself
+    values = np.ones(SLICE)
     values[-1] = 0.0
     obj = _table_objective(values)
-    assert grid_oracle(obj, 0.0, ORACLE_SLICE - 0.5, 1.0) == (ORACLE_SLICE - 1.0, 0.0)
-    assert obj.evaluations == ORACLE_SLICE + 1
+    assert grid_oracle(obj, 0.0, SLICE - 0.5, 1.0) == (SLICE - 1.0, 0.0)
+    assert obj.evaluations == SLICE + 1
 
 
 def test_grid_oracle_fig4_samples(fig4):
     inst, sp = fig4
     obj = route_objective((1, 2, 3), inst, sp)
-    ts = np.arange(0.0, 11.0)
-    costs = obj.sample(ts)
+    costs = [obj(t) for t in np.arange(0.0, 11.0)]
     assert costs[0] == 23.0 and costs[1] == 25.0 and costs[2] == 21.0 and costs[10] == 115.0
 
 
@@ -180,6 +181,11 @@ def _seeded_routes(family, k):
     return cases
 
 
+def _profile(inst, sp, route):
+    """The route's cost over an array of departure times, for reference_grid_sweep."""
+    return partial(RouteEvaluator(inst, sp).profile, route)
+
+
 def _slope_change_count(inst, sp, route):
     """Pieces of the route table's suffix 0 after the first, each a slope change."""
     return len(RouteEvaluator(inst, sp).table(route).suffixes[0][2]) - 1
@@ -192,19 +198,20 @@ def test_grid_oracle_on_routes_matches_the_full_sweep(family, k, steps):
         horizon = inst.horizon
         obj = route_objective(route, inst, sp)
         got = grid_oracle(obj, 0.0, horizon, horizon / steps)
-        want = reference_grid_sweep(route_objective(route, inst, sp), 0.0, horizon, horizon / steps)
+        want = reference_grid_sweep(_profile(inst, sp, route), 0.0, horizon, horizon / steps)
         assert repr(got) == repr(want), route
 
 
-@pytest.mark.parametrize("family,k", ORACLE_CASES)
-def test_grid_oracle_over_the_piece_cap_sweeps_the_grid(monkeypatch, family, k):
-    monkeypatch.setattr(solution, "SUFFIX_PIECE_CAP", 0)  # every suffix is None
-    for inst, sp, route in _seeded_routes(family, k):
-        horizon = inst.horizon
-        obj = route_objective(route, inst, sp)
-        got = grid_oracle(obj, 0.0, horizon, horizon / 1e5)
-        assert repr(got) == repr(reference_grid_sweep(obj, 0.0, horizon, horizon / 1e5))
-        assert obj.evaluations >= 100_001  # the reference calls vector_fn, which counts none
+def test_grid_oracle_on_routes_of_hundreds_of_pieces_matches_the_full_sweep(long_suffix_routes):
+    most = 0
+    for inst, sp, routes in long_suffix_routes.values():
+        step = inst.horizon / 1e5
+        for route in routes:
+            most = max(most, _slope_change_count(inst, sp, route) + 1)
+            got = grid_oracle(route_objective(route, inst, sp), 0.0, inst.horizon, step)
+            want = reference_grid_sweep(_profile(inst, sp, route), 0.0, inst.horizon, step)
+            assert repr(got) == repr(want), route
+    assert most > 64  # pieces in some route's suffix 0
 
 
 def _one_task_instance(bt, et, k):
@@ -227,7 +234,7 @@ def test_grid_oracle_on_a_flat_route_takes_the_smallest_t():
         inst, route, sp = chain_route_instance(rng_for(seed), 6, 0.5, "aligned")
         step = inst.horizon / 1e5
         got = grid_oracle(route_objective(route, inst, sp), 0.0, inst.horizon, step)
-        want = reference_grid_sweep(route_objective(route, inst, sp), 0.0, inst.horizon, step)
+        want = reference_grid_sweep(_profile(inst, sp, route), 0.0, inst.horizon, step)
         assert got == want
         assert RouteEvaluator(inst, sp).total(route, got[0] - step) > got[1]
 
@@ -236,7 +243,7 @@ def test_grid_oracle_on_a_route_can_end_at_the_appended_hi():
     inst, sp = _one_task_instance(50.0, 60.0, 1.0)  # early all the way: cheapest at hi
     obj = route_objective((1,), inst, sp)
     assert grid_oracle(obj, 0.0, 20.0, 3.0) == (20.0, 31.0) == reference_grid_sweep(
-        route_objective((1,), inst, sp), 0.0, 20.0, 3.0)
+        _profile(inst, sp, (1,)), 0.0, 20.0, 3.0)
     assert obj.evaluations == 3  # 0, 18 and hi
 
 
@@ -251,8 +258,7 @@ def test_grid_oracle_on_a_route_at_a_billion_steps_is_quick():
     for inst, sp, route in _seeded_routes("3lp", 3.0)[:6]:
         horizon = inst.horizon
         obj = route_objective(route, inst, sp)
-        # without the slope changes this grid would be swept, 8 GB per array
-        assert obj.slope_changes() is not None
+        # the whole grid holds 1e9 + 1 points
         start = time.perf_counter()
         _, fine = grid_oracle(obj, 0.0, horizon, horizon * 1e-9)
         assert time.perf_counter() - start < 1.0

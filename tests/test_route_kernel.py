@@ -30,7 +30,6 @@ from carptdsc import (
     instance_io,
     join_routes,
     shortest_paths,
-    solution,
 )
 from carptdsc.bench import load_instance_text
 from carptdsc.maens import (
@@ -172,13 +171,12 @@ _LAMBDAS = st.floats(0.0, 2.0 ** 20)
 _KINDS = st.sampled_from(["insert", "remove", "swap", "move"])
 
 
-@settings(max_examples=300, deadline=None)
-@given(_case_route(), _LAMBDAS, _KINDS, st.data())
-def test_every_splice_screen_is_within_tau_of_its_walk(case_route, lam, kind, data):
-    (inst, sp, ev), route, oid = case_route
-    other = data.draw(st.sampled_from(inst.real_task_ids))
+def _screens_within_tau(ev, route, kind, oid, other, lam):
+    """Check every splice of one ``kind`` in ``route`` against its walk;
+    return the j of each splice that was screened (tau > 0)."""
     table = ev.table(route)
     assert table.route == route and len(table.prefixes) == len(table.suffixes) == len(route) + 1
+    screened = []
     for i, tasks, j in _splices(route, kind, oid, other):
         value, tau = ev.splice(table, i, tasks, j, lam)
         total, violation = ev.walk(ev.origin, route[:i] + tasks + route[j:])
@@ -187,38 +185,47 @@ def test_every_splice_screen_is_within_tau_of_its_walk(case_route, lam, kind, da
             assert value.hex() == walked.hex()
         else:
             assert abs(value - walked) <= tau
+            screened.append(j)
+    return screened
 
 
-def test_piece_cap_walks_the_longer_suffixes(monkeypatch):
-    inst, sp, ev = CASES["gdb1-3lp-k3.0"]
-    rng = rng_for(5)
+@settings(max_examples=300, deadline=None)
+@given(_case_route(), _LAMBDAS, _KINDS, st.data())
+def test_every_splice_screen_is_within_tau_of_its_walk(case_route, lam, kind, data):
+    (inst, sp, ev), route, oid = case_route
+    other = data.draw(st.sampled_from(inst.real_task_ids))
+    _screens_within_tau(ev, route, kind, oid, other, lam)
+
+
+@pytest.mark.parametrize("capacity", [60, 120])
+@pytest.mark.parametrize("kind", ["insert", "remove", "swap", "move"])
+def test_splice_screens_of_long_suffixes_are_within_tau(long_suffix_routes, capacity, kind):
+    """3LP k = 3 routes whose suffix 0 has more than 64 pieces."""
+    inst, sp, routes = long_suffix_routes[capacity, 3.0]
+    ev = RouteEvaluator(inst, sp)
     ids = inst.real_task_ids
-    routes = [[ids[int(i)] for i in rng.integers(len(ids), size=12)] for _ in range(20)]
-    pieces = [len(s[3]) for r in routes for s in ev.table(r).suffixes]
-    cap = sorted(pieces)[len(pieces) // 2]
-    assert max(pieces) > cap > 1
-    monkeypatch.setattr(solution, "SUFFIX_PIECE_CAP", cap)
-    capped = walked = 0
-    for route in routes:
-        table = ev.table(route)
-        # a suffix over the cap leaves it and every longer suffix None
-        m = table.suffixes.count(None)
-        assert all(s is None for s in table.suffixes[:m])
-        assert all(len(s[3]) <= cap for s in table.suffixes[m:])
-        capped += m
-        for pos in range(len(route) + 1):
-            value, tau = ev.splice(table, pos, [ids[0]], pos, 3.0)
-            total, violation = ev.walk(ev.origin, route[:pos] + [ids[0]] + route[pos:])
-            if table.suffixes[pos] is None:
-                walked += 1
-                assert (value.hex(), tau) == ((total + 3.0 * violation).hex(), 0.0)
-            else:
-                assert abs(value - (total + 3.0 * violation)) <= tau
-        tables, want = [ev.table(list(route))], [list(route)]
-        _cheapest_insertion(tables, ids[1], ev, 3.0)
-        reference_cheapest_insertion(want, ids[1], ev, inst, 3.0)
-        assert [t.route for t in tables] == want
-    assert capped and walked
+    long = [r for r in routes if len(ev.table(r).suffixes[0][3]) > 64]
+    screened_long = 0  # screens that read a suffix of more than 64 pieces
+    for n, route in enumerate(long):
+        suffixes = ev.table(route).suffixes
+        screened = _screens_within_tau(ev, route, kind, ids[n], ids[-1 - n], 7.5)
+        screened_long += sum(len(suffixes[j][3]) > 64 for j in screened)
+    assert screened_long
+
+
+def test_cheapest_insertion_among_long_suffixes_matches_whole_route_reference(long_suffix_routes):
+    for inst, sp, routes in long_suffix_routes.values():
+        ev = RouteEvaluator(inst, sp)
+        for ri, route in enumerate(routes):
+            if len(ev.table(route).suffixes[0][3]) <= 64:
+                continue
+            tid = route[len(route) // 2]  # taken out of its route, then put back
+            want = [[t for t in r if t != tid] if rj == ri else list(r)
+                    for rj, r in enumerate(routes)]
+            tables = [ev.table(r) for r in want]
+            _cheapest_insertion(tables, inst.pair_root(tid), ev, 3.0)
+            reference_cheapest_insertion(want, inst.pair_root(tid), ev, inst, 3.0)
+            assert [t.route for t in tables] == want
 
 
 @st.composite
