@@ -18,6 +18,11 @@ the best feasible plan found.
 Crossover's insertions and the moves screen candidates with
 ``RouteEvaluator.splice`` and walk each one a screen cannot settle, so every
 decision is the one walking every candidate gives; no route score is cached.
+One local search keeps a record of the moves it found cannot improve,
+keyed by the contents of the routes they change, and skips them until one
+of those routes changes: a skipped move could not have been accepted, and
+every random draw is made as without the record, so the search takes the
+same moves.
 The operators take that evaluator and read the instance from
 ``ev.instance``; :func:`init_individual` and :func:`select_next_task` take
 the instance itself.
@@ -28,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate, combinations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -285,20 +291,61 @@ def crossover(
     return join_routes(routes)
 
 
-def _scan_insertion(tables, ev, lam, rng, length) -> bool:
+class _Record:
+    """The moves one local search found cannot improve, keyed by route contents.
+
+    A screen or walk of a move is a pure function of the contents of the
+    routes it changes, the move and λ, which stays fixed for one local
+    search: a move that failed fails again until one of its routes
+    changes.  ``ids`` numbers each distinct route once, so a key is a few
+    ints.  An insertion key is (segment length, source route, position,
+    target route, ``SAME`` or ``FRESH``), a swap key (``SWAP``, route,
+    position, other route or ``SAME``, position): the first int keeps the
+    neighborhoods' keys apart.
+    """
+
+    __slots__ = ("ids", "failed")
+    SWAP = 0
+    SAME, FRESH = -1, -2
+
+    def __init__(self):
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.failed: set[tuple[int, ...]] = set()
+
+    def route_ids(self, tables: list[RouteTable]) -> list[int]:
+        ids = self.ids
+        return [ids.setdefault(tuple(t.route), len(ids)) for t in tables]
+
+
+def _scan_insertion(tables, ev, lam, rng, record, length) -> bool:
     """Move ``length`` consecutive tasks to another position; first improvement.
 
     The segment moves as it is or, when every task in it has an inverse,
     reversed with each task inverted.  Each changed route (a fresh one is
     the empty route's) is screened by :meth:`RouteEvaluator.splice` from
     the routes' ``tables``, and a move that could improve is walked.
+    Target routes that ``record`` holds for a segment are skipped; each
+    source still draws its target permutation.
     """
     tasks = ev.instance.tasks
+    splice, splice_walk, splice_table = ev.splice, ev.splice_walk, ev.splice_table
+    failed = record.failed
     candidates = tables + [ev.empty]
     bases = [t.penalized(lam) for t in candidates]
+    ids = record.route_ids(tables) + [record.FRESH]
+    slots = [(rj, qj) for rj, t in enumerate(candidates) for qj in range(len(t.route) + 1)]
+    # slots[starts[rj]:starts[rj + 1]] are route rj's
+    starts = list(accumulate((len(t.route) + 1 for t in candidates), initial=0))
+    n_targets = len(slots) - length  # the source's route has ``length`` tasks fewer
     positions = [(ri, pi) for ri, t in enumerate(tables) for pi in range(len(t.route) - length + 1)]
-    for src in rng.permutation(len(positions)):
+    for src in rng.permutation(len(positions)).tolist():
         ri, pi = positions[src]
+        keys = [(length, ids[ri], pi, record.SAME if rj == ri else rid)
+                for rj, rid in enumerate(ids)]
+        open_ = [key not in failed for key in keys]
+        order = rng.permutation(n_targets).tolist()
+        if True not in open_:
+            continue
         table = tables[ri]
         route = table.route
         end = pi + length
@@ -306,73 +353,93 @@ def _scan_insertion(tables, ev, lam, rng, length) -> bool:
         backward = [tasks[tid].inverse_id for tid in reversed(forward)]
         segments = [forward] if None in backward else [forward, backward]
         rest = len(route) - length  # tasks left in the route
-        gain = (ev.splice_walk(table, pi, (), end, lam) if rest else 0.0) - bases[ri]
-        targets = [(rj, qj) for rj, t in enumerate(tables)
-                   for qj in range(len(t.route) + 1) if rj != ri]
-        targets += [(ri, qj) for qj in range(rest + 1)]
-        targets.append((len(tables), 0))  # a fresh route: into the empty route
-        for tgt in rng.permutation(len(targets)):
+        gain = (splice_walk(table, pi, (), end, lam) if rest else 0.0) - bases[ri]
+        # each open target route's (pre, post, slack): a move's delta is pre +
+        # value - post for the value of its splice, screened within tau + slack
+        terms = [(gain, post, SCREEN_TOL * (abs(gain) + post)) if is_open else None
+                 for post, is_open in zip(bases, open_)]
+        if open_[ri]:
+            terms[ri] = (0.0, bases[ri], SCREEN_TOL * (0.0 + bases[ri]))
+        # every other route's slots, the route's without the segment, a fresh route
+        first, last = starts[ri], starts[ri + 1]
+        targets = slots[:first] + slots[last:-1] + slots[first:first + rest + 1] + slots[-1:]
+        for tgt in order:
             rj, qj = targets[tgt]
+            term = terms[rj]
+            if term is None:
+                continue
+            pre, post, slack = term
             for seg in segments:
-                if rj != ri:  # the delta is pre + value - post for the value of the splice
-                    splice, pre, post = (candidates[rj], qj, seg, qj), gain, bases[rj]
+                if rj != ri:
+                    move = (candidates[rj], qj, seg, qj)
                 else:  # the route without the segment, with seg put in at qj
-                    splice = ((table, qj, seg + route[qj:pi], end) if qj <= pi
-                              else (table, pi, route[end:qj + length] + seg, qj + length))
-                    pre, post = 0.0, bases[ri]
-                value, tau = ev.splice(*splice, lam)
+                    move = ((table, qj, seg + route[qj:pi], end) if qj <= pi
+                            else (table, pi, route[end:qj + length] + seg, qj + length))
+                value, tau = splice(*move, lam)
                 if tau:
-                    if pre + value - post - tau - SCREEN_TOL * (abs(pre) + post) > -IMPROVE_EPS:
+                    if pre + value - post - tau - slack > -IMPROVE_EPS:
                         continue
-                    value = ev.splice_walk(*splice, lam)
+                    value = splice_walk(*move, lam)
                 if pre + value - post < -IMPROVE_EPS:
-                    candidates[rj] = ev.splice_table(*splice)
+                    candidates[rj] = splice_table(*move)
                     if rj != ri:
-                        candidates[ri] = ev.splice_table(table, pi, (), end)
+                        candidates[ri] = splice_table(table, pi, (), end)
                     tables[:] = [t for t in candidates if t.route]
                     return True
+        failed.update(keys)
     return False
 
 
-def _scan_swap(tables, ev, lam, rng) -> bool:
+def _scan_swap(tables, ev, lam, rng, record) -> bool:
     """Exchange two tasks (any routes, any orientations); first improvement.
 
     Screened and confirmed as in :func:`_scan_insertion`; two tasks of one
-    route are spliced by walking from the first through the second.
+    route are spliced by walking from the first through the second.  Pairs
+    that ``record`` holds are skipped.
     """
-    positions = [(ri, pi) for ri, t in enumerate(tables) for pi in range(len(t.route))]
+    splice, splice_walk = ev.splice, ev.splice_walk
+    failed = record.failed
+    ids = record.route_ids(tables)
     orientations = ev.instance.orientations
+    # (route, position, the task's orientations) of every task
+    positions = [(ri, pi, orientations(tid))
+                 for ri, t in enumerate(tables) for pi, tid in enumerate(t.route)]
     bases = [t.penalized(lam) for t in tables]
-    pair_idx = [(a, b) for i, a in enumerate(positions) for b in positions[i + 1:]]
-    for pick in rng.permutation(len(pair_idx)):
-        (ri, pi), (rj, pj) = pair_idx[pick]
-        route_i, route_j, same = tables[ri].route, tables[rj].route, ri == rj
+    pair_idx = list(combinations(positions, 2))
+    for pick in rng.permutation(len(pair_idx)).tolist():
+        (ri, pi, a_orients), (rj, pj, b_orients) = pair_idx[pick]
+        same = ri == rj
+        key = (record.SWAP, ids[ri], pi, record.SAME if same else ids[rj], pj)
+        if key in failed:
+            continue
+        table_i, table_j = tables[ri], tables[rj]
         base = bases[ri] + (0.0 if same else bases[rj])
         scored_j = []  # (splice, value, tau) of route j with each orientation of a
-        for bo in orientations(route_j[pj]):
-            splice_i = (tables[ri], pi, (bo,), pi + 1)
-            new_i, tau_i = (0.0, 0.0) if same else ev.splice(*splice_i, lam)
-            for n, ao in enumerate(orientations(route_i[pi])):
+        for bo in b_orients:
+            splice_i = (table_i, pi, (bo,), pi + 1)
+            new_i, tau_i = (0.0, 0.0) if same else splice(*splice_i, lam)
+            for n, ao in enumerate(a_orients):
                 if same:  # positions are in route order, so pi < pj
-                    splice_i = (tables[ri], pi, [bo, *route_i[pi + 1:pj], ao], pj + 1)
-                    new_i, tau_i = ev.splice(*splice_i, lam)
+                    splice_i = (table_i, pi, [bo, *table_i.route[pi + 1:pj], ao], pj + 1)
+                    new_i, tau_i = splice(*splice_i, lam)
                 if n == len(scored_j):
-                    splice_j = (tables[rj], pj, (ao,), pj + 1)
-                    new_j, tau_j = (0.0, 0.0) if same else ev.splice(*splice_j, lam)
+                    splice_j = (table_j, pj, (ao,), pj + 1)
+                    new_j, tau_j = (0.0, 0.0) if same else splice(*splice_j, lam)
                     scored_j.append((splice_j, new_j, tau_j))
                 splice_j, new_j, tau_j = scored_j[n]
                 if tau_i or tau_j:
                     if new_i + new_j - base - (tau_i + tau_j + SCREEN_TOL * base) > -IMPROVE_EPS:
                         continue
                     if tau_i:  # confirm with the walks that the screens stand for
-                        new_i, tau_i = ev.splice_walk(*splice_i, lam), 0.0
+                        new_i, tau_i = splice_walk(*splice_i, lam), 0.0
                     if tau_j:
-                        new_j = ev.splice_walk(*splice_j, lam)
+                        new_j = splice_walk(*splice_j, lam)
                 if new_i + new_j - base < -IMPROVE_EPS:
                     tables[ri] = ev.splice_table(*splice_i)
                     if not same:
                         tables[rj] = ev.splice_table(*splice_j)
                     return True
+        failed.add(key)
     return False
 
 
@@ -442,11 +509,13 @@ def local_search(
 
     Runs first-improvement sweeps of the three move neighborhoods (in
     random order) to convergence, applies merge-split once, and, if that
-    helped, converges the basic moves again.  The result never has a
-    worse penalized cost at ``lam`` than the input, and coverage is
-    preserved.
+    helped, converges the basic moves again.  Every scan of the call
+    shares one :class:`_Record` of the moves found not to improve.  The
+    result never has a worse penalized cost at ``lam`` than the input, and
+    coverage is preserved.
     """
     tables = [ev.table(list(route)) for route in split_routes(individual.plan)]
+    record = _Record()
 
     def converge_basic(budget: int) -> int:
         used = 0
@@ -454,7 +523,7 @@ def local_search(
             used += 1
             moved = False
             for si in rng.permutation(len(_MOVES)):
-                while _MOVES[si](tables, ev, lam, rng):
+                while _MOVES[si](tables, ev, lam, rng, record):
                     moved = True
             if not moved:
                 break

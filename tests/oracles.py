@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from carptdsc.departure import INVPHI, NCS_EPOCH_ADAPT, NCS_SIGMA_DIVISOR
-from carptdsc.maens import SCORE_FLOOR
-from carptdsc.solution import RouteEvaluator, split_routes
+from carptdsc.maens import IMPROVE_EPS, LS_MAX_SWEEPS, SCORE_FLOOR, _merge_split, assess
+from carptdsc.solution import RouteEvaluator, join_routes, split_routes
 
 
 def piecewise_cost(c_min, bt, et, k, t):
@@ -371,6 +371,38 @@ def reference_scan_swap(routes, ev, instance, lam, rng, eps):
                     routes[rj] = cand_j
                     return True
     return False
+
+
+def reference_local_search(individual, rng, ev, lam):
+    """``maens.local_search`` with the memoryless whole-route scans: the same
+    sweeps, merge-split and acceptance, but no move is remembered as failed."""
+    instance = ev.instance
+    routes = [list(route) for route in split_routes(individual.plan)]
+    moves = [
+        lambda: reference_scan_insertion(routes, ev, instance, lam, rng, 1, IMPROVE_EPS),
+        lambda: reference_scan_insertion(routes, ev, instance, lam, rng, 2, IMPROVE_EPS),
+        lambda: reference_scan_swap(routes, ev, instance, lam, rng, IMPROVE_EPS),
+    ]
+
+    def converge_basic(budget):
+        used = 0
+        while used < budget:
+            used += 1
+            moved = False
+            for si in rng.permutation(len(moves)):
+                while moves[si]():
+                    moved = True
+            if not moved:
+                break
+        return used
+
+    used = converge_basic(LS_MAX_SWEEPS)
+    tables = [ev.table(route) for route in routes]
+    if _merge_split(tables, ev, lam, rng):
+        routes[:] = [list(table.route) for table in tables]
+        converge_basic(max(1, LS_MAX_SWEEPS - used))
+    result = assess(ev, join_routes(routes))
+    return result if result.penalized(lam) <= individual.penalized(lam) else individual
 
 
 def reference_split_sequence(seq, ev, instance, lam):

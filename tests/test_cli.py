@@ -56,6 +56,17 @@ def test_solve_warns_about_an_infeasible_final_plan(capsys):
     assert (code, err) == (0, "")
 
 
+def test_solve_prints_its_recorded_output(capsys):
+    """Both stages are deterministic per seed: gdb1 3LP k = 2 (gen-seed 3,
+    seed 0) prints the recorded plan, departures and costs byte for byte."""
+    code, out, err = run_cli(
+        capsys, "solve", "--instance", GDB1, "--family", "3lp", "--slope-set", "2",
+        "--gen-seed", "3", "--seed", "0",
+    )
+    assert (code, err) == (0, "")
+    assert out == (DATA / "gdb1-3lp-k2-solve-seed0.txt").read_text()
+
+
 def test_solve_solomon_with_truncation(capsys):
     code, out, _ = run_cli(
         capsys, "solve", "--instance", R101, "--max-customers", "8",

@@ -20,7 +20,7 @@ from carptdsc import (
     split_routes,
 )
 from carptdsc import maens
-from carptdsc.maens import _scan_insertion, assess
+from carptdsc.maens import _Record, _scan_insertion, assess
 from carptdsc.solution import RouteEvaluator
 from carptdsc.instance_io import generate_td
 
@@ -233,13 +233,13 @@ def test_pair_move_reversed_and_inverted_is_the_only_improvement():
     assert ev.walk(ev.origin, (4, 2)) == (4.0, 0.0)
     for seed in range(5):
         tables = [ev.table([1, 3])]
-        assert _scan_insertion(tables, ev, 1.0, rng_for(seed), length=2)
+        assert _scan_insertion(tables, ev, 1.0, rng_for(seed), _Record(), length=2)
         assert [t.route for t in tables] == [[4, 2]]
-        assert not _scan_insertion(tables, ev, 1.0, rng_for(seed), length=2)
+        assert not _scan_insertion(tables, ev, 1.0, rng_for(seed), _Record(), length=2)
     one_way, one_way_sp = make_one_way_pair_instance(inverses=False)
     one_way_ev = RouteEvaluator(one_way, one_way_sp)
     tables = [one_way_ev.table([1, 3])]
-    assert not _scan_insertion(tables, one_way_ev, 1.0, rng_for(0), length=2)
+    assert not _scan_insertion(tables, one_way_ev, 1.0, rng_for(0), _Record(), length=2)
     assert [t.route for t in tables] == [[1, 3]]
 
 

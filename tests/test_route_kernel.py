@@ -6,11 +6,15 @@ and ``evaluate`` the same arrival times and cost; a walk that starts from
 a recorded prefix state must equal a walk of the whole route; every
 screen of ``RouteEvaluator.splice`` must be within its tau of the walk
 of the route it prices; cheapest insertion, the move scans and the split
-must choose what walking every whole candidate route chooses; and the
-search built on them must reproduce pinned plans.
+must choose what walking every whole candidate route chooses; local
+search, which skips the moves its record holds as failed, must match the
+same search without a record; and the search built on them must
+reproduce pinned plans.
 """
 
 import hashlib
+import math
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,24 +31,31 @@ from carptdsc import (
     evaluate_solution,
     evolve,
     format_solution,
+    init_individual,
     instance_io,
     join_routes,
+    local_search,
     shortest_paths,
+    split_routes,
 )
 from carptdsc.bench import load_instance_text
 from carptdsc.maens import (
     IMPROVE_EPS,
     SolverError,
+    _MOVES,
+    _Record,
     _cheapest_insertion,
     _scan_insertion,
     _scan_swap,
     _split_sequence,
+    assess,
 )
 from carptdsc.solution import PlanError
 
 from conftest import DATA, random_static_file, rng_for
 from oracles import (
     reference_cheapest_insertion,
+    reference_local_search,
     reference_scan_insertion,
     reference_scan_swap,
     reference_split_sequence,
@@ -257,10 +268,10 @@ def test_move_scans_match_whole_route_references(case_routes, lam, seed, move):
     tables = [ev.table(list(r)) for r in routes]
     want = [list(r) for r in routes]
     if move == "swap":
-        moved = _scan_swap(tables, ev, lam, rng_for(seed))
+        moved = _scan_swap(tables, ev, lam, rng_for(seed), _Record())
         assert moved == reference_scan_swap(want, ev, inst, lam, rng_for(seed), IMPROVE_EPS)
     else:
-        moved = _scan_insertion(tables, ev, lam, rng_for(seed), length=move)
+        moved = _scan_insertion(tables, ev, lam, rng_for(seed), _Record(), length=move)
         assert moved == reference_scan_insertion(want, ev, inst, lam, rng_for(seed), move,
                                                  IMPROVE_EPS)
     assert [t.route for t in tables] == want
@@ -276,14 +287,115 @@ def test_move_scans_walk_the_screens_they_cannot_trust(move):
         tables = [ev.table([tid] * size)]
         want = [[tid] * size]
         if move == "swap":
-            moved = _scan_swap(tables, ev, 2.0 ** 20, rng_for(seed))
+            moved = _scan_swap(tables, ev, 2.0 ** 20, rng_for(seed), _Record())
             assert moved == reference_scan_swap(want, ev, inst, 2.0 ** 20, rng_for(seed),
                                                 IMPROVE_EPS)
         else:
-            moved = _scan_insertion(tables, ev, 2.0 ** 20, rng_for(seed), length=move)
+            moved = _scan_insertion(tables, ev, 2.0 ** 20, rng_for(seed), _Record(),
+                                    length=move)
             assert moved == reference_scan_insertion(want, ev, inst, 2.0 ** 20, rng_for(seed),
                                                      move, IMPROVE_EPS)
         assert [t.route for t in tables] == want
+
+
+@st.composite
+def _case_plan(draw, max_tasks=16):
+    """((instance, shortest paths, evaluator), plan) of distinct tasks, each
+    pair served once in a drawn orientation, cut into routes at drawn points."""
+    case = CASES[draw(st.sampled_from(sorted(CASES)))]
+    inst = case[0]
+    roots = sorted({inst.pair_root(tid) for tid in inst.real_task_ids})
+    picked = draw(st.lists(st.sampled_from(roots), min_size=1, max_size=max_tasks, unique=True))
+    plan = [0]
+    for root in picked:
+        plan.append(draw(st.sampled_from(inst.orientations(root))))
+        if draw(st.booleans()):
+            plan.append(0)
+    return case, join_routes(split_routes(plan + [0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_case_plan(), _LAMBDAS, st.integers(0, 2 ** 32 - 1))
+def test_local_search_matches_the_memoryless_reference(case_plan, lam, seed):
+    """The record of failed moves skips only moves that cannot improve."""
+    (inst, sp, ev), plan = case_plan
+    ind = assess(ev, plan)
+    assert local_search(ind, rng_for(seed), ev, lam) == reference_local_search(
+        ind, rng_for(seed), ev, lam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_case_route(max_size=8), _LAMBDAS, st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1, 2, "swap"]))
+def test_move_scans_key_a_route_apart_from_its_copy(case_route, lam, seed, move):
+    """A route and its copy have one route ID: the moves a record holds as
+    failed within the route alone say nothing of moves into the copy."""
+    (inst, sp, ev), route, _ = case_route
+    if move == "swap":
+        scan = partial(_scan_swap, ev=ev, lam=lam)
+        reference = partial(reference_scan_swap, ev=ev, instance=inst, lam=lam, eps=IMPROVE_EPS)
+    else:
+        scan = partial(_scan_insertion, ev=ev, lam=lam, length=move)
+        reference = partial(reference_scan_insertion, ev=ev, instance=inst, lam=lam,
+                            length=move, eps=IMPROVE_EPS)
+    record = _Record()
+    tables = [ev.table(route or [1])]
+    while scan(tables, rng=rng_for(seed), record=record):
+        seed += 1
+    tables = tables * 2
+    want = [list(t.route) for t in tables]
+    assert scan(tables, rng=rng_for(seed), record=record) == reference(want, rng=rng_for(seed))
+    assert [t.route for t in tables] == want
+
+
+class _NothingImproves(RouteEvaluator):
+    """Prices every changed route at +inf, so a scan fails every move and
+    records every key it makes."""
+
+    def splice(self, table, i, tasks, j, lam):
+        return math.inf, 0.0
+
+    def splice_walk(self, table, i, tasks, j, lam):
+        return math.inf
+
+
+@pytest.mark.parametrize("move", range(len(_MOVES)))
+def test_a_record_filled_by_the_other_neighborhoods_changes_no_scan(move):
+    """Every neighborhood tags its keys: a key another one recorded as
+    failed never makes this one skip a move."""
+    for name in sorted(CASES):
+        inst, sp, ev = CASES[name]
+        blocked = _NothingImproves(inst, sp)
+        for seed in range(3):
+            plan = init_individual(inst, sp, rng_for(seed))
+            tables = [ev.table(list(r)) for r in split_routes(plan)]
+            filled = _Record()
+            for other in range(len(_MOVES)):
+                if other != move:
+                    assert not _MOVES[other](list(tables), blocked, 7.5, rng_for(seed), filled)
+            got, want = list(tables), list(tables)
+            moved = _MOVES[move](got, ev, 7.5, rng_for(seed), filled)
+            assert moved == _MOVES[move](want, ev, 7.5, rng_for(seed), _Record())
+            assert [t.route for t in got] == [t.route for t in want]
+
+
+@pytest.mark.parametrize("move", range(len(_MOVES)))
+def test_a_scan_of_unchanged_routes_reuses_its_record(move):
+    """On routes no move improves, a second scan with the record of the
+    first screens and walks nothing."""
+    inst, sp, _ = CASES["gdb1-3lp-k2.0"]
+    ev = RouteEvaluator(inst, sp)
+    tables = [ev.table(list(r)) for r in split_routes(init_individual(inst, sp, rng_for(1)))]
+    while any(scan(tables, ev, 7.5, rng_for(0), _Record()) for scan in _MOVES):
+        pass
+    record = _Record()
+    assert not _MOVES[move](tables, ev, 7.5, rng_for(1), record)
+    calls = []
+    for name in ("splice", "splice_walk"):
+        kernel = getattr(ev, name)
+        setattr(ev, name, lambda *args, kernel=kernel: calls.append(args) or kernel(*args))
+    assert not _MOVES[move](tables, ev, 7.5, rng_for(2), record)
+    assert calls == []
 
 
 @settings(max_examples=150, deadline=None)
