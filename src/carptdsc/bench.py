@@ -15,6 +15,7 @@ import csv
 import io
 import itertools
 import math
+import os
 import statistics
 import time
 from dataclasses import dataclass, field, replace
@@ -197,15 +198,15 @@ def run_experiment(config: RunConfig) -> ExperimentReport:
     """Full protocol: every instance, ``runs`` seeded runs each.
 
     Runs may execute in parallel, in up to ``jobs`` worker processes (no
-    more than there are runs, as a pool starts all its workers at once);
-    per-run seeding keeps the outcome independent of scheduling.  Failed
-    runs are recorded and skipped in the aggregates.
+    more than there are runs or cores, as a pool starts all its workers
+    at once); per-run seeding keeps the outcome independent of
+    scheduling.  Failed runs are recorded and skipped in the aggregates.
     """
     instances = [prepare_instance(config, path) for path in config.instances]
     names = [inst.name or Path(path).stem for inst, path in zip(instances, config.instances)]
     _check_report_names(names)  # before the first run
     results = []
-    workers = min(config.jobs, config.runs)
+    workers = min(config.jobs, config.runs, os.cpu_count() or 1)
     seeds = [config.base_seed + i for i in range(config.runs)]
     for name, instance in zip(names, instances):
         if workers > 1:

@@ -23,9 +23,7 @@ from . import bench, instance_io
 from .bench import RunConfig
 from .departure import grid_oracle, route_objective
 from .instance import shortest_paths
-from .solution import (
-    RouteEvaluator, Solution, check_feasibility, format_solution, split_routes,
-)
+from .solution import Solution, check_feasibility, format_solution, split_routes
 
 
 def _slopes(text: str) -> tuple[float, ...]:
@@ -143,7 +141,6 @@ def cmd_oracle(args) -> int:
             raise ValueError(f"--plan takes whole task IDs, got {field!r}") from None
     plan = tuple(plan)
     routes = split_routes(plan)
-    evaluator = RouteEvaluator(inst, sp)
     total = 0.0
     departures = []
     for i, route in enumerate(routes, start=1):
@@ -152,7 +149,7 @@ def cmd_oracle(args) -> int:
         departures.append(t_star)
         total += cost
         print(f"route {i}: oracle depart {t_star:.6f} cost {cost:.6f} "
-              f"(cost at 0: {evaluator.total(route, 0.0):.6f})")
+              f"(cost at 0: {obj.fn(0.0):.6f})")
     print(f"total {total:.6f}")
     sol = Solution(plan=plan, departures=tuple(departures))
     if args.out:

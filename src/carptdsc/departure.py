@@ -54,21 +54,10 @@ class ScalarObjective:
         return self.fn(t)
 
 
-def _slope_changes(evaluator: RouteEvaluator, route: tuple[int, ...]) -> list[float]:
-    """Departures where the route's cost may change slope, from its table.
-
-    Suffix 0 of the table is linear between the pieces' first service
-    starts u = t + (depot leg); its first piece starts the table's domain,
-    u = 0, so only the others are slope changes.
-    """
-    leg = evaluator.sp_time[evaluator.depot][evaluator.rows[route[0]][0]]
-    return [u - leg for u in evaluator.table(route).suffixes[0][2][1:]]
-
-
 def _objective(evaluator: RouteEvaluator, route: tuple[int, ...]) -> ScalarObjective:
     # the slope changes are computed on demand: gss and ncs never ask for them
     return ScalarObjective(fn=partial(evaluator.total, route),
-                           slope_changes=partial(_slope_changes, evaluator, route))
+                           slope_changes=partial(evaluator.slope_changes, route))
 
 
 def route_objective(

@@ -39,7 +39,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .instance import Instance, ShortestPaths
-from .solution import SCREEN_TOL, RouteEvaluator, RouteTable, RoutingPlan, join_routes, split_routes
+from .solution import (SCREEN_TOL, RouteEvaluator, RouteTable, RoutingPlan, join_routes,
+                       ordered_sum, split_routes)
 
 SCORE_FLOOR = 1e-9  # guards the reciprocal score on degenerate zero costs
 IMPROVE_EPS = 1e-9
@@ -130,10 +131,7 @@ def select_next_task(
         1.0 / max(instance.tasks[tid].cost_fn.value(current_time), SCORE_FLOOR)
         for tid in candidates
     ]
-    total = 0.0
-    for score in scores:  # in order: the built-in sum compensates rounding from 3.12 on
-        total += score
-    pick = rng.random() * total
+    pick = rng.random() * ordered_sum(scores)
     acc = 0.0
     for tid, score in zip(candidates, scores):
         acc += score
@@ -482,14 +480,10 @@ def _merge_split(tables, ev, lam, rng) -> bool:
                                                replace=False))
     pair_root = ev.instance.pair_root
     roots = [pair_root(tid) for ri in picked for tid in tables[ri].route]
-    old_contrib = new_contrib = 0.0  # ordered +: the built-in sum compensates from 3.12 on
-    for ri in picked:
-        old_contrib += tables[ri].penalized(lam)
+    old_contrib = ordered_sum(tables[ri].penalized(lam) for ri in picked)
     seq = [tid for route in _path_scan(ev, roots, math.inf, rng) for tid in route]
     rebuilt = [ev.table(route) for route in _split_sequence(seq, ev, lam)]
-    for t in rebuilt:
-        new_contrib += t.penalized(lam)
-    if new_contrib - old_contrib < -IMPROVE_EPS:
+    if ordered_sum(t.penalized(lam) for t in rebuilt) - old_contrib < -IMPROVE_EPS:
         tables[:] = [t for ri, t in enumerate(tables) if ri not in picked] + rebuilt
         return True
     return False

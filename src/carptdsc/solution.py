@@ -9,18 +9,20 @@ its service time and no waiting is allowed, so each task's time of
 beginning of service is the departure time plus all preceding service
 costs and shortest-path travel times.  An arc's travel cost is a field of
 its own: the DAT and Solomon readers set it to the travel time, but an
-arc may take 12 time units and cost 0.  ``RouteEvaluator.walk``
-is the one forward pass for stage 1, ``evaluate`` and the feasibility
-checks, and ``splice`` screens stage-1 candidates within a bound of it;
-``total`` is stage 2's scalar sweep, and ``profile`` the same sweep
-vectorized, which only the benchmark harness and the tests call.
+arc may take 12 time units and cost 0.  ``RouteEvaluator.walk`` is the
+one forward pass for stage 1 and the solution checks (one walk per route),
+and ``splice`` screens stage-1 candidates within a bound of it; ``total``
+is stage 2's scalar sweep.  ``evaluate``, ``evaluate_route`` and
+``profile`` serve only the benchmark harness and the tests.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from functools import reduce
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -137,13 +139,13 @@ class RouteEvaluator:
     the travel matrices, keeping the forward pass cheap inside search
     loops.  Evaluation is a pure function of (route, departure time).
 
-    :meth:`walk` is the route kernel: stage 1 scores routes with it,
-    :meth:`evaluate` reads its states, and every route check goes
-    through it; :meth:`splice` screens a changed route within a bound of
-    it.  Stage 2 prices with :meth:`total`, a scalar pass that is faster
-    than a walk and adds services and deadhead in one running sum (so it
-    can differ from a walk in the last bits); :meth:`profile`, the same
-    pass vectorized, serves only the benchmark harness and the tests.
+    :meth:`walk` is the route kernel: stage 1 scores routes with it, and
+    :meth:`walks` walks each route of a solution once for the checks;
+    :meth:`splice` screens a changed route within a bound of it.  Stage 2
+    prices with :meth:`total`, a faster scalar pass that adds services and
+    deadhead in one running sum (so it can differ from a walk in the last
+    bits).  :meth:`evaluate`, a view over a walk, and :meth:`profile`,
+    ``total`` vectorized, serve only the benchmark harness and the tests.
     """
 
     def __init__(self, instance: Instance, sp: ShortestPaths):
@@ -322,16 +324,34 @@ class RouteEvaluator:
         total, violation = self.walk(table.prefixes[i], [*tasks, *table.route[j:]])
         return total + lam * violation
 
-    def routes(self, solution: Solution) -> list[tuple[int, ...]]:
-        """The routes of ``solution``, each checked once as :meth:`walk` checks it."""
+    def walks(self, solution: Solution) -> list[tuple[tuple[int, ...], float, list[RouteState]]]:
+        """Each route of ``solution`` with its departure t and its trail.
+
+        One :meth:`walk` per route, from the departure state at max(t, 0);
+        the trail is that state followed by the state after each task.
+        """
         routes = split_routes(solution.plan)
         if len(routes) != len(solution.departures):
             raise ValueError(
                 f"{len(solution.departures)} departure times for {len(routes)} routes"
             )
-        for route in routes:
-            self.walk(self.origin, route)
-        return routes
+        walks = []
+        for route, t in zip(routes, solution.departures):
+            trail: list[RouteState] = [(max(t, 0.0), 0.0, 0.0, self.depot, 0.0)]
+            self.walk(trail[0], route, trail)
+            walks.append((route, t, trail))
+        return walks
+
+    def slope_changes(self, route: Sequence[int]) -> list[float]:
+        """Departures where the cost of ``route`` may change slope, from its table.
+
+        Suffix 0 of the table is linear between the pieces' first service
+        starts u = t + (depot leg); its first piece starts the table's domain,
+        u = 0, so only the others are slope changes.
+        """
+        first, _, los, _ = self.table(route).suffixes[0]
+        leg = self.sp_time[self.depot][first]
+        return [u - leg for u in los[1:]]
 
     def evaluate(self, route: Sequence[int], t: float) -> RouteEval:
         """Arrival times and cost of ``route`` departing at ``t``.
@@ -409,13 +429,16 @@ def evaluate_route(
     return RouteEvaluator(instance, sp).evaluate(route, t)
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """``values`` added with ``+`` in order, from 0.0; the built-in ``sum``
+    compensates float rounding from Python 3.12 on, so it differs by version."""
+    return reduce(operator.add, values, 0.0)
+
+
 def evaluate_solution(solution: Solution, instance: Instance, sp: ShortestPaths) -> float:
     """Total cost: the per-route costs added with ``+`` in route order."""
     evaluator = RouteEvaluator(instance, sp)
-    total = 0.0
-    for route, t in zip(evaluator.routes(solution), solution.departures):
-        total += evaluator.total(route, t)
-    return total
+    return ordered_sum(evaluator.total(route, t) for route, t, _ in evaluator.walks(solution))
 
 
 def check_feasibility(
@@ -423,45 +446,26 @@ def check_feasibility(
 ) -> FeasibilityReport:
     """Evaluate every constraint; violations are report content, not errors."""
     evaluator = RouteEvaluator(instance, sp)
-    routes = evaluator.routes(solution)
-
-    seen_pairs: dict[int, int] = {}  # pair root: the orientation served first
-    duplicate = inverse_clash = False
-    for route in routes:
-        for tid in route:
-            root = instance.pair_root(tid)
-            if root in seen_pairs:
-                duplicate = True
-                if seen_pairs[root] != tid:
-                    inverse_clash = True
-            else:
-                seen_pairs[root] = tid
-
-    returns: list[float] = []
-    capacity_ok = horizon_tasks_ok = True
-    for route, t in zip(routes, solution.departures):
-        load = 0.0
-        for tid in route:  # in route order, as walk adds them; sum() compensates from 3.12 on
-            load += evaluator.rows[tid][6]
-        if load > instance.capacity:
-            capacity_ok = False
-        if t < 0:  # violates the lower end of the time window
-            horizon_tasks_ok = False
-        ev = evaluator.evaluate(route, max(t, 0.0))
-        # arrival_times[0] is the departure, [1:-1] the service starts,
-        # [-1] the return leg; the window applies to all of them
-        if any(a > instance.horizon for a in ev.arrival_times[:-1]):
-            horizon_tasks_ok = False
-        returns.append(ev.arrival_times[-1])
-
+    walks = evaluator.walks(solution)
+    served = [tid for route, _, _ in walks for tid in route]
+    roots = {instance.pair_root(tid) for tid in served}
+    sp_time, rows, horizon = evaluator.sp_time, evaluator.rows, instance.horizon
+    returns = tuple(trail[-1][0] + sp_time[trail[-1][3]][evaluator.depot]
+                    for _, _, trail in walks)
+    # legs and service costs are >= 0, so each route's last service start is
+    # its latest; t > H also covers an infinite t, after which starts may be NaN
+    last_starts = [trail[-2][0] + sp_time[trail[-2][3]][rows[route[-1]][0]]
+                   for route, _, trail in walks]
     return FeasibilityReport(
-        no_duplicate_service=not duplicate,
-        no_inverse_service=not inverse_clash,
-        all_tasks_served=len(seen_pairs) == instance.num_required,
-        capacity_respected=capacity_ok,
-        horizon_tasks=horizon_tasks_ok,
-        horizon_return=not any(r > instance.horizon for r in returns),
-        returns=tuple(returns),
+        no_duplicate_service=len(roots) == len(served),
+        no_inverse_service=len(set(served)) == len(roots),
+        all_tasks_served=len(roots) == instance.num_required,
+        # the walk adds each route's demands in route order
+        capacity_respected=not any(trail[-1][4] > instance.capacity for _, _, trail in walks),
+        horizon_tasks=not any(t < 0 or t > horizon or start > horizon
+                              for (_, t, _), start in zip(walks, last_starts)),
+        horizon_return=not any(r > horizon for r in returns),
+        returns=returns,
     )
 
 
@@ -470,10 +474,9 @@ def format_solution(
 ) -> str:
     """Line-oriented text form: one route line per route plus a total line."""
     evaluator = RouteEvaluator(instance, sp)
-    routes = evaluator.routes(solution)
     lines = []
     total = 0.0
-    for i, (route, t) in enumerate(zip(routes, solution.departures), start=1):
+    for i, (route, t, _) in enumerate(evaluator.walks(solution), start=1):
         cost = evaluator.total(route, t)
         total += cost
         tasks = " ".join(str(tid) for tid in route)

@@ -16,7 +16,7 @@ import numpy as np
 
 from carptdsc.departure import INVPHI, NCS_EPOCH_ADAPT, NCS_SIGMA_DIVISOR
 from carptdsc.maens import IMPROVE_EPS, LS_MAX_SWEEPS, SCORE_FLOOR, _merge_split, assess
-from carptdsc.solution import RouteEvaluator, join_routes, split_routes
+from carptdsc.solution import FeasibilityReport, RouteEvaluator, join_routes, split_routes
 
 
 def piecewise_cost(c_min, bt, et, k, t):
@@ -429,3 +429,47 @@ def reference_split_sequence(seq, ev, instance, lam):
         routes.append(list(seq[cut[i]:i]))
         i = cut[i]
     return routes[::-1]
+
+
+def reference_check_feasibility(solution, instance, sp):
+    """Every constraint of ``solution``, each on its own pass: a check walk of
+    every route, a first-orientation record per task pair, a demand sum in
+    route order, and the arrival times of ``RouteEvaluator.evaluate`` at
+    max(t, 0), each departure, service start and return held to [0, H]."""
+    evaluator = RouteEvaluator(instance, sp)
+    routes = split_routes(solution.plan)
+    if len(routes) != len(solution.departures):
+        raise ValueError(f"{len(solution.departures)} departure times for {len(routes)} routes")
+    for route in routes:
+        evaluator.walk(evaluator.origin, route)
+    seen_pairs = {}  # pair root: the orientation served first
+    duplicate = inverse_clash = False
+    for route in routes:
+        for tid in route:
+            root = instance.pair_root(tid)
+            if root in seen_pairs:
+                duplicate = True
+                inverse_clash = inverse_clash or seen_pairs[root] != tid
+            else:
+                seen_pairs[root] = tid
+    returns = []
+    capacity_ok = horizon_tasks_ok = True
+    for route, t in zip(routes, solution.departures):
+        load = 0.0
+        for tid in route:
+            load += instance.tasks[tid].demand
+        if load > instance.capacity:
+            capacity_ok = False
+        arrivals = evaluator.evaluate(route, max(t, 0.0)).arrival_times
+        if t < 0 or any(a > instance.horizon for a in arrivals[:-1]):
+            horizon_tasks_ok = False
+        returns.append(arrivals[-1])
+    return FeasibilityReport(
+        no_duplicate_service=not duplicate,
+        no_inverse_service=not inverse_clash,
+        all_tasks_served=len(seen_pairs) == instance.num_required,
+        capacity_respected=capacity_ok,
+        horizon_tasks=horizon_tasks_ok,
+        horizon_return=not any(r > instance.horizon for r in returns),
+        returns=tuple(returns),
+    )

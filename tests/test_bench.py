@@ -121,7 +121,8 @@ def test_run_experiment_deterministic():
     ]
 
 
-@pytest.mark.parametrize("jobs,runs,sizes", [(8, 2, [2]), (2, 3, [2]), (3, 1, [])])
+# on a host with 4 cores: the last case asks for more workers than that
+@pytest.mark.parametrize("jobs,runs,sizes", [(8, 2, [2]), (2, 3, [2]), (3, 1, []), (8, 8, [4])])
 def test_run_experiment_pool_has_at_most_one_worker_per_run(monkeypatch, jobs, runs, sizes):
     made = []
 
@@ -141,6 +142,7 @@ def test_run_experiment_pool_has_at_most_one_worker_per_run(monkeypatch, jobs, r
             return map(fn, *iterables)
 
     monkeypatch.setattr(bench.concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: 4)
     report = run_experiment(_desk_config(None, runs=runs, jobs=jobs))
     assert made == sizes
     assert [r.seed for r in report.results[0].runs] == list(range(runs))

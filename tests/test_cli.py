@@ -525,6 +525,14 @@ def test_oracle_warns_about_an_infeasible_plan(capsys):
     assert out.splitlines()[-1] == "total 1424.542493"
 
 
+@pytest.mark.parametrize("plan", ["0 99999 0", "0 1 99999 0"])
+def test_oracle_names_an_unknown_task_id(capsys, plan):
+    # first in its route or not, the ID is named before any route is printed
+    code, out, err = run_cli(capsys, *_oracle("1", plan=plan))
+    assert (code, out) == (1, "")
+    assert err == "error: unknown or depot task ID 99999 in route\n"
+
+
 def _edited(tmp_path, source, edits):
     """A copy of ``source`` in ``tmp_path`` with each (old, new) text replaced once."""
     text = Path(source).read_text()

@@ -17,7 +17,7 @@ from carptdsc import (
     shortest_paths,
 )
 from carptdsc.instance_io import generate_td, parse_carp
-from carptdsc.solution import RouteEvaluator, join_routes, split_routes
+from carptdsc.solution import PlanError, RouteEvaluator, join_routes, split_routes
 
 from conftest import (
     DATA, chain_route_instance, make_fig4_instance, random_route, random_static_instance, rng_for,
@@ -252,6 +252,17 @@ def test_grid_oracle_on_a_route_prices_only_around_slope_changes():
         obj = route_objective(route, inst, sp)
         grid_oracle(obj, 0.0, inst.horizon, inst.horizon / 1e5)
         assert obj.evaluations <= 4 * _slope_change_count(inst, sp, route) + 3
+
+
+@pytest.mark.parametrize("route", [(99999,), (1, 99999)])
+def test_grid_oracle_on_a_route_names_an_unknown_task(route):
+    # the slope changes are read from the route's table, which checks every
+    # task, before the first task's depot leg
+    inst, _ = generate_td(GDB1, "3lp", (2.0,), 3)
+    obj = route_objective(route, inst, shortest_paths(inst))
+    with pytest.raises(PlanError, match="^unknown or depot task ID 99999 in route$"):
+        grid_oracle(obj, 0.0, inst.horizon, 1.0)
+    assert obj.evaluations == 0
 
 
 def test_grid_oracle_on_a_route_at_a_billion_steps_is_quick():

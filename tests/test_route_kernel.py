@@ -8,8 +8,9 @@ screen of ``RouteEvaluator.splice`` must be within its tau of the walk
 of the route it prices; cheapest insertion, the move scans and the split
 must choose what walking every whole candidate route chooses; local
 search, which skips the moves its record holds as failed, must match the
-same search without a record; and the search built on them must
-reproduce pinned plans.
+same search without a record; the solution checks must walk each route
+once and agree with the reference checks; and the search built on them
+must reproduce pinned plans.
 """
 
 import hashlib
@@ -54,6 +55,7 @@ from carptdsc.solution import PlanError
 
 from conftest import DATA, random_static_file, rng_for
 from oracles import (
+    reference_check_feasibility,
     reference_cheapest_insertion,
     reference_local_search,
     reference_scan_insertion,
@@ -480,6 +482,50 @@ def test_solution_costs_reject_unknown_gdb1_ids(tid):
     for cost in _solution_costs(inst, sp, ev, sol):
         with pytest.raises(PlanError, match=f"unknown or depot task ID {tid} in route"):
             cost()
+
+
+@st.composite
+def _case_solution(draw):
+    """((instance, shortest paths, evaluator), solution): 1-6 routes of 1-8
+    tasks with repeats and inverse twins, departing before 0, inside [0, H],
+    at H, past H or at infinity."""
+    case = CASES[draw(st.sampled_from(sorted(CASES)))]
+    inst = case[0]
+    horizon = inst.horizon if inst.horizon < math.inf else 1e3
+    routes = draw(st.lists(st.lists(st.sampled_from(inst.real_task_ids), min_size=1,
+                                    max_size=8), min_size=1, max_size=6))
+    for route in routes:
+        if draw(st.booleans()):  # the twin of a task already served
+            tid = draw(st.sampled_from(route))
+            route.append(inst.tasks[tid].inverse_id or tid)
+    departures = st.one_of(st.sampled_from([0.0, -1.0, horizon, 1.5 * horizon, math.inf]),
+                           st.floats(0.0, horizon), st.floats(-5.0, 2.0 * horizon))
+    return case, Solution(join_routes(routes), tuple(draw(departures) for _ in routes))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_case_solution())
+def test_check_feasibility_matches_the_reference_checks(case_solution):
+    (inst, sp, _), sol = case_solution
+    assert repr(check_feasibility(sol, inst, sp)) == repr(
+        reference_check_feasibility(sol, inst, sp))
+
+
+def test_solution_checks_walk_each_route_once(monkeypatch):
+    inst, sp, _ = CASES["gdb1-3lp-k2.0"]
+    routes = [(1, 3), (5, 7, 9), (2,)]
+    sol = Solution(join_routes(routes), (0.0, 10.0, 1e4))
+    walk, walked = RouteEvaluator.walk, []
+
+    def counted(self, state, tasks, trail=None):
+        walked.append(tuple(tasks))
+        return walk(self, state, tasks, trail)
+
+    monkeypatch.setattr(RouteEvaluator, "walk", counted)
+    for check in (evaluate_solution, format_solution, check_feasibility):
+        walked.clear()
+        check(sol, inst, sp)
+        assert walked == [(), *routes], check  # the evaluator's empty route, then each route
 
 
 # Plans of the search before it used walk() (gdb1, generator seed 3 for

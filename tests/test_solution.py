@@ -14,7 +14,7 @@ from carptdsc import (
     join_routes,
     split_routes,
 )
-from carptdsc.solution import PlanError
+from carptdsc.solution import PlanError, ordered_sum
 
 from conftest import (
     chain_route_instance,
@@ -24,7 +24,7 @@ from conftest import (
     rng_for,
 )
 from carptdsc.instance_io import generate_td
-from oracles import simulate_route
+from oracles import reference_check_feasibility, simulate_route
 
 
 def test_split_two_routes():
@@ -231,6 +231,28 @@ def test_feasibility_adds_demands_in_route_order_as_stage_1_does():
     assert evaluator.walk(evaluator.origin, route)[1] == 0.0  # stage 1: no violation
     rep = check_feasibility(Solution(join_routes([route]), (0.0,)), inst, sp)
     assert rep.capacity_respected and rep.feasible
+
+
+def test_ordered_sum_adds_in_order_without_compensation():
+    # 1e16 + 1.0 rounds back to 1e16; the built-in sum of 3.12 on gives 1.0
+    assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+    assert ordered_sum([]) == 0.0
+
+
+def test_feasibility_holds_an_infinite_departure_past_the_horizon():
+    # with a constant service cost, the service start after an infinite one is
+    # inf + (c_min + 0 * inf), NaN, which no comparison with H catches
+    from carptdsc import Arc, ServiceCostFunction, Task, build_instance, shortest_paths
+
+    arcs = [Arc(i + 1, i, (i + 1) % 3, 1.0, 1.0) for i in range(3)]
+    fn = ServiceCostFunction(1.0, 0.0, 50.0)
+    inst = build_instance(3, arcs, [Task(a.id, a, 1.0, fn) for a in arcs],
+                          depot=0, capacity=10.0, horizon=100.0)
+    sp = shortest_paths(inst)
+    sol = Solution((0, 1, 2, 3, 0), (math.inf,))
+    rep = check_feasibility(sol, inst, sp)
+    assert not rep.horizon_tasks
+    assert repr(rep) == repr(reference_check_feasibility(sol, inst, sp))
 
 
 def test_feasibility_horizon_split(fig4):
