@@ -143,14 +143,16 @@ def cmd_oracle(args) -> int:
     routes = split_routes(plan)
     total = 0.0
     departures = []
+    lines = []  # printed once every route is priced, so a bad route prints nothing
     for i, route in enumerate(routes, start=1):
         obj = route_objective(route, inst, sp)
         t_star, cost = grid_oracle(obj, 0.0, inst.horizon, args.oracle_step)
         departures.append(t_star)
         total += cost
-        print(f"route {i}: oracle depart {t_star:.6f} cost {cost:.6f} "
-              f"(cost at 0: {obj.fn(0.0):.6f})")
-    print(f"total {total:.6f}")
+        lines.append(f"route {i}: oracle depart {t_star:.6f} cost {cost:.6f} "
+                     f"(cost at 0: {obj.fn(0.0):.6f})")
+    lines.append(f"total {total:.6f}")
+    print("\n".join(lines))
     sol = Solution(plan=plan, departures=tuple(departures))
     if args.out:
         Path(args.out).write_text(format_solution(sol, inst, sp))

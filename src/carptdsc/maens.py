@@ -15,9 +15,12 @@ the builder plus a minimum-cost splitting pass.  Capacity and horizon
 violations are penalized with an adaptive coefficient; the final answer is
 the best feasible plan found.
 
-Crossover's insertions and the moves screen candidates with
-``RouteEvaluator.splice`` and walk each one a screen cannot settle, so every
-decision is the one walking every candidate gives; no route score is cached.
+Crossover's insertions (``RouteEvaluator.cheapest_insertion``) and the
+moves screen candidates with ``RouteEvaluator.splice``'s arithmetic and walk
+each one a screen cannot settle, so every decision is the one walking every
+candidate gives; no route score is cached.  An insertion walks no lone
+candidate that could be least, and a child with inserted tasks is priced
+from its route tables, with the floats :func:`assess` gives.
 One local search keeps a record of the moves it found cannot improve,
 keyed by the contents of the routes they change, and skips them until one
 of those routes changes: a skipped move could not have been accepted, and
@@ -165,20 +168,20 @@ def _path_scan(
         cur_v = depot
         cur_t = 0.0
         while True:
-            feasible = [
-                tid
+            time_v = sp_time[cur_v]
+            # (travel time from the route end, task) of each task that fits
+            legs = [
+                (time_v[rows[tid][0]], tid)
                 for root in unserved
                 for tid in candidates_of[root]
                 if rows[tid][6] + load <= capacity
             ]
-            if not feasible:
+            if not legs:
                 break
-            dmin = min(sp_time[cur_v][rows[t][0]] for t in feasible)
+            dmin = min(leg for leg, _ in legs)
             if dmin == float("inf"):
                 break  # remaining tasks unreachable from here
-            nearest = sorted(
-                t for t in feasible if sp_time[cur_v][rows[t][0]] <= dmin + 1e-9
-            )
+            nearest = sorted(t for leg, t in legs if leg <= dmin + 1e-9)
             chosen = select_next_task(instance, nearest, cur_t + dmin, rng)
             tail, head, _, _, _, _, demand = rows[chosen]
             cur_t += sp_time[cur_v][tail]
@@ -206,36 +209,12 @@ def init_individual(
 def _cheapest_insertion(tables: list[RouteTable], tid: int, ev: RouteEvaluator, lam: float) -> None:
     """Insert ``tid`` (or its inverse) where it increases cost least.
 
-    ``tables`` holds :meth:`RouteEvaluator.table` of each route.  Every
-    candidate, a fresh route (the empty route) last, is screened by
-    :meth:`RouteEvaluator.splice`, each screen that could tie the least
-    delta is walked, and the first strict minimum of the walked deltas in
-    (route, position, orientation) order wins, as if every one was walked.
+    ``tables`` holds :meth:`RouteEvaluator.table` of each route; the place
+    is :meth:`RouteEvaluator.cheapest_insertion`'s among them and a fresh
+    route (the empty route), last.
     """
-    singles = [(oid,) for oid in ev.instance.orientations(tid)]
     candidates = tables + [ev.empty]
-    bases = [t.penalized(lam) for t in candidates]
-    splice = ev.splice
-    # bound: the least screen + tau so far, so no delta is below it; a
-    # candidate whose screen - tau exceeds it cannot be the minimum
-    bound = math.inf
-    near = []  # (screen - tau, delta or None if screened, route index, position, (oid,))
-    for ri, (table, base) in enumerate(zip(candidates, bases)):
-        base_tol = SCREEN_TOL * base
-        for pos in range(len(table.route) + 1):
-            for single in singles:
-                value, tau = splice(table, pos, single, pos, lam)
-                delta = value - base
-                if tau:
-                    tau += base_tol
-                if delta + tau < bound:
-                    bound = delta + tau
-                if not delta - tau > bound:  # a screen that is NaN is walked
-                    near.append((delta - tau, None if tau else delta, ri, pos, single))
-    walked = [(ev.splice_walk(candidates[ri], pos, single, pos, lam) - bases[ri]
-               if delta is None else delta, ri, pos, single)
-              for low, delta, ri, pos, single in near if not low > bound]
-    _, ri, pos, single = min(walked, key=lambda c: c[0])  # the first strict minimum
+    ri, pos, single = ev.cheapest_insertion(candidates, tid, lam)
     candidates[ri] = ev.splice_table(candidates[ri], pos, single, pos)
     tables[:] = [t for t in candidates if t.route]
 
@@ -246,7 +225,7 @@ def crossover(
     rng: np.random.Generator,
     ev: RouteEvaluator,
     lam: float,
-) -> RoutingPlan:
+) -> Individual:
     """Sequence-based crossover.
 
     Each parent's route list is cut at a random route plus intra-route
@@ -255,7 +234,8 @@ def crossover(
     first occurrence, and tasks lost in the exchange are reinserted at
     their cheapest positions.  The child may violate capacity; that is
     left to the penalty mechanism.  ``lam`` weighs the violation in the
-    insertion costs.
+    insertion costs.  The child is priced as :func:`assess` prices it, from
+    its route tables when a task was inserted.
     """
     instance = ev.instance
     routes1 = split_routes(parent1)
@@ -281,12 +261,16 @@ def crossover(
     routes = deduped
 
     missing = [root for root in instance.roots if root not in seen]
-    if missing:
-        tables = [ev.table(route) for route in routes]
-        for idx in rng.permutation(len(missing)):
-            _cheapest_insertion(tables, missing[idx], ev, lam)
-        routes = [table.route for table in tables]
-    return join_routes(routes)
+    if not missing:
+        return assess(ev, join_routes(routes))
+    tables = [ev.table(route) for route in routes]
+    for idx in rng.permutation(len(missing)):
+        _cheapest_insertion(tables, missing[idx], ev, lam)
+    # each table's walk continued the stored prefix states, so its total and
+    # violation are the floats a walk of its route from the origin gives
+    return Individual(plan=join_routes([table.route for table in tables]),
+                      total_cost=ordered_sum(table.total for table in tables),
+                      violation=ordered_sum(table.violation for table in tables))
 
 
 class _Record:
@@ -583,8 +567,7 @@ def evolve(
         for slot in range(params.psize):
             rng = _stream(params.seed, gen, slot)
             i, j = rng.choice(len(population), size=2, replace=False)
-            child_plan = crossover(population[int(i)].plan, population[int(j)].plan, rng, ev, lam)
-            child = assess(ev, child_plan)
+            child = crossover(population[int(i)].plan, population[int(j)].plan, rng, ev, lam)
             if rng.random() < params.pls:
                 child = local_search(child, rng, ev, lam)
             offspring.append(child)

@@ -11,9 +11,11 @@ costs and shortest-path travel times.  An arc's travel cost is a field of
 its own: the DAT and Solomon readers set it to the travel time, but an
 arc may take 12 time units and cost 0.  ``RouteEvaluator.walk`` is the
 one forward pass for stage 1 and the solution checks (one walk per route),
-and ``splice`` screens stage-1 candidates within a bound of it; ``total``
-is stage 2's scalar sweep.  ``evaluate``, ``evaluate_route`` and
-``profile`` serve only the benchmark harness and the tests.
+and ``splice`` screens stage-1 candidates within a bound of it, as
+``cheapest_insertion`` does for both orientations of a task at each cut of
+each route; ``total`` is stage 2's scalar sweep.  ``evaluate``,
+``evaluate_route`` and ``profile`` serve only the benchmark harness and the
+tests.
 """
 
 from __future__ import annotations
@@ -141,7 +143,8 @@ class RouteEvaluator:
 
     :meth:`walk` is the route kernel: stage 1 scores routes with it, and
     :meth:`walks` walks each route of a solution once for the checks;
-    :meth:`splice` screens a changed route within a bound of it.  Stage 2
+    :meth:`splice` screens a changed route within a bound of it, and
+    :meth:`cheapest_insertion` screens every insertion of one task.  Stage 2
     prices with :meth:`total`, a faster scalar pass that adds services and
     deadhead in one running sum (so it can differ from a walk in the last
     bits).  :meth:`evaluate`, a view over a walk, and :meth:`profile`,
@@ -317,6 +320,81 @@ class RouteEvaluator:
             if tau < INF:
                 return cost, tau
         return self.splice_walk(table, i, tasks, j, lam), 0.0
+
+    def cheapest_insertion(self, candidates: Sequence[RouteTable], tid: int,
+                           lam: float) -> tuple[int, int, tuple[int]]:
+        """Where one orientation of ``tid`` raises a candidate's penalized cost
+        at ``lam`` least: (candidate index, position, (oid,)).
+
+        Each cut of each candidate is read once and screens every
+        orientation with :meth:`splice`'s arithmetic, walked with tau 0
+        where ``splice`` walks.  Each screen that could tie the least delta
+        is walked, and the first strict minimum of the walked deltas in
+        (candidate, position, orientation) order wins, as if every one was
+        walked; a lone such screen wins unwalked, since a minimum of one
+        cannot change.
+        """
+        sp_time, sp_cost = self.sp_time, self.sp_cost
+        horizon, load_tol = self.horizon, self.load_tol
+        # each orientation's ((oid,), tail, c_min, bt, et, k, demand, legs from its head)
+        orients = []
+        for oid in self.instance.orientations(tid):
+            tail, head, c_min, bt, et, k, demand = self.rows[oid]
+            orients.append(((oid,), tail, c_min, bt, et, k, demand, sp_time[head], sp_cost[head]))
+        bases = [table.penalized(lam) for table in candidates]
+        # bound: the least screen + tau so far, so no delta is below it; a
+        # candidate whose screen - tau exceeds it cannot be the minimum
+        bound = INF
+        near = []  # (screen - tau, delta or None if screened, candidate, position, (oid,))
+        for ri, (table, base) in enumerate(zip(candidates, bases)):
+            base_tol = SCREEN_TOL * base
+            for pos, ((start, services, deadhead, v, load), (w, over_w, los, pieces)) in \
+                    enumerate(zip(table.prefixes, table.suffixes)):
+                time_v, cost_v = sp_time[v], sp_cost[v]
+                prefix_cost = services + deadhead
+                piece = pieces[0] if len(los) == 1 else None
+                for single, tail, c_min, bt, et, k, demand, time_h, cost_h in orients:
+                    cost = prefix_cost + cost_v[tail]
+                    cur = start + time_v[tail]
+                    if cur < bt:
+                        sc = c_min + k * (bt - cur)
+                    elif cur > et:
+                        sc = c_min + k * (cur - et)
+                    else:
+                        sc = c_min
+                    cost += sc
+                    u = cur + sc + time_h[w]
+                    tau = INF
+                    if u < INF:  # as in splice: an unreachable leg leaves u inf or NaN
+                        lo, rest, slope, ret, ret_slope, err, scale = pieces[
+                            bisect_right(los, u) - 1] if piece is None else piece
+                        d = u - lo
+                        cost += cost_h[w] + rest + slope * d
+                        late = ret + ret_slope * d - horizon
+                        over = over_w + (load + demand)
+                        tau = SCREEN_TOL * (err + scale * u + cost)
+                        if late > -tau or over > -load_tol:
+                            excess = (late if late > 0.0 else 0.0) + (over if over > 0.0 else 0.0)
+                            cost += lam * excess
+                            tau += lam * ((tau if late > -tau else 0.0) + SCREEN_TOL * excess
+                                          + (load_tol if over > -load_tol else 0.0))
+                    if not tau < INF:
+                        cost, tau = self.splice_walk(table, pos, single, pos, lam), 0.0
+                    delta = cost - base
+                    if tau:
+                        tau += base_tol
+                    if delta + tau < bound:
+                        bound = delta + tau
+                    if not delta - tau > bound:  # a screen that is NaN is walked
+                        near.append((delta - tau, None if tau else delta, ri, pos, single))
+        near = [c for c in near if not c[0] > bound]
+        if len(near) == 1:
+            return near[0][2:]
+        walked = [(self.splice_walk(candidates[ri], pos, single, pos, lam) - bases[ri]
+                   if delta is None else delta, ri, pos, single)
+                  for _, delta, ri, pos, single in near]
+        _, ri, pos, single = min(walked, key=lambda c: c[0])  # the first strict minimum
+        return ri, pos, single
 
     def splice_walk(self, table: RouteTable, i: int, tasks: Sequence[int], j: int,
                     lam: float) -> float:

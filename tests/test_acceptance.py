@@ -287,7 +287,7 @@ def test_criterion_10_operator_coverage_invariant():
     for s in range(5000):
         rng = rng_for(80_000 + s)
         i, j = rng.integers(0, len(plans), size=2)
-        child = crossover(plans[int(i)], plans[int(j)], rng, ev, 25.0)
+        child = crossover(plans[int(i)], plans[int(j)], rng, ev, 25.0).plan
         applications += 1
         if not coverage_ok(child, inst):
             violations += 1

@@ -67,6 +67,18 @@ def test_solve_prints_its_recorded_output(capsys):
     assert out == (DATA / "gdb1-3lp-k2-solve-seed0.txt").read_text()
 
 
+def test_solve_crossover_only_prints_its_recorded_output(capsys):
+    """Without local search every child is priced from crossover's route
+    tables: a generated long-route instance (10 generations, pls 0, seed
+    0) prints the recorded plan and costs byte for byte."""
+    code, out, err = run_cli(
+        capsys, "solve", "--instance", str(DATA / "long-routes-0.dat"),
+        "--generations", "10", "--pls", "0", "--seed", "0",
+    )
+    assert (code, err) == (0, "")
+    assert out == (DATA / "long-routes-0-solve-seed0.txt").read_text()
+
+
 def test_solve_solomon_with_truncation(capsys):
     code, out, _ = run_cli(
         capsys, "solve", "--instance", R101, "--max-customers", "8",
@@ -525,9 +537,10 @@ def test_oracle_warns_about_an_infeasible_plan(capsys):
     assert out.splitlines()[-1] == "total 1424.542493"
 
 
-@pytest.mark.parametrize("plan", ["0 99999 0", "0 1 99999 0"])
+@pytest.mark.parametrize("plan", ["0 99999 0", "0 1 99999 0", "0 1 0 99999 0"])
 def test_oracle_names_an_unknown_task_id(capsys, plan):
-    # first in its route or not, the ID is named before any route is printed
+    # first in its route or not, in the first route or a later one, the ID
+    # is named before any route is printed
     code, out, err = run_cli(capsys, *_oracle("1", plan=plan))
     assert (code, out) == (1, "")
     assert err == "error: unknown or depot task ID 99999 in route\n"

@@ -163,7 +163,7 @@ def test_crossover_identical_parents_preserve_tasks():
     rng = rng_for(55)
     inst, sp = random_static_instance(rng)
     plan = init_individual(inst, sp, rng)
-    child = crossover(plan, plan, rng, RouteEvaluator(inst, sp), 1.0)
+    child = crossover(plan, plan, rng, RouteEvaluator(inst, sp), 1.0).plan
     assert coverage_ok(child, inst)
 
 
@@ -174,7 +174,7 @@ def test_crossover_random_parents_coverage():
     for _ in range(50):
         p1 = init_individual(inst, sp, rng)
         p2 = init_individual(inst, sp, rng)
-        child = crossover(p1, p2, rng, ev, 1.0)
+        child = crossover(p1, p2, rng, ev, 1.0).plan
         assert coverage_ok(child, inst)
 
 
@@ -187,7 +187,7 @@ def test_crossover_capacity_violation_penalized():
     p2 = (0, 5, 1, 0, 3, 7, 0)
     seen_violation = False
     for seed in range(40):
-        child = crossover(p1, p2, rng_for(seed), ev, 1.0)
+        child = crossover(p1, p2, rng_for(seed), ev, 1.0).plan
         assert coverage_ok(child, inst)
         ind = assess(ev, child)
         if ind.violation > 0:
@@ -363,7 +363,7 @@ def test_operator_coverage_mass():
     for s in range(300):
         rng_s = rng_for(2000 + s)
         i, j = rng_s.integers(0, len(plans), size=2)
-        child = crossover(plans[int(i)], plans[int(j)], rng_s, ev, 1.0)
+        child = crossover(plans[int(i)], plans[int(j)], rng_s, ev, 1.0).plan
         if not coverage_ok(child, inst):
             violations += 1
     assert violations == 0

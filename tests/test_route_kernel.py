@@ -6,7 +6,9 @@ and ``evaluate`` the same arrival times and cost; a walk that starts from
 a recorded prefix state must equal a walk of the whole route; every
 screen of ``RouteEvaluator.splice`` must be within its tau of the walk
 of the route it prices; cheapest insertion, the move scans and the split
-must choose what walking every whole candidate route chooses; local
+must choose what walking every whole candidate route chooses, cheapest
+insertion without a ``splice`` call or a walk of a lone candidate, and
+crossover's child must carry the prices ``assess`` gives it; local
 search, which skips the moves its record holds as failed, must match the
 same search without a record; the solution checks must walk each route
 once and agree with the reference checks; and the search built on them
@@ -29,6 +31,7 @@ from carptdsc import (
     Task,
     build_instance,
     check_feasibility,
+    crossover,
     evaluate_solution,
     evolve,
     format_solution,
@@ -51,7 +54,7 @@ from carptdsc.maens import (
     _split_sequence,
     assess,
 )
-from carptdsc.solution import PlanError
+from carptdsc.solution import SCREEN_TOL, PlanError
 
 from conftest import DATA, random_static_file, rng_for
 from oracles import (
@@ -261,6 +264,60 @@ def test_screened_cheapest_insertion_matches_whole_route_reference(case_routes, 
     assert [t.route for t in tables] == want
 
 
+def _counted(ev):
+    """Count calls of ``ev``'s splice kernels, in a dict by name."""
+    calls = {"splice": 0, "splice_walk": 0}
+    for name in calls:
+        def counted(*args, name=name, kernel=getattr(ev, name)):
+            calls[name] += 1
+            return kernel(*args)
+        setattr(ev, name, counted)
+    return calls
+
+
+def _survivors(ev, candidates, tid, lam):
+    """How many candidates one :meth:`RouteEvaluator.splice` per candidate
+    leaves within tau of the least screen + tau: those that could be least."""
+    bound, lows = math.inf, []
+    for table in candidates:
+        base = table.penalized(lam)
+        for pos in range(len(table.route) + 1):
+            for oid in ev.instance.orientations(tid):
+                value, tau = ev.splice(table, pos, (oid,), pos, lam)
+                tau += SCREEN_TOL * base if tau else 0.0
+                bound = min(bound, value - base + tau)
+                lows.append(value - base - tau)
+    return sum(not low > bound for low in lows)
+
+
+def test_cheapest_insertion_calls_no_splice_and_walks_no_lone_candidate():
+    """Crossover's insertion screens each cut in its own pass, never through
+    ``splice``; a lone candidate that could be least is not walked, and each
+    of two or more is."""
+    survivor_counts = []
+    for name in sorted(CASES):
+        inst, sp, reference = CASES[name]
+        ev = RouteEvaluator(inst, sp)
+        calls = _counted(ev)
+        for seed in range(6):
+            rng = rng_for(seed)
+            routes = split_routes(init_individual(inst, sp, rng))
+            missing = [inst.pair_root(tid) for tid in routes.pop(int(rng.integers(len(routes))))]
+            tables = [ev.table(list(r)) for r in routes]
+            for tid in missing:
+                lam = float(rng.uniform(0.5, 50.0))
+                survivors = _survivors(reference, tables + [ev.empty], tid, lam)
+                calls.update(splice=0, splice_walk=0)
+                _cheapest_insertion(tables, tid, ev, lam)
+                assert calls["splice"] == 0
+                if survivors == 1:
+                    assert calls["splice_walk"] == 0
+                else:
+                    assert calls["splice_walk"] >= survivors
+                survivor_counts.append(survivors)
+    assert 1 in survivor_counts and max(survivor_counts) > 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(_case_routes(max_routes=3), _LAMBDAS, st.integers(0, 2 ** 32 - 1),
        st.sampled_from([1, 2, "swap"]))
@@ -301,11 +358,9 @@ def test_move_scans_walk_the_screens_they_cannot_trust(move):
 
 
 @st.composite
-def _case_plan(draw, max_tasks=16):
-    """((instance, shortest paths, evaluator), plan) of distinct tasks, each
-    pair served once in a drawn orientation, cut into routes at drawn points."""
-    case = CASES[draw(st.sampled_from(sorted(CASES)))]
-    inst = case[0]
+def _plan_of(draw, inst, max_tasks=16):
+    """A plan of distinct tasks of ``inst``, each pair served once in a
+    drawn orientation, cut into routes at drawn points."""
     roots = sorted({inst.pair_root(tid) for tid in inst.real_task_ids})
     picked = draw(st.lists(st.sampled_from(roots), min_size=1, max_size=max_tasks, unique=True))
     plan = [0]
@@ -313,7 +368,25 @@ def _case_plan(draw, max_tasks=16):
         plan.append(draw(st.sampled_from(inst.orientations(root))))
         if draw(st.booleans()):
             plan.append(0)
-    return case, join_routes(split_routes(plan + [0]))
+    return join_routes(split_routes(plan + [0]))
+
+
+@st.composite
+def _case_plan(draw):
+    """((instance, shortest paths, evaluator), plan) by :func:`_plan_of`."""
+    case = CASES[draw(st.sampled_from(sorted(CASES)))]
+    return case, draw(_plan_of(case[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_case_plan(), _LAMBDAS, st.integers(0, 2 ** 32 - 1), st.data())
+def test_crossover_prices_its_child_as_assess_does(case_plan, lam, seed, data):
+    """A child with inserted tasks is priced from its route tables, whose
+    walks continue stored prefix states: the floats are a whole walk's."""
+    (inst, sp, ev), plan = case_plan
+    other = data.draw(_plan_of(inst))
+    child = crossover(plan, other, rng_for(seed), ev, lam)
+    assert child == assess(ev, child.plan)
 
 
 @settings(max_examples=100, deadline=None)
