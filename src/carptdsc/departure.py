@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
@@ -54,17 +54,30 @@ class ScalarObjective:
         return self.fn(t)
 
 
-def _objective(evaluator: RouteEvaluator, route: tuple[int, ...]) -> ScalarObjective:
-    # the slope changes are computed on demand: gss and ncs never ask for them
-    return ScalarObjective(fn=partial(evaluator.total, route),
-                           slope_changes=partial(evaluator.slope_changes, route))
+class _RouteObjective(ScalarObjective):
+    """A route's cost as an objective, priced by one :meth:`RouteEvaluator.departure_cost`.
+
+    The route's legs are read at the first evaluation, not here, so an
+    unknown task is named where the route is first priced; the slope
+    changes are computed on demand, as gss and ncs never ask for them.
+    """
+
+    def __init__(self, evaluator: RouteEvaluator, route: tuple[int, ...]):
+        self.evaluator = evaluator
+        self.route = route
+        self.slope_changes = partial(evaluator.slope_changes, route)
+        self.evaluations = 0
+
+    @cached_property
+    def fn(self) -> Callable[[float], float]:
+        return self.evaluator.departure_cost(self.route)
 
 
 def route_objective(
     route: Sequence[int], instance: Instance, sp: ShortestPaths
 ) -> ScalarObjective:
     """Route cost (deadhead included) as a function of the departure time."""
-    return _objective(RouteEvaluator(instance, sp), tuple(route))
+    return _RouteObjective(RouteEvaluator(instance, sp), tuple(route))
 
 
 @dataclass(frozen=True)
@@ -132,7 +145,11 @@ def ncs(
     the nearest other mean, read off the means sorted once per epoch.
     Each batch of points is evaluated through ``obj.fn`` and counted in
     ``obj.evaluations``; a proposal clamped to lo or hi counts too, but
-    ``obj.fn`` prices each end only once.
+    ``obj.fn`` prices each end only once.  The normal variates of each
+    adaptation period (each epoch's steps, then its thresholds) come from
+    one draw of at most ``2 * NCS_EPOCH_ADAPT * process_count`` values, the
+    same stream as one draw per variate, so memory does not grow with the
+    budget.
     """
     if lo >= hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -154,9 +171,18 @@ def ncs(
     epoch = 0
     successes = 0
     while used < budget:
+        if epoch % NCS_EPOCH_ADAPT == 0:
+            # the normals of the adaptation period's epochs in draw order, each
+            # epoch's steps then its thresholds: the stream does not depend
+            # on how its draws are chunked
+            normals = rng.standard_normal(
+                2 * min(budget - used, NCS_EPOCH_ADAPT * nproc)).tolist()
+            drawn = 0
         epoch += 1
         count = min(nproc, budget - used)
-        steps = rng.standard_normal(count).tolist()
+        steps = normals[drawn:drawn + count]
+        thresholds = normals[drawn + count:drawn + 2 * count]
+        drawn += 2 * count
         # min(hi, max(lo, t)) without the calls; the same float, as lo < hi
         proposals = [
             (t if t < hi else hi) if (t := m + sigma * z) > lo else lo
@@ -195,7 +221,7 @@ def ncs(
         d_hi = max(max(dists), 1e-300)
 
         spread = max(0.1 * (1.0 - used / budget), 0.01)
-        for i, z in enumerate(rng.standard_normal(count).tolist()):
+        for i, z in enumerate(thresholds):
             f_norm = (proposal_fits[i] - f_lo) / f_span
             d_norm = dists[i] / d_hi
             if f_norm / (1e-12 if 1e-12 > d_norm else d_norm) < 1.0 + spread * z:
@@ -289,7 +315,7 @@ def optimize_departures(
     evaluator = RouteEvaluator(instance, sp)
     departures: list[float] = []
     for route in routes:
-        obj = _objective(evaluator, route)
+        obj = _RouteObjective(evaluator, route)
         if kind.k <= 1.0:
             t_star, _ = gss(obj, 0.0, horizon, GSS_EPS * horizon)
         else:

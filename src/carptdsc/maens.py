@@ -549,7 +549,7 @@ def evolve(
     attempts = 0
     while len(plans) < params.psize and attempts < 50 * params.psize:
         rng = _stream(params.seed, 0, attempts)
-        plans[init_individual(instance, sp, rng)] = None
+        plans[join_routes(_path_scan(ev, instance.roots, instance.capacity, rng))] = None
         attempts += 1
     distinct = [assess(ev, plan) for plan in plans]
     # tiny instances have fewer distinct plans than psize: repeat them in turn

@@ -13,9 +13,10 @@ arc may take 12 time units and cost 0.  ``RouteEvaluator.walk`` is the
 one forward pass for stage 1 and the solution checks (one walk per route),
 and ``splice`` screens stage-1 candidates within a bound of it, as
 ``cheapest_insertion`` does for both orientations of a task at each cut of
-each route; ``total`` is stage 2's scalar sweep.  ``evaluate``,
-``evaluate_route`` and ``profile`` serve only the benchmark harness and the
-tests.
+each route.  Stage 2 prices a route with ``departure_cost``, a scalar pass
+over legs read once per route, and ``total`` is that pass at one departure.
+``evaluate``, ``evaluate_route`` and ``profile`` serve only the benchmark
+harness and the tests.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -145,10 +146,12 @@ class RouteEvaluator:
     :meth:`walks` walks each route of a solution once for the checks;
     :meth:`splice` screens a changed route within a bound of it, and
     :meth:`cheapest_insertion` screens every insertion of one task.  Stage 2
-    prices with :meth:`total`, a faster scalar pass that adds services and
-    deadhead in one running sum (so it can differ from a walk in the last
-    bits).  :meth:`evaluate`, a view over a walk, and :meth:`profile`,
-    ``total`` vectorized, serve only the benchmark harness and the tests.
+    prices with :meth:`departure_cost`, a faster scalar pass over legs read
+    once per route that adds services and deadhead in one running sum (so
+    it can differ from a walk in the last bits); :meth:`total` is that pass
+    at one departure.  :meth:`evaluate`, a view over a walk, and
+    :meth:`profile`, ``total`` vectorized, serve only the benchmark harness
+    and the tests.
     """
 
     def __init__(self, instance: Instance, sp: ShortestPaths):
@@ -449,26 +452,42 @@ class RouteEvaluator:
         arrivals.append(cur + sp_time[v][self.depot])
         return RouteEval(arrival_times=tuple(arrivals), total=total)
 
-    def total(self, route: Sequence[int], t: float) -> float:
-        """Route cost only; same forward pass without bookkeeping."""
+    def departure_cost(self, route: Sequence[int]) -> Callable[[float], float]:
+        """The cost of ``route`` as a function of its departure time t.
+
+        Each task's (leg time, leg cost, c_min, bt, et, k) and the return
+        leg's cost are read here, once; the function adds the deadhead legs
+        and the service costs in one running sum, in route order.
+        """
         sp_time, sp_cost, rows = self.sp_time, self.sp_cost, self.rows
-        cur = t
+        legs = []
         v = self.depot
-        total = 0.0
         for tid in route:
             tail, head, c_min, bt, et, k, _ = rows[tid]
-            cur += sp_time[v][tail]
-            total += sp_cost[v][tail]
-            if cur < bt:
-                sc = c_min + k * (bt - cur)
-            elif cur > et:
-                sc = c_min + k * (cur - et)
-            else:
-                sc = c_min
-            total += sc
-            cur += sc
+            legs.append((sp_time[v][tail], sp_cost[v][tail], c_min, bt, et, k))
             v = head
-        return total + sp_cost[v][self.depot]
+        back = sp_cost[v][self.depot]
+
+        def cost(t: float) -> float:
+            total = 0.0
+            for leg_t, leg_c, c_min, bt, et, k in legs:
+                t += leg_t
+                total += leg_c
+                if t < bt:
+                    sc = c_min + k * (bt - t)
+                elif t > et:
+                    sc = c_min + k * (t - et)
+                else:
+                    sc = c_min
+                total += sc
+                t += sc
+            return total + back
+
+        return cost
+
+    def total(self, route: Sequence[int], t: float) -> float:
+        """Route cost only: :meth:`departure_cost` of ``route`` at ``t``."""
+        return self.departure_cost(route)(t)
 
     def profile(self, route: Sequence[int], ts: np.ndarray) -> np.ndarray:
         """Route cost swept over an array of departure times (vectorized).

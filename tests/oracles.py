@@ -274,6 +274,29 @@ def reference_grid_sweep(costs_at, lo, hi, step):
     return float(ts[i]), float(costs[i])
 
 
+def reference_total(ev, route, t):
+    """Cost of ``route`` departing at ``t``, every task row and leg looked up
+    as it is reached: the scalar pass ``RouteEvaluator.total`` once was."""
+    sp_time, sp_cost, rows = ev.sp_time, ev.sp_cost, ev.rows
+    cur = t
+    v = ev.depot
+    total = 0.0
+    for tid in route:
+        tail, head, c_min, bt, et, k, _ = rows[tid]
+        cur += sp_time[v][tail]
+        total += sp_cost[v][tail]
+        if cur < bt:
+            sc = c_min + k * (bt - cur)
+        elif cur > et:
+            sc = c_min + k * (cur - et)
+        else:
+            sc = c_min
+        total += sc
+        cur += sc
+        v = head
+    return total + sp_cost[v][ev.depot]
+
+
 def whole_route_penalized(ev, route, lam):
     """Penalized cost of ``route`` departing at 0, by one walk of the whole route."""
     total, violation = ev.walk(ev.origin, route)

@@ -67,6 +67,18 @@ def test_solve_prints_its_recorded_output(capsys):
     assert out == (DATA / "gdb1-3lp-k2-solve-seed0.txt").read_text()
 
 
+def test_solve_with_golden_section_prints_its_recorded_output(capsys):
+    """Stage 2 by golden-section search is deterministic too: gdb1 3LP
+    k = 1 (gen-seed 3, seed 0) prints the recorded plan, departures and
+    costs byte for byte."""
+    code, out, err = run_cli(
+        capsys, "solve", "--instance", GDB1, "--family", "3lp", "--slope-set", "1",
+        "--gen-seed", "3", "--seed", "0",
+    )
+    assert (code, err) == (0, "")
+    assert out == (DATA / "gdb1-3lp-k1-solve-seed0.txt").read_text()
+
+
 def test_solve_crossover_only_prints_its_recorded_output(capsys):
     """Without local search every child is priced from crossover's route
     tables: a generated long-route instance (10 generations, pls 0, seed

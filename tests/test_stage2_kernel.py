@@ -1,12 +1,14 @@
-"""The stage-2 kernels: ``ncs``, ``RouteEvaluator.profile`` and the seed mixer.
+"""The stage-2 kernels: ``ncs``, ``RouteEvaluator.departure_cost``, ``profile``
+and the seed mixer.
 
-``ncs`` keeps one step size for all processes, draws each epoch's normal
-variates in two batched calls and takes each distance from the nearest
-other mean; it must return what the per-process search with pairwise
-Bhattacharyya distances in ``oracles.reference_ncs`` returns, with the
-same number of evaluations, bit for bit.  ``profile`` must equal the
-scalar forward pass at every departure time, and the departures of
-pinned construction plans must not move.
+``ncs`` keeps one step size for all processes, draws the normal variates
+of each adaptation period in one call and takes each distance from the
+nearest other mean; it must return what the per-process search with
+pairwise Bhattacharyya distances in ``oracles.reference_ncs`` returns,
+with the same number of evaluations, bit for bit.  ``departure_cost`` and
+``total`` must equal the pass that looks every leg up as it is reached,
+``profile`` must equal the scalar forward pass at every departure time,
+and the departures of pinned construction plans must not move.
 """
 
 import numpy as np
@@ -26,7 +28,7 @@ from carptdsc import (
 from carptdsc.maens import _stream, mix_seed
 
 from conftest import DATA
-from oracles import reference_ncs
+from oracles import reference_ncs, reference_total
 
 
 def _cases():
@@ -82,6 +84,22 @@ def test_ncs_matches_reference_bit_for_bit(case):
     want = reference_ncs(want_obj, 0.0, inst.horizon, params)
     assert repr(got) == repr(want)
     assert got_obj.evaluations == want_obj.evaluations == params.budget
+
+
+# one adaptation period of 10 processes draws 2 * 10 * 10 normals: budgets
+# that end just before, at and just after the first epochs and periods
+@pytest.mark.parametrize("nproc,budget", [
+    *((10, b) for b in (10, 11, 109, 110, 111, 210, 2000, 2001)), (3, 31)])
+def test_ncs_across_its_draw_blocks_matches_reference(nproc, budget):
+    inst, _, ev = CASES[2.0]
+    plan, _ = GOLDEN_DEPARTURES[(2.0, 0)]
+    route = split_routes(plan)[0]
+    params = NcsParams(process_count=nproc, budget=budget, seed=budget)
+    got_obj, want_obj = _objective(ev, route), _objective(ev, route)
+    got = ncs(got_obj, 0.0, inst.horizon, params)
+    want = reference_ncs(want_obj, 0.0, inst.horizon, params)
+    assert repr(got) == repr(want)
+    assert got_obj.evaluations == want_obj.evaluations == budget
 
 
 class _CountingObjective(ScalarObjective):
@@ -157,6 +175,20 @@ def test_profile_matches_total_bit_for_bit(k_route, fractions):
     ts = np.concatenate([_sweep_points(inst, ev, route), inst.horizon * np.array(fractions)])
     got = ev.profile(route, ts)
     assert [x.hex() for x in got.tolist()] == [ev.total(route, t).hex() for t in ts.tolist()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(CASES)).flatmap(
+    lambda k: st.tuples(st.just(k), _route(CASES[k][0], max_size=22))),
+    st.floats(0.0, 1.0))
+def test_departure_cost_matches_the_reference_pass_bit_for_bit(k_route, fraction):
+    k, route = k_route
+    inst, _, ev = CASES[k]
+    horizon = inst.horizon
+    cost = ev.departure_cost(route)
+    for t in (0.0, horizon, fraction * horizon, 1.5 * horizon, float("inf")):
+        want = reference_total(ev, route, t).hex()
+        assert cost(t).hex() == ev.total(route, t).hex() == want
 
 
 def test_profile_leaves_its_input_alone():
