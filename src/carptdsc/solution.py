@@ -13,8 +13,11 @@ arc may take 12 time units and cost 0.  ``RouteEvaluator.walk`` is the
 one forward pass for stage 1 and the solution checks (one walk per route),
 and ``splice`` screens stage-1 candidates within a bound of it, as
 ``cheapest_insertion`` does for both orientations of a task at each cut of
-each route.  Stage 2 prices a route with ``departure_cost``, a scalar pass
-over legs read once per route, and ``total`` is that pass at one departure.
+each route; on a static instance (every task k = 0 and no horizon, a plain
+CARP file) it screens without the ramp, suffix-piece and horizon terms,
+whose values are fixed there.  Stage 2 prices a route with
+``departure_cost``, a scalar pass over legs read once per route, and
+``total`` is that pass at one departure.
 ``evaluate``, ``evaluate_route`` and ``profile`` serve only the benchmark
 harness and the tests.
 """
@@ -145,7 +148,8 @@ class RouteEvaluator:
     :meth:`walk` is the route kernel: stage 1 scores routes with it, and
     :meth:`walks` walks each route of a solution once for the checks;
     :meth:`splice` screens a changed route within a bound of it, and
-    :meth:`cheapest_insertion` screens every insertion of one task.  Stage 2
+    :meth:`cheapest_insertion` screens every insertion of one task, in a
+    loop of its own when the instance is :attr:`static`.  Stage 2
     prices with :meth:`departure_cost`, a faster scalar pass over legs read
     once per route that adds services and deadhead in one running sum (so
     it can differ from a walk in the last bits); :meth:`total` is that pass
@@ -159,6 +163,7 @@ class RouteEvaluator:
         self.depot = instance.depot
         self.origin: RouteState = (0.0, 0.0, 0.0, instance.depot, 0.0)
         self.horizon = instance.horizon
+        self.capacity = instance.capacity
         self.load_tol = SCREEN_TOL * instance.capacity  # rounding bound of a route's load
         self.sp_time = sp.time.tolist()
         self.sp_cost = sp.cost.tolist()
@@ -168,6 +173,8 @@ class RouteEvaluator:
                   task.cost_fn.et, task.cost_fn.k, task.demand)
             for tid, task in instance.tasks.items()
         }
+        # every task k = 0 and no horizon; cheapest_insertion screens these apart
+        self.static = self.horizon == INF and not any(row[5] for row in self.rows.values())
         # a fresh route is a splice into the empty route, whose suffix is the return
         self.empty = RouteTable((), [self.origin], [(self.depot, -instance.capacity, [0.0], [
             (0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0)])], *self.walk(self.origin, ()))
@@ -216,8 +223,8 @@ class RouteEvaluator:
         deadhead += sp_cost[v][self.depot]
         cur += leg_t
         # max(0.0, x) without the call
-        late = cur - self.instance.horizon
-        over = load - self.instance.capacity
+        late = cur - self.horizon
+        over = load - self.capacity
         return services + deadhead, (late if late > 0.0 else 0.0) + (over if over > 0.0 else 0.0)
 
     def table(self, route: Sequence[int]) -> RouteTable:
@@ -336,9 +343,17 @@ class RouteEvaluator:
         (candidate, position, orientation) order wins, as if every one was
         walked; a lone such screen wins unwalked, since a minimum of one
         cannot change.
+
+        A :attr:`static` instance has every task at k = 0 and no horizon,
+        so each service cost is c_min, each suffix is one piece at u = 0
+        of slope 0, return slope 1 and scale 1, and every return is
+        -inf late.  Its cuts are screened in a loop that reads that piece
+        once and drops the ramp, the bisection and the horizon term, terms
+        that add exact zeros in ``splice``; the rest keeps ``splice``'s
+        operation order, so each screen and tau is ``splice``'s float.
         """
         sp_time, sp_cost = self.sp_time, self.sp_cost
-        horizon, load_tol = self.horizon, self.load_tol
+        horizon, load_tol, static = self.horizon, self.load_tol, self.static
         # each orientation's ((oid,), tail, c_min, bt, et, k, demand, legs from its head)
         orients = []
         for oid in self.instance.orientations(tid):
@@ -355,32 +370,51 @@ class RouteEvaluator:
                     enumerate(zip(table.prefixes, table.suffixes)):
                 time_v, cost_v = sp_time[v], sp_cost[v]
                 prefix_cost = services + deadhead
-                piece = pieces[0] if len(los) == 1 else None
+                if static:
+                    _, rest, _, _, _, err, _ = pieces[0]
+                else:
+                    piece = pieces[0] if len(los) == 1 else None
                 for single, tail, c_min, bt, et, k, demand, time_h, cost_h in orients:
                     cost = prefix_cost + cost_v[tail]
                     cur = start + time_v[tail]
-                    if cur < bt:
-                        sc = c_min + k * (bt - cur)
-                    elif cur > et:
-                        sc = c_min + k * (cur - et)
+                    if static:
+                        # splice's screen less the terms it adds as exact zeros:
+                        # sc = c_min, slope * d = 0, scale * u = u, late = -inf
+                        cost += c_min
+                        u = cur + c_min + time_h[w]
+                        tau = INF
+                        if u < INF:
+                            cost += cost_h[w] + rest
+                            tau = SCREEN_TOL * (err + u + cost)
+                            over = over_w + (load + demand)
+                            if over > -load_tol:
+                                excess = over if over > 0.0 else 0.0
+                                cost += lam * excess
+                                tau += lam * (SCREEN_TOL * excess + load_tol)
                     else:
-                        sc = c_min
-                    cost += sc
-                    u = cur + sc + time_h[w]
-                    tau = INF
-                    if u < INF:  # as in splice: an unreachable leg leaves u inf or NaN
-                        lo, rest, slope, ret, ret_slope, err, scale = pieces[
-                            bisect_right(los, u) - 1] if piece is None else piece
-                        d = u - lo
-                        cost += cost_h[w] + rest + slope * d
-                        late = ret + ret_slope * d - horizon
-                        over = over_w + (load + demand)
-                        tau = SCREEN_TOL * (err + scale * u + cost)
-                        if late > -tau or over > -load_tol:
-                            excess = (late if late > 0.0 else 0.0) + (over if over > 0.0 else 0.0)
-                            cost += lam * excess
-                            tau += lam * ((tau if late > -tau else 0.0) + SCREEN_TOL * excess
-                                          + (load_tol if over > -load_tol else 0.0))
+                        if cur < bt:
+                            sc = c_min + k * (bt - cur)
+                        elif cur > et:
+                            sc = c_min + k * (cur - et)
+                        else:
+                            sc = c_min
+                        cost += sc
+                        u = cur + sc + time_h[w]
+                        tau = INF
+                        if u < INF:  # as in splice: an unreachable leg leaves u inf or NaN
+                            lo, rest, slope, ret, ret_slope, err, scale = pieces[
+                                bisect_right(los, u) - 1] if piece is None else piece
+                            d = u - lo
+                            cost += cost_h[w] + rest + slope * d
+                            late = ret + ret_slope * d - horizon
+                            over = over_w + (load + demand)
+                            tau = SCREEN_TOL * (err + scale * u + cost)
+                            if late > -tau or over > -load_tol:
+                                excess = (late if late > 0.0 else 0.0) + (
+                                    over if over > 0.0 else 0.0)
+                                cost += lam * excess
+                                tau += lam * ((tau if late > -tau else 0.0) + SCREEN_TOL * excess
+                                              + (load_tol if over > -load_tol else 0.0))
                     if not tau < INF:
                         cost, tau = self.splice_walk(table, pos, single, pos, lam), 0.0
                     delta = cost - base

@@ -91,6 +91,15 @@ def test_solve_crossover_only_prints_its_recorded_output(capsys):
     assert out == (DATA / "long-routes-0-solve-seed0.txt").read_text()
 
 
+def test_solve_on_a_static_instance_prints_its_recorded_output(capsys):
+    """Static gdb1 (seed 0, the CLI defaults) runs crossover and local search
+    on an instance with no ramp and no horizon, and prints the recorded
+    plan and costs byte for byte."""
+    code, out, err = run_cli(capsys, "solve", "--instance", GDB1, "--seed", "0")
+    assert (code, err) == (0, "")
+    assert out == (DATA / "gdb1-static-solve-seed0.txt").read_text()
+
+
 def test_solve_solomon_with_truncation(capsys):
     code, out, _ = run_cli(
         capsys, "solve", "--instance", R101, "--max-customers", "8",

@@ -7,14 +7,16 @@ a recorded prefix state must equal a walk of the whole route; every
 screen of ``RouteEvaluator.splice`` must be within its tau of the walk
 of the route it prices; cheapest insertion, the move scans and the split
 must choose what walking every whole candidate route chooses, cheapest
-insertion without a ``splice`` call or a walk of a lone candidate, and
-crossover's child must carry the prices ``assess`` gives it; local
+insertion without a ``splice`` call or a walk of a lone candidate (and
+on a static instance as its general loop does on a copy with a horizon),
+and crossover's child must carry the prices ``assess`` gives it; local
 search, which skips the moves its record holds as failed, must match the
 same search without a record; the solution checks must walk each route
 once and agree with the reference checks; and the search built on them
 must reproduce pinned plans.
 """
 
+import dataclasses
 import hashlib
 import math
 from functools import partial
@@ -69,11 +71,16 @@ from oracles import (
 
 
 def _cases():
+    """Static gdb1 and long-routes-0 take cheapest insertion's static loop;
+    gdb1 3LP k = 0 has no ramp but a horizon (714) that can bind, so it
+    takes the general loop with every other case."""
     _, static = instance_io.parse_carp((DATA / "gdb1.dat").read_text())
     cases = {"gdb1": static}
     for k in (0.3, 1.0, 2.0, 3.0):
         cases[f"gdb1-3lp-k{k}"], _ = instance_io.generate_td(static, "3lp", (k,), 3)
+    cases["gdb1-3lp-k0"], _ = instance_io.generate_td(static, "3lp", (0.0,), 3)
     cases["r101_25"] = load_instance_text((DATA / "r101_25.txt").read_text())
+    _, cases["long-routes-0"] = instance_io.parse_carp((DATA / "long-routes-0.dat").read_text())
     out = {}
     for name, inst in cases.items():
         sp = shortest_paths(inst)
@@ -316,6 +323,40 @@ def test_cheapest_insertion_calls_no_splice_and_walks_no_lone_candidate():
                     assert calls["splice_walk"] >= survivors
                 survivor_counts.append(survivors)
     assert 1 in survivor_counts and max(survivor_counts) > 1
+
+
+def test_the_static_loop_is_taken_by_static_instances_alone():
+    """Every task k = 0 and no horizon: a static CARP file, nothing else."""
+    _, static = instance_io.parse_carp((DATA / "gdb1.dat").read_text())
+    two_segment, _ = instance_io.generate_td(static, "2lp", (), 3)
+    assert CASES["gdb1"][2].static and CASES["long-routes-0"][2].static
+    assert not RouteEvaluator(two_segment, CASES["gdb1"][1]).static
+    for name in ("gdb1-3lp-k0", "gdb1-3lp-k2.0", "r101_25"):
+        assert not CASES[name][2].static, name
+
+
+@pytest.mark.parametrize("name", ["gdb1", "long-routes-0"])
+def test_static_insertions_match_the_general_loop(name):
+    """A copy of a static instance with a horizon no route reaches takes the
+    general loop, and inserts every task of a removed route where the
+    static loop does, into tables with the same floats."""
+    inst, sp, ev = CASES[name]
+    general = RouteEvaluator(dataclasses.replace(inst, horizon=1e6), sp)
+    assert ev.static and not general.static
+
+    def tabled(tables):
+        return [(t.route, t.total.hex(), t.violation.hex()) for t in tables]
+
+    for seed in range(10):
+        rng = rng_for(seed)
+        routes = split_routes(init_individual(inst, sp, rng))
+        missing = [inst.pair_root(tid) for tid in routes.pop(int(rng.integers(len(routes))))]
+        got = [ev.table(list(r)) for r in routes]
+        want = [general.table(list(r)) for r in routes]
+        for tid in missing:
+            _cheapest_insertion(got, tid, ev, 7.5)
+            _cheapest_insertion(want, tid, general, 7.5)
+            assert tabled(got) == tabled(want)
 
 
 @settings(max_examples=60, deadline=None)
