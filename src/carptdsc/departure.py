@@ -296,11 +296,12 @@ def optimize_departures(
 ) -> DepartureTimes:
     """Optimal (or near-optimal) departure time for every route of ``plan``.
 
-    Two-segment instances get all-zero departures.  Three-segment
-    instances are routed to gss when the slope magnitude is <= 1 and to
-    ncs otherwise, each route independently on [0, horizon]: gss stops at
-    ``GSS_EPS`` times the horizon, and ncs runs with ``NcsParams``'
-    defaults.  Per-route ncs seeds mix ``seed`` with the route's tasks, so
+    Two-segment instances get all-zero departures, and so do three-segment
+    ones at slope 0, whose route costs do not change with t.  Other
+    three-segment instances are routed to gss when the slope magnitude is
+    <= 1 and to ncs otherwise, each route independently on [0, horizon]:
+    gss stops at ``GSS_EPS`` times the horizon, and ncs runs with
+    ``NcsParams``' defaults.  Per-route ncs seeds mix ``seed`` with the route's tasks, so
     the result is independent of optimization order.
     """
     routes = split_routes(plan)
@@ -311,6 +312,8 @@ def optimize_departures(
     horizon = instance.horizon
     if not math.isfinite(horizon):
         raise ValueError("departure optimization needs a finite planning horizon")
+    if kind.k == 0.0:
+        return tuple(0.0 for _ in routes)
 
     evaluator = RouteEvaluator(instance, sp)
     departures: list[float] = []

@@ -15,7 +15,9 @@ and ``splice`` screens stage-1 candidates within a bound of it, as
 ``cheapest_insertion`` does for both orientations of a task at each cut of
 each route; on a static instance (every task k = 0 and no horizon, a plain
 CARP file) it screens without the ramp, suffix-piece and horizon terms,
-whose values are fixed there.  Stage 2 prices a route with
+whose values are fixed there, and skips each route whose capacity penalty
+plus the task's least detour, less a provable rounding margin, is above
+the least screen so far.  Stage 2 prices a route with
 ``departure_cost``, a scalar pass over legs read once per route, and
 ``total`` is that pass at one departure.
 ``evaluate``, ``evaluate_route`` and ``profile`` serve only the benchmark
@@ -27,7 +29,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -149,7 +151,8 @@ class RouteEvaluator:
     :meth:`walks` walks each route of a solution once for the checks;
     :meth:`splice` screens a changed route within a bound of it, and
     :meth:`cheapest_insertion` screens every insertion of one task, in a
-    loop of its own when the instance is :attr:`static`.  Stage 2
+    loop of its own when the instance is :attr:`static`, which skips the
+    routes :attr:`detour_floors` and the capacity penalty rule out.  Stage 2
     prices with :meth:`departure_cost`, a faster scalar pass over legs read
     once per route that adds services and deadhead in one running sum (so
     it can differ from a walk in the last bits); :meth:`total` is that pass
@@ -331,6 +334,32 @@ class RouteEvaluator:
                 return cost, tau
         return self.splice_walk(table, i, tasks, j, lam), 0.0
 
+    @cached_property
+    def detour_floors(self) -> Optional[dict[int, tuple[float, float, float, float]]]:
+        """Per task ID, what :meth:`cheapest_insertion` bounds its static
+        screens with: (G, least demand, largest demand, 2·(t_max + c_max +
+        c_min)); None if some vertex cannot reach another.
+
+        G is the least c[v][tail] + c_min + c[head][w] - c[v][w] over every
+        vertex pair (v, w) and each orientation, so no cut of any route adds
+        less; it takes no triangle inequality.  t_max and c_max are the
+        largest leg time and cost, c_min the largest over the orientations.
+        One V x V array per task ID at a time, on the first static insertion.
+        """
+        time, cost = np.array(self.sp_time), np.array(self.sp_cost)
+        if not np.isfinite(time).all():
+            return None
+        detours = {tid: float(np.min(cost[:, tail, None] + c_min + cost[head] - cost))
+                   for tid, (tail, head, c_min, *_) in self.rows.items()}
+        spread = float(time.max()) + float(cost.max())
+        floors = {}
+        for tid in self.rows:
+            oids = self.instance.orientations(tid)
+            demands = [self.rows[oid][6] for oid in oids]
+            floors[tid] = (min(detours[oid] for oid in oids), min(demands), max(demands),
+                           2.0 * (spread + max(self.rows[oid][2] for oid in oids)))
+        return floors
+
     def cheapest_insertion(self, candidates: Sequence[RouteTable], tid: int,
                            lam: float) -> tuple[int, int, tuple[int]]:
         """Where one orientation of ``tid`` raises a candidate's penalized cost
@@ -351,6 +380,39 @@ class RouteEvaluator:
         once and drops the ramp, the bisection and the horizon term, terms
         that add exact zeros in ``splice``; the rest keeps ``splice``'s
         operation order, so each screen and tau is ``splice``'s float.
+
+        That loop also skips routes (when no leg is infinite, see
+        :attr:`detour_floors`).  Route r of n tasks, load L, violation V,
+        cost T, penalized cost ``base``, time E after its last service and
+        suffix 0's rounding scale ``err`` (the largest, as ``err`` only
+        grows toward the front) gets the bound G + Δpen − M, visited in
+        ascending order:
+
+        - G is the task's least detour, and Δpen = λ·(max(0, L + d − Q) − V)
+          for its least demand d over the orientations: in exact arithmetic
+          every delta of r is at least G + Δpen, as each cut adds a detour
+          of at least G and at least the load L + d.
+        - Let m = err + E + T + base + 2·(t_max + c_max + c_min) +
+          λ·(L + d + Q), with t_max and c_max the largest leg time and
+          cost, and c_min and d the largest over the orientations.  A
+          screen's u is at most E + 2·t_max + c_min, its cost before the
+          penalty at most T + 2·c_max + c_min, so its tau is at most
+          SCREEN_TOL·m + λ·load_tol, up to a factor 1 + O(nε) for
+          ε = 2**-53.  Every float that a screen, r's walk, G or Δpen adds
+          up is a sum of at most 2n + 8 terms, signed only in the load, each
+          at most m in size; so delta and G + Δpen are each within
+          (6n + 30)·ε·m of their exact values.
+        - M = (SCREEN_TOL + (n + 16)·2**-47)·2m + 2·λ·load_tol covers both
+          with room: delta − tau ≥ G + Δpen − M as real numbers, and
+          rounding is monotone, so a screen of a route whose bound exceeds
+          ``bound`` has delta − tau above ``bound``.  Such a screen would
+          neither lower ``bound`` nor stay in ``near``, and as ``bound``
+          only falls, nor would any screen of a later route: the loop
+          stops there.  The survivors are put back in (candidate, position,
+          orientation) order before they are walked.
+        - An m of half the largest float or more makes 2m, and so M, inf,
+          so a route whose screens could overflow, and so be walked, is
+          screened; a NaN bound counts as -inf.
         """
         sp_time, sp_cost = self.sp_time, self.sp_cost
         horizon, load_tol, static = self.horizon, self.load_tol, self.static
@@ -360,11 +422,30 @@ class RouteEvaluator:
             tail, head, c_min, bt, et, k, demand = self.rows[oid]
             orients.append(((oid,), tail, c_min, bt, et, k, demand, sp_time[head], sp_cost[head]))
         bases = [table.penalized(lam) for table in candidates]
+        # each candidate's (lower bound on its deltas, index), in visiting order
+        visits = [(-INF, ri) for ri in range(len(candidates))]
+        floors = self.detour_floors if static else None
+        if floors is not None:
+            g, demand_lo, demand_hi, spread = floors[tid]
+            capacity, lam_tol = self.capacity, 2.0 * lam * load_tol
+            for ri, (table, base) in enumerate(zip(candidates, bases)):
+                end, _, _, _, load = table.prefixes[-1]
+                over = load + demand_lo - capacity
+                mag = (table.suffixes[0][3][0][5] + end + table.total + base + spread
+                       + lam * (load + demand_hi + capacity))
+                low = g + lam * ((over if over > 0.0 else 0.0) - table.violation) - (
+                    (SCREEN_TOL + (len(table.route) + 16) * 2.0 ** -47) * (mag + mag) + lam_tol)
+                if low > -INF:  # a NaN bound stays -inf: visited first, never skipped
+                    visits[ri] = (low, ri)
+            visits.sort()
         # bound: the least screen + tau so far, so no delta is below it; a
         # candidate whose screen - tau exceeds it cannot be the minimum
         bound = INF
         near = []  # (screen - tau, delta or None if screened, candidate, position, (oid,))
-        for ri, (table, base) in enumerate(zip(candidates, bases)):
+        for low, ri in visits:
+            if low > bound:  # so is every later one's, and each of its screens' delta - tau
+                break
+            table, base = candidates[ri], bases[ri]
             base_tol = SCREEN_TOL * base
             for pos, ((start, services, deadhead, v, load), (w, over_w, los, pieces)) in \
                     enumerate(zip(table.prefixes, table.suffixes)):
@@ -427,6 +508,7 @@ class RouteEvaluator:
         near = [c for c in near if not c[0] > bound]
         if len(near) == 1:
             return near[0][2:]
+        near.sort(key=operator.itemgetter(2))  # back to (candidate, position, orientation)
         walked = [(self.splice_walk(candidates[ri], pos, single, pos, lam) - bases[ri]
                    if delta is None else delta, ri, pos, single)
                   for _, delta, ri, pos, single in near]

@@ -16,7 +16,9 @@ import numpy as np
 
 from carptdsc.departure import INVPHI, NCS_EPOCH_ADAPT, NCS_SIGMA_DIVISOR
 from carptdsc.maens import IMPROVE_EPS, LS_MAX_SWEEPS, SCORE_FLOOR, _merge_split, assess
-from carptdsc.solution import FeasibilityReport, RouteEvaluator, join_routes, split_routes
+from carptdsc.solution import (
+    SCREEN_TOL, FeasibilityReport, RouteEvaluator, join_routes, split_routes,
+)
 
 
 def piecewise_cost(c_min, bt, et, k, t):
@@ -322,6 +324,55 @@ def reference_cheapest_insertion(routes, tid, ev, instance, lam):
         routes.append([oid])
     else:
         routes[ri].insert(pos, oid)
+
+
+def reference_static_insertion(ev, candidates, tid, lam):
+    """``RouteEvaluator.cheapest_insertion`` on a static instance, screening
+    every cut of every candidate in index order: its static loop before it
+    skipped any route.  Walks go through ``ev.splice_walk``, so a caller can
+    count them."""
+    assert ev.static
+    orients = []
+    for oid in ev.instance.orientations(tid):
+        tail, head, c_min, _, _, _, demand = ev.rows[oid]
+        orients.append(((oid,), tail, c_min, demand, ev.sp_time[head], ev.sp_cost[head]))
+    bases = [table.penalized(lam) for table in candidates]
+    bound, near = math.inf, []
+    for ri, (table, base) in enumerate(zip(candidates, bases)):
+        for pos, ((start, services, deadhead, v, load), (w, over_w, _, pieces)) in \
+                enumerate(zip(table.prefixes, table.suffixes)):
+            _, rest, _, _, _, err, _ = pieces[0]
+            for single, tail, c_min, demand, time_h, cost_h in orients:
+                cost = services + deadhead + ev.sp_cost[v][tail]
+                cur = start + ev.sp_time[v][tail]
+                cost += c_min
+                u = cur + c_min + time_h[w]
+                tau = math.inf
+                if u < math.inf:
+                    cost += cost_h[w] + rest
+                    tau = SCREEN_TOL * (err + u + cost)
+                    over = over_w + (load + demand)
+                    if over > -ev.load_tol:
+                        excess = over if over > 0.0 else 0.0
+                        cost += lam * excess
+                        tau += lam * (SCREEN_TOL * excess + ev.load_tol)
+                if not tau < math.inf:
+                    cost, tau = ev.splice_walk(table, pos, single, pos, lam), 0.0
+                delta = cost - base
+                if tau:
+                    tau += SCREEN_TOL * base
+                if delta + tau < bound:
+                    bound = delta + tau
+                if not delta - tau > bound:
+                    near.append((delta - tau, None if tau else delta, ri, pos, single))
+    near = [c for c in near if not c[0] > bound]
+    if len(near) == 1:
+        return near[0][2:]
+    walked = [(ev.splice_walk(candidates[ri], pos, single, pos, lam) - bases[ri]
+               if delta is None else delta, ri, pos, single)
+              for _, delta, ri, pos, single in near]
+    _, ri, pos, single = min(walked, key=lambda c: c[0])
+    return ri, pos, single
 
 
 def reference_scan_insertion(routes, ev, instance, lam, rng, length, eps):

@@ -91,6 +91,18 @@ def test_solve_crossover_only_prints_its_recorded_output(capsys):
     assert out == (DATA / "long-routes-0-solve-seed0.txt").read_text()
 
 
+def test_solve_with_local_search_on_long_routes_prints_its_recorded_output(capsys):
+    """A static long-route instance with local search on (5 generations,
+    seed 0) runs crossover's repair and the moves on routes of 10-16
+    tasks, and prints the recorded plan and costs byte for byte."""
+    code, out, err = run_cli(
+        capsys, "solve", "--instance", str(DATA / "long-routes-0.dat"),
+        "--generations", "5", "--seed", "0",
+    )
+    assert (code, err) == (0, "")
+    assert out == (DATA / "long-routes-0-solve-ls-seed0.txt").read_text()
+
+
 def test_solve_on_a_static_instance_prints_its_recorded_output(capsys):
     """Static gdb1 (seed 0, the CLI defaults) runs crossover and local search
     on an instance with no ramp and no horizon, and prints the recorded
@@ -321,6 +333,22 @@ def test_bench_records_an_infeasible_final_plan_as_failed(capsys):
     assert run_line[0].startswith("run gdb1 0 failed ")
     assert run_line[0].endswith(" infeasible final plan: horizon_tasks, horizon_return")
     assert err == "warning: 1 run(s) failed; aggregates cover the rest\n"
+
+
+def test_solve_and_bench_keep_flat_routes_at_departure_0(capsys):
+    # at 3LP k = 0 no route's cost moves with its departure; stage 2 used to
+    # drift every route past H = 728, so solve warned and bench failed both runs
+    code, out, err = run_cli(capsys, "solve", "--instance", GDB1, "--family", "3lp",
+                             "--slope-set", "0")
+    assert (code, err) == (0, "")
+    routes = out.splitlines()[:-1]
+    assert routes and all("; depart 0.000000;" in line for line in routes)
+    code, out, err = run_cli(capsys, "bench", "--instance", GDB1, "--family", "3lp",
+                             "--slope-set", "0", "--gen-seed", "3", "--runs", "2")
+    assert (code, err) == (0, "")
+    assert [line.split()[:3] for line in out.splitlines() if line.startswith("run ")] == [
+        ["run", "gdb1", "0"], ["run", "gdb1", "1"]]
+    assert "failed" not in out
 
 
 def test_bench_rejects_an_instance_name_with_whitespace(tmp_path, capsys):

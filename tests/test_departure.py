@@ -331,6 +331,19 @@ def test_dispatcher_two_segment_all_zeros():
     assert deps == tuple(0.0 for _ in split_routes(plan))
 
 
+def test_dispatcher_flat_three_segment_all_zeros():
+    """At slope 0 a route costs the same at every departure, so each route
+    departs at 0; golden-section search used to drift to the horizon."""
+    _, static = parse_carp((DATA / "gdb1.dat").read_text())
+    inst, _ = generate_td(static, "3lp", (0.0,), seed=3)
+    sp = shortest_paths(inst)
+    plan = init_individual(inst, sp, rng_for(5))
+    evaluator = RouteEvaluator(inst, sp)
+    for route in split_routes(plan):  # flat: the cost at 0 is the cost at H
+        assert evaluator.total(route, 0.0) == evaluator.total(route, inst.horizon)
+    assert optimize_departures(plan, inst, sp) == tuple(0.0 for _ in split_routes(plan))
+
+
 def test_dispatcher_small_slope_matches_oracle():
     rng = rng_for(23)
     inst, route, sp = chain_route_instance(rng, 4, 0.5, "aligned")

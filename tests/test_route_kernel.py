@@ -8,7 +8,9 @@ screen of ``RouteEvaluator.splice`` must be within its tau of the walk
 of the route it prices; cheapest insertion, the move scans and the split
 must choose what walking every whole candidate route chooses, cheapest
 insertion without a ``splice`` call or a walk of a lone candidate (and
-on a static instance as its general loop does on a copy with a horizon),
+on a static instance as its general loop does on a copy with a horizon,
+and with the answer and walks of its static loop before that loop skipped
+the routes whose bound rules them out),
 and crossover's child must carry the prices ``assess`` gives it; local
 search, which skips the moves its record holds as failed, must match the
 same search without a record; the solution checks must walk each route
@@ -66,6 +68,7 @@ from oracles import (
     reference_scan_insertion,
     reference_scan_swap,
     reference_split_sequence,
+    reference_static_insertion,
     simulate_route,
 )
 
@@ -282,19 +285,23 @@ def _counted(ev):
     return calls
 
 
+def _screen_bounds(ev, table, tid, lam):
+    """delta - tau and delta + tau of each screen of ``table`` by ``splice``,
+    tau as ``cheapest_insertion`` widens it by the base's tolerance."""
+    base = table.penalized(lam)
+    for pos in range(len(table.route) + 1):
+        for oid in ev.instance.orientations(tid):
+            value, tau = ev.splice(table, pos, (oid,), pos, lam)
+            tau += SCREEN_TOL * base if tau else 0.0
+            yield value - base - tau, value - base + tau
+
+
 def _survivors(ev, candidates, tid, lam):
     """How many candidates one :meth:`RouteEvaluator.splice` per candidate
     leaves within tau of the least screen + tau: those that could be least."""
-    bound, lows = math.inf, []
-    for table in candidates:
-        base = table.penalized(lam)
-        for pos in range(len(table.route) + 1):
-            for oid in ev.instance.orientations(tid):
-                value, tau = ev.splice(table, pos, (oid,), pos, lam)
-                tau += SCREEN_TOL * base if tau else 0.0
-                bound = min(bound, value - base + tau)
-                lows.append(value - base - tau)
-    return sum(not low > bound for low in lows)
+    screens = [screen for table in candidates for screen in _screen_bounds(ev, table, tid, lam)]
+    bound = min(high for _, high in screens)
+    return sum(not low > bound for low, _ in screens)
 
 
 def test_cheapest_insertion_calls_no_splice_and_walks_no_lone_candidate():
@@ -357,6 +364,180 @@ def test_static_insertions_match_the_general_loop(name):
             _cheapest_insertion(got, tid, ev, 7.5)
             _cheapest_insertion(want, tid, general, 7.5)
             assert tabled(got) == tabled(want)
+
+
+class _LoggedWalks(RouteEvaluator):
+    """An evaluator that logs each ``splice_walk`` call in ``walked``."""
+
+    def __init__(self, instance, sp):
+        super().__init__(instance, sp)
+        self.walked = []
+
+    def splice_walk(self, table, i, tasks, j, lam):
+        self.walked.append((tuple(table.route), i, tuple(tasks), j, lam.hex()))
+        return super().splice_walk(table, i, tasks, j, lam)
+
+
+class _Watched(list):
+    """A table's prefix states that note in ``passes`` each pass over them."""
+
+    def __init__(self, states, passes, ri):
+        super().__init__(states)
+        self.passes, self.ri = passes, ri
+
+    def __iter__(self):
+        self.passes.add(self.ri)
+        return super().__iter__()
+
+
+def _skipping_run(ev, candidates, tid, lam):
+    """``cheapest_insertion``'s answer and walks, then the unskipped static
+    loop's, and the indices of the candidates whose cuts were screened."""
+    passes = set()
+    watched = [t._replace(prefixes=_Watched(t.prefixes, passes, ri))
+               for ri, t in enumerate(candidates)]
+    ev.walked = []
+    got = ev.cheapest_insertion(watched, tid, lam), ev.walked
+    ev.walked = []
+    want = reference_static_insertion(ev, candidates, tid, lam), ev.walked
+    return got, want, passes
+
+
+_LOGGED = {name: _LoggedWalks(*CASES[name][:2]) for name in ("gdb1", "long-routes-0")}
+
+
+@st.composite
+def _overflowing_routes(draw):
+    """(evaluator, candidate tables, task ID): a partial plan of up to six
+    routes of up to 20 tasks, many over capacity, and the fresh route."""
+    ev = _LOGGED[draw(st.sampled_from(sorted(_LOGGED)))]
+    ids = st.sampled_from(ev.instance.real_task_ids)
+    routes = draw(st.lists(st.lists(ids, min_size=1, max_size=20), max_size=6))
+    return ev, [ev.table(r) for r in routes] + [ev.empty], draw(ids)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_overflowing_routes(), _LAMBDAS)
+def test_static_skips_change_no_answer_and_no_walk(case, lam):
+    """Skipping the routes whose bound exceeds the running bound returns what
+    the unskipped static loop returns, after the same walks in order."""
+    ev, candidates, tid = case
+    got, want, _ = _skipping_run(ev, candidates, tid, lam)
+    assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_overflowing_routes(), _LAMBDAS)
+def test_every_skipped_screen_is_above_the_final_bound(case, lam):
+    """Each screen of a route left unscreened, priced by ``splice``, has
+    delta - tau above the least delta + tau of all screens: it could
+    neither have lowered the bound nor been the least delta."""
+    ev, candidates, tid = case
+    _, _, passes = _skipping_run(ev, candidates, tid, lam)
+    bound = min(high for t in candidates for _, high in _screen_bounds(ev, t, tid, lam))
+    for ri, table in enumerate(candidates):
+        if ri not in passes:
+            assert all(low > bound for low, _ in _screen_bounds(ev, table, tid, lam))
+
+
+@pytest.mark.parametrize("name", sorted(_LOGGED))
+def test_crossover_repairs_skip_routes_and_match_the_unskipped_loop(name):
+    """Every task of a removed route put back into a seeded plan, at a
+    penalty that makes full routes dear: the same answers and walks as the
+    unskipped loop, and some routes are not screened at all."""
+    ev = _LOGGED[name]
+    inst, sp = ev.instance, CASES[name][1]
+    skipped = 0
+    for seed in range(8):
+        rng = rng_for(seed)
+        routes = split_routes(init_individual(inst, sp, rng))
+        missing = [inst.pair_root(tid) for tid in routes.pop(int(rng.integers(len(routes))))]
+        tables = [ev.table(list(r)) for r in routes]
+        for tid in missing:
+            candidates = tables + [ev.empty]
+            got, want, passes = _skipping_run(ev, candidates, tid, 50.0)
+            assert got == want
+            skipped += len(candidates) - len(passes)
+            ri, pos, single = got[0]
+            if ri == len(tables):
+                tables.append(ev.table(list(single)))
+            else:
+                tables[ri] = ev.splice_table(tables[ri], pos, single, pos)
+    assert skipped
+
+
+def _triangle_instance(cost_02):
+    """Depot 0 and vertices 1, 2, joined both ways by arcs of time 1; the
+    arcs between 0 and 2 cost ``cost_02``, the others 1.  Task 1 serves
+    1 -> 2 (demand 1); tasks 2 (0 -> 1) and 3 (2 -> 0) fill capacity 2."""
+    arcs = [Arc(1, 1, 2, 1.0, 1.0), Arc(2, 0, 1, 1.0, 1.0), Arc(3, 2, 0, 1.0, cost_02),
+            Arc(4, 1, 0, 1.0, 1.0), Arc(5, 2, 1, 1.0, 1.0), Arc(6, 0, 2, 1.0, cost_02)]
+    static = ServiceCostFunction(1.0, 0.0, 0.0, 0.0)
+    tasks = [Task(tid, arcs[tid - 1], 1.0, static) for tid in (1, 2, 3)]
+    inst = build_instance(3, arcs, tasks, 0, 2.0, math.inf)
+    return _LoggedWalks(inst, shortest_paths(inst))
+
+
+def test_a_full_route_whose_penalty_outweighs_the_fresh_route_is_skipped():
+    """Route (2, 3) is full; task 1 fits between its tasks at no detour, so
+    each of its screens adds at least the penalty.  At lam = 100 that is
+    above the fresh route's 3, and the route is not screened."""
+    ev = _triangle_instance(1.0)
+    full = ev.table([2, 3])
+    assert ev.detour_floors[1][0] == 0.0 and full.violation == 0.0
+    got, want, passes = _skipping_run(ev, [full, ev.empty], 1, 100.0)
+    assert got == want == ((1, 0, (1,)), [])
+    assert passes == {1}
+
+
+def test_a_route_within_tau_of_the_bound_is_screened():
+    """lam puts the full route's cheapest screen (delta = lam) between the
+    fresh route's delta + tau and that plus its own tau: the two could tie,
+    so both are walked, although lam alone exceeds the bound."""
+    ev = _triangle_instance(1.0)
+    full = ev.table([2, 3])
+    _, tau_fresh = ev.splice(ev.empty, 0, (1,), 0, 3.0)
+    _, tau_full = ev.splice(full, 1, (1,), 1, 3.0)
+    lam = 3.0 + tau_fresh + (tau_full + SCREEN_TOL * full.penalized(3.0)) / 2
+    (_, bound), = _screen_bounds(ev, ev.empty, 1, lam)
+    low_full = min(low for low, _ in _screen_bounds(ev, full, 1, lam))
+    assert not low_full > bound and lam > bound  # within tau, above the bound
+    got, want, passes = _skipping_run(ev, [full, ev.empty], 1, lam)
+    assert got == want and len(got[1]) == 2
+    assert passes == {0, 1}
+
+
+def test_nothing_is_skipped_where_costs_break_the_triangle_inequality():
+    """The arcs between 0 and 2 are fast but cost 50, so task 1 put first in
+    the full route (3, 2) saves 48 of travel cost before the penalty.  The
+    least detour comes from the cost matrix over every vertex pair, so at
+    lam = 60 that route (delta 12) is screened and beats the fresh route
+    (52); c_min - c[tail][head] = 0, or the same bound from the time
+    matrix, would have skipped it."""
+    ev = _triangle_instance(50.0)
+    full = ev.table([3, 2])
+    assert ev.detour_floors[1][0] == -48.0 and full.violation == 0.0
+    got, want, passes = _skipping_run(ev, [full, ev.empty], 1, 60.0)
+    assert got == want and got[0] == (0, 0, (1,))
+    assert passes == {0, 1}
+
+
+def test_nothing_is_skipped_when_a_vertex_is_unreachable():
+    """A static instance with an isolated vertex has an infinite leg, so no
+    route is skipped, even where the same tables skip some without it."""
+    inst, sp, _ = CASES["gdb1"]
+    isolated = dataclasses.replace(inst, num_vertices=inst.num_vertices + 1)
+    ev = _LoggedWalks(isolated, shortest_paths(isolated))
+    assert ev.static and ev.detour_floors is None
+    routes = split_routes(init_individual(inst, sp, rng_for(0)))
+    tid = inst.pair_root(routes.pop()[0])
+    candidates = [ev.table(r) for r in routes] + [ev.empty]
+    got, want, passes = _skipping_run(ev, candidates, tid, 2.0 ** 20)
+    assert got == want and passes == set(range(len(candidates)))
+    reachable = _LOGGED["gdb1"]
+    _, _, passes = _skipping_run(reachable, [reachable.table(r) for r in routes]
+                                 + [reachable.empty], tid, 2.0 ** 20)
+    assert len(passes) < len(candidates)
 
 
 @settings(max_examples=60, deadline=None)
