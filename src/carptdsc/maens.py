@@ -20,7 +20,9 @@ moves screen candidates with ``RouteEvaluator.splice``'s arithmetic and walk
 each one a screen cannot settle, so every decision is the one walking every
 candidate gives; no route score is cached.  An insertion walks no lone
 candidate that could be least, and a child with inserted tasks is priced
-from its route tables, with the floats :func:`assess` gives.
+from its route tables, with the floats :func:`assess` gives.  On an exact
+instance (``RouteEvaluator.exact``) crossover keeps no table: each
+insertion is priced exactly from a route's total and load, with no walk.
 One local search keeps a record of the moves it found cannot improve,
 keyed by the contents of the routes they change, and skips them until one
 of those routes changes: a skipped move could not have been accepted, and
@@ -206,17 +208,21 @@ def init_individual(
     return join_routes(_path_scan(ev, instance.roots, instance.capacity, rng))
 
 
-def _cheapest_insertion(tables: list[RouteTable], tid: int, ev: RouteEvaluator, lam: float) -> None:
+def _cheapest_insertion(routes: list, tid: int, ev: RouteEvaluator, lam: float) -> None:
     """Insert ``tid`` (or its inverse) where it increases cost least.
 
-    ``tables`` holds :meth:`RouteEvaluator.table` of each route; the place
-    is :meth:`RouteEvaluator.cheapest_insertion`'s among them and a fresh
-    route (the empty route), last.
+    ``routes`` holds :meth:`RouteEvaluator.table` of each route, or on an
+    exact instance (:attr:`RouteEvaluator.exact`) its
+    :meth:`RouteEvaluator.totals`; the place is
+    :meth:`RouteEvaluator.cheapest_insertion`'s among them and a fresh route
+    (the empty route), last.  On an exact instance the route it lands in is
+    priced by :meth:`RouteEvaluator.inserted`, with no table.
     """
-    candidates = tables + [ev.empty]
+    candidates = routes + [ev.empty]
     ri, pos, single = ev.cheapest_insertion(candidates, tid, lam)
-    candidates[ri] = ev.splice_table(candidates[ri], pos, single, pos)
-    tables[:] = [t for t in candidates if t.route]
+    candidates[ri] = (ev.inserted(candidates[ri], pos, single[0]) if ev.exact
+                      else ev.splice_table(candidates[ri], pos, single, pos))
+    routes[:] = [t for t in candidates if t.route]
 
 
 def crossover(
@@ -235,7 +241,8 @@ def crossover(
     their cheapest positions.  The child may violate capacity; that is
     left to the penalty mechanism.  ``lam`` weighs the violation in the
     insertion costs.  The child is priced as :func:`assess` prices it, from
-    its route tables when a task was inserted.
+    its route tables when a task was inserted, or, on an exact instance,
+    from each route's totals and load.
     """
     instance = ev.instance
     routes1 = split_routes(parent1)
@@ -263,14 +270,15 @@ def crossover(
     missing = [root for root in instance.roots if root not in seen]
     if not missing:
         return assess(ev, join_routes(routes))
-    tables = [ev.table(route) for route in routes]
+    price = ev.totals if ev.exact else ev.table
+    priced = [price(route) for route in routes]
     for idx in rng.permutation(len(missing)):
-        _cheapest_insertion(tables, missing[idx], ev, lam)
-    # each table's walk continued the stored prefix states, so its total and
-    # violation are the floats a walk of its route from the origin gives
-    return Individual(plan=join_routes([table.route for table in tables]),
-                      total_cost=ordered_sum(table.total for table in tables),
-                      violation=ordered_sum(table.violation for table in tables))
+        _cheapest_insertion(priced, missing[idx], ev, lam)
+    # a table's walk continued the stored prefix states, and totals are kept
+    # exactly, so each total and violation is a walk of the route from the origin
+    return Individual(plan=join_routes([p.route for p in priced]),
+                      total_cost=ordered_sum(p.total for p in priced),
+                      violation=ordered_sum(p.violation for p in priced))
 
 
 class _Record:

@@ -13,11 +13,12 @@ arc may take 12 time units and cost 0.  ``RouteEvaluator.walk`` is the
 one forward pass for stage 1 and the solution checks (one walk per route),
 and ``splice`` screens stage-1 candidates within a bound of it, as
 ``cheapest_insertion`` does for both orientations of a task at each cut of
-each route; on a static instance (every task k = 0 and no horizon, a plain
-CARP file) it screens without the ramp, suffix-piece and horizon terms,
-whose values are fixed there, and skips each route whose capacity penalty
-plus the task's least detour, less a provable rounding margin, is above
-the least screen so far.  Stage 2 prices a route with
+each route.  On an exact instance (a plain CARP file: no ramp, no
+horizon, integer costs, demands and capacity, and sums below 2**53),
+``cheapest_insertion`` prices each insertion from the route's total and
+load alone, with the walk's float and no walk, and skips each route whose
+capacity penalty plus the task's least detour is above the least delta so
+far.  Stage 2 prices a route with
 ``departure_cost``, a scalar pass over legs read once per route, and
 ``total`` is that pass at one departure.
 ``evaluate``, ``evaluate_route`` and ``profile`` serve only the benchmark
@@ -58,6 +59,24 @@ class RouteTable(NamedTuple):
     def penalized(self, lam: float) -> float:
         """The route's cost with its violation weighed by the penalty coefficient ``lam``."""
         return self.total + lam * self.violation
+
+    @property
+    def load(self) -> float:
+        """The route's load, as its walk added it up."""
+        return self.prefixes[-1][4]
+
+
+class RouteTotals(NamedTuple):
+    """A route's total, violation and load: all that
+    :meth:`RouteEvaluator.cheapest_insertion` reads of a candidate on an
+    exact instance (see :attr:`RouteEvaluator.exact`)."""
+
+    route: Sequence[int]
+    total: float
+    violation: float
+    load: float
+
+    penalized = RouteTable.penalized
 
 
 class PlanError(ValueError):
@@ -150,9 +169,11 @@ class RouteEvaluator:
     :meth:`walk` is the route kernel: stage 1 scores routes with it, and
     :meth:`walks` walks each route of a solution once for the checks;
     :meth:`splice` screens a changed route within a bound of it, and
-    :meth:`cheapest_insertion` screens every insertion of one task, in a
-    loop of its own when the instance is :attr:`static`, which skips the
-    routes :attr:`detour_floors` and the capacity penalty rule out.  Stage 2
+    :meth:`cheapest_insertion` screens every insertion of one task.  On an
+    :attr:`exact` instance it prices each insertion exactly from a route's
+    total and load (:class:`RouteTotals`, kept up by :meth:`totals` and
+    :meth:`inserted`), walks nothing, and skips the routes
+    :attr:`detour_floors` and the capacity penalty rule out.  Stage 2
     prices with :meth:`departure_cost`, a faster scalar pass over legs read
     once per route that adds services and deadhead in one running sum (so
     it can differ from a walk in the last bits); :meth:`total` is that pass
@@ -176,7 +197,7 @@ class RouteEvaluator:
                   task.cost_fn.et, task.cost_fn.k, task.demand)
             for tid, task in instance.tasks.items()
         }
-        # every task k = 0 and no horizon; cheapest_insertion screens these apart
+        # every task k = 0 and no horizon: the first condition of exact
         self.static = self.horizon == INF and not any(row[5] for row in self.rows.values())
         # a fresh route is a splice into the empty route, whose suffix is the return
         self.empty = RouteTable((), [self.origin], [(self.depot, -instance.capacity, [0.0], [
@@ -335,167 +356,182 @@ class RouteEvaluator:
         return self.splice_walk(table, i, tasks, j, lam), 0.0
 
     @cached_property
-    def detour_floors(self) -> Optional[dict[int, tuple[float, float, float, float]]]:
-        """Per task ID, what :meth:`cheapest_insertion` bounds its static
-        screens with: (G, least demand, largest demand, 2·(t_max + c_max +
-        c_min)); None if some vertex cannot reach another.
+    def exact(self) -> bool:
+        """Whether :meth:`cheapest_insertion` can price this instance exactly.
+
+        It holds when the instance is :attr:`static`, every leg is finite,
+        every arc travel cost, c_min, demand and the capacity is an
+        integer, and, for N task IDs, c the largest leg cost, m the largest
+        c_min and Q the capacity, (N + 3)·(c + m) < 2**53 and
+        (N + 1)·Q < 2**53.  Every integer below 2**53 in magnitude is a
+        float, and a sum or difference of two such is exact while its
+        value is one too.  So, for routes of at most N tasks (a plan
+        serves each task ID at most once), every float below is exact:
+
+        - A leg cost is a sum of arc travel costs along a path, added up
+          by ``shortest_paths``.  A sum of integers that reaches 2**53
+          rounds to no less than 2**53, above c, so every leg cost was
+          added exactly and is an integer in [0, c].
+        - A walk's running service and deadhead sums, and so its total T,
+          are integers in [0, (n + 1)·(c + m)] for a route of n tasks.
+        - D = c[v][tail] + c_min + c[head][w] - c[v][w] has partial sums in
+          [-c, 2c + m], and T + D is the total of the route with the task
+          put in, so in [0, (N + 2)·(c + m)].  The least detour G is in
+          [-c, 2c + m] too, so T + G is at most (N + 3)·(c + m).
+        - A load sums at most N + 1 demands of at most Q each (a larger
+          demand is rejected by ``build_instance``), so L + d and
+          L + d - Q are below (N + 1)·Q in magnitude.
+
+        With no horizon, every return is -inf late; so T + D and
+        max(0, L + d - Q) are the walk's total and violation of the route
+        with the task put in, bit for bit.
+        """
+        rows = self.rows.values()
+        integers = [arc.travel_cost for arc in self.instance.arcs]
+        integers += [row[2] for row in rows] + [row[6] for row in rows] + [self.capacity]
+        if not (self.static and all(float(x).is_integer() for x in integers)
+                and np.isfinite(self.sp_time).all() and np.isfinite(self.sp_cost).all()):
+            return False
+        largest = int(np.max(self.sp_cost)) + int(max(row[2] for row in rows))
+        n = len(self.rows)
+        return (n + 3) * largest < 2 ** 53 and (n + 1) * int(self.capacity) < 2 ** 53
+
+    @cached_property
+    def detour_floors(self) -> Optional[dict[int, tuple[float, float]]]:
+        """Per task ID, (G, least demand) over its orientations on an
+        :attr:`exact` instance; None on any other.
 
         G is the least c[v][tail] + c_min + c[head][w] - c[v][w] over every
         vertex pair (v, w) and each orientation, so no cut of any route adds
-        less; it takes no triangle inequality.  t_max and c_max are the
-        largest leg time and cost, c_min the largest over the orientations.
-        One V x V array per task ID at a time, on the first static insertion.
+        less; it takes no triangle inequality.  One V x V array per task ID
+        at a time, on the first exact insertion.
         """
-        time, cost = np.array(self.sp_time), np.array(self.sp_cost)
-        if not np.isfinite(time).all():
+        if not self.exact:
             return None
+        cost = np.array(self.sp_cost)
         detours = {tid: float(np.min(cost[:, tail, None] + c_min + cost[head] - cost))
                    for tid, (tail, head, c_min, *_) in self.rows.items()}
-        spread = float(time.max()) + float(cost.max())
         floors = {}
         for tid in self.rows:
             oids = self.instance.orientations(tid)
-            demands = [self.rows[oid][6] for oid in oids]
-            floors[tid] = (min(detours[oid] for oid in oids), min(demands), max(demands),
-                           2.0 * (spread + max(self.rows[oid][2] for oid in oids)))
+            floors[tid] = (min(detours[oid] for oid in oids), min(self.rows[oid][6] for oid in oids))
         return floors
 
-    def cheapest_insertion(self, candidates: Sequence[RouteTable], tid: int,
+    def cheapest_insertion(self, candidates: Sequence, tid: int,
                            lam: float) -> tuple[int, int, tuple[int]]:
         """Where one orientation of ``tid`` raises a candidate's penalized cost
-        at ``lam`` least: (candidate index, position, (oid,)).
+        at ``lam`` least: (candidate index, position, (oid,)), the first
+        strict minimum of the walked deltas in (candidate, position,
+        orientation) order, as if every insertion was walked.
 
-        Each cut of each candidate is read once and screens every
-        orientation with :meth:`splice`'s arithmetic, walked with tau 0
-        where ``splice`` walks.  Each screen that could tie the least delta
-        is walked, and the first strict minimum of the walked deltas in
-        (candidate, position, orientation) order wins, as if every one was
-        walked; a lone such screen wins unwalked, since a minimum of one
-        cannot change.
+        On an :attr:`exact` instance a candidate is read for its route,
+        total T, violation and load L only (a :class:`RouteTotals` or a
+        :class:`RouteTable`), and nothing is walked.  An orientation of demand d put in between
+        vertices v and w adds D = c[v][tail] + c_min + c[head][w] - c[v][w],
+        and its delta is ((T + D) + λ·e') - base, for e' = max(0, L + d - Q)
+        and base = T + λ·violation.  T + D and e' are the walk's total and
+        violation (see :attr:`exact`), whose penalized cost is
+        (T + D) + λ·e': so each delta is the walk's float, and the least
+        (delta, candidate, position, orientation) wins.  Candidates are
+        visited in ascending order of ((T + G) + λ·e'_lo) - base, with G
+        the task's least detour (:attr:`detour_floors`) and e'_lo the e'
+        of its least demand.  G <= D, e'_lo <= e', λ >= 0 and rounding is
+        monotone, so no delta of the route is below that bound.  Once a
+        bound is above the least delta so far, that route and every later
+        one are skipped; a route whose bound equals it is screened, as it
+        may win the tie by coming earlier.  This takes λ as stage 1 sets
+        it: at least 0, and small enough that λ times a load (below 2**53)
+        plus a total stays finite, so every delta is.
 
-        A :attr:`static` instance has every task at k = 0 and no horizon,
-        so each service cost is c_min, each suffix is one piece at u = 0
-        of slope 0, return slope 1 and scale 1, and every return is
-        -inf late.  Its cuts are screened in a loop that reads that piece
-        once and drops the ramp, the bisection and the horizon term, terms
-        that add exact zeros in ``splice``; the rest keeps ``splice``'s
-        operation order, so each screen and tau is ``splice``'s float.
-
-        That loop also skips routes (when no leg is infinite, see
-        :attr:`detour_floors`).  Route r of n tasks, load L, violation V,
-        cost T, penalized cost ``base``, time E after its last service and
-        suffix 0's rounding scale ``err`` (the largest, as ``err`` only
-        grows toward the front) gets the bound G + Δpen − M, visited in
-        ascending order:
-
-        - G is the task's least detour, and Δpen = λ·(max(0, L + d − Q) − V)
-          for its least demand d over the orientations: in exact arithmetic
-          every delta of r is at least G + Δpen, as each cut adds a detour
-          of at least G and at least the load L + d.
-        - Let m = err + E + T + base + 2·(t_max + c_max + c_min) +
-          λ·(L + d + Q), with t_max and c_max the largest leg time and
-          cost, and c_min and d the largest over the orientations.  A
-          screen's u is at most E + 2·t_max + c_min, its cost before the
-          penalty at most T + 2·c_max + c_min, so its tau is at most
-          SCREEN_TOL·m + λ·load_tol, up to a factor 1 + O(nε) for
-          ε = 2**-53.  Every float that a screen, r's walk, G or Δpen adds
-          up is a sum of at most 2n + 8 terms, signed only in the load, each
-          at most m in size; so delta and G + Δpen are each within
-          (6n + 30)·ε·m of their exact values.
-        - M = (SCREEN_TOL + (n + 16)·2**-47)·2m + 2·λ·load_tol covers both
-          with room: delta − tau ≥ G + Δpen − M as real numbers, and
-          rounding is monotone, so a screen of a route whose bound exceeds
-          ``bound`` has delta − tau above ``bound``.  Such a screen would
-          neither lower ``bound`` nor stay in ``near``, and as ``bound``
-          only falls, nor would any screen of a later route: the loop
-          stops there.  The survivors are put back in (candidate, position,
-          orientation) order before they are walked.
-        - An m of half the largest float or more makes 2m, and so M, inf,
-          so a route whose screens could overflow, and so be walked, is
-          screened; a NaN bound counts as -inf.
+        On any other instance each candidate is a :class:`RouteTable`, and
+        each of its cuts is read once and screens every orientation with
+        :meth:`splice`'s arithmetic, walked with tau 0 where ``splice``
+        walks.  Each screen that could tie the least delta is walked; a
+        lone such screen wins unwalked, since a minimum of one cannot
+        change.
         """
+        rows = self.rows
+        if self.exact:
+            cost, depot, capacity = self.sp_cost, self.depot, self.capacity
+            g, demand_lo = self.detour_floors[tid]
+            orients = []  # each orientation's (oid, tail, c_min, demand, leg costs from its head)
+            for oid in self.instance.orientations(tid):
+                tail, head, c_min, _, _, _, demand = rows[oid]
+                orients.append((oid, tail, c_min, demand, cost[head]))
+            bases = [route.penalized(lam) for route in candidates]
+            visits = []  # (lower bound on the candidate's deltas, index)
+            for ri, (route, base) in enumerate(zip(candidates, bases)):
+                over = route.load + demand_lo - capacity
+                visits.append((((route.total + g) + lam * (over if over > 0.0 else 0.0)) - base,
+                               ri))
+            visits.sort()
+            best, at = INF, None  # the least delta so far and its (candidate, position, (oid,))
+            for low, ri in visits:
+                if low > best:  # so is every later bound, and every delta of those routes
+                    break
+                route, base = candidates[ri], bases[ri]
+                total, load = route.total, route.load
+                screens = []  # each orientation's (oid, tail, c_min, leg costs, λ·e')
+                for oid, tail, c_min, demand, cost_h in orients:
+                    over = load + demand - capacity
+                    screens.append((oid, tail, c_min, cost_h, lam * (over if over > 0.0 else 0.0)))
+                v = depot
+                for pos, next_tid in enumerate((*route.route, 0)):
+                    w = rows[next_tid][0] if next_tid else depot
+                    cost_v = cost[v]
+                    direct = cost_v[w]  # the leg the insertion replaces
+                    for oid, tail, c_min, cost_h, penalty in screens:
+                        delta = ((total + (cost_v[tail] + c_min + cost_h[w] - direct))
+                                 + penalty) - base
+                        if delta < best or (delta == best and ri < at[0]):
+                            best, at = delta, (ri, pos, (oid,))
+                    if next_tid:
+                        v = rows[next_tid][1]
+            return at
         sp_time, sp_cost = self.sp_time, self.sp_cost
-        horizon, load_tol, static = self.horizon, self.load_tol, self.static
+        horizon, load_tol = self.horizon, self.load_tol
         # each orientation's ((oid,), tail, c_min, bt, et, k, demand, legs from its head)
         orients = []
         for oid in self.instance.orientations(tid):
-            tail, head, c_min, bt, et, k, demand = self.rows[oid]
+            tail, head, c_min, bt, et, k, demand = rows[oid]
             orients.append(((oid,), tail, c_min, bt, et, k, demand, sp_time[head], sp_cost[head]))
         bases = [table.penalized(lam) for table in candidates]
-        # each candidate's (lower bound on its deltas, index), in visiting order
-        visits = [(-INF, ri) for ri in range(len(candidates))]
-        floors = self.detour_floors if static else None
-        if floors is not None:
-            g, demand_lo, demand_hi, spread = floors[tid]
-            capacity, lam_tol = self.capacity, 2.0 * lam * load_tol
-            for ri, (table, base) in enumerate(zip(candidates, bases)):
-                end, _, _, _, load = table.prefixes[-1]
-                over = load + demand_lo - capacity
-                mag = (table.suffixes[0][3][0][5] + end + table.total + base + spread
-                       + lam * (load + demand_hi + capacity))
-                low = g + lam * ((over if over > 0.0 else 0.0) - table.violation) - (
-                    (SCREEN_TOL + (len(table.route) + 16) * 2.0 ** -47) * (mag + mag) + lam_tol)
-                if low > -INF:  # a NaN bound stays -inf: visited first, never skipped
-                    visits[ri] = (low, ri)
-            visits.sort()
         # bound: the least screen + tau so far, so no delta is below it; a
         # candidate whose screen - tau exceeds it cannot be the minimum
         bound = INF
         near = []  # (screen - tau, delta or None if screened, candidate, position, (oid,))
-        for low, ri in visits:
-            if low > bound:  # so is every later one's, and each of its screens' delta - tau
-                break
-            table, base = candidates[ri], bases[ri]
+        for ri, (table, base) in enumerate(zip(candidates, bases)):
             base_tol = SCREEN_TOL * base
             for pos, ((start, services, deadhead, v, load), (w, over_w, los, pieces)) in \
                     enumerate(zip(table.prefixes, table.suffixes)):
                 time_v, cost_v = sp_time[v], sp_cost[v]
                 prefix_cost = services + deadhead
-                if static:
-                    _, rest, _, _, _, err, _ = pieces[0]
-                else:
-                    piece = pieces[0] if len(los) == 1 else None
+                piece = pieces[0] if len(los) == 1 else None
                 for single, tail, c_min, bt, et, k, demand, time_h, cost_h in orients:
                     cost = prefix_cost + cost_v[tail]
                     cur = start + time_v[tail]
-                    if static:
-                        # splice's screen less the terms it adds as exact zeros:
-                        # sc = c_min, slope * d = 0, scale * u = u, late = -inf
-                        cost += c_min
-                        u = cur + c_min + time_h[w]
-                        tau = INF
-                        if u < INF:
-                            cost += cost_h[w] + rest
-                            tau = SCREEN_TOL * (err + u + cost)
-                            over = over_w + (load + demand)
-                            if over > -load_tol:
-                                excess = over if over > 0.0 else 0.0
-                                cost += lam * excess
-                                tau += lam * (SCREEN_TOL * excess + load_tol)
+                    if cur < bt:
+                        sc = c_min + k * (bt - cur)
+                    elif cur > et:
+                        sc = c_min + k * (cur - et)
                     else:
-                        if cur < bt:
-                            sc = c_min + k * (bt - cur)
-                        elif cur > et:
-                            sc = c_min + k * (cur - et)
-                        else:
-                            sc = c_min
-                        cost += sc
-                        u = cur + sc + time_h[w]
-                        tau = INF
-                        if u < INF:  # as in splice: an unreachable leg leaves u inf or NaN
-                            lo, rest, slope, ret, ret_slope, err, scale = pieces[
-                                bisect_right(los, u) - 1] if piece is None else piece
-                            d = u - lo
-                            cost += cost_h[w] + rest + slope * d
-                            late = ret + ret_slope * d - horizon
-                            over = over_w + (load + demand)
-                            tau = SCREEN_TOL * (err + scale * u + cost)
-                            if late > -tau or over > -load_tol:
-                                excess = (late if late > 0.0 else 0.0) + (
-                                    over if over > 0.0 else 0.0)
-                                cost += lam * excess
-                                tau += lam * ((tau if late > -tau else 0.0) + SCREEN_TOL * excess
-                                              + (load_tol if over > -load_tol else 0.0))
+                        sc = c_min
+                    cost += sc
+                    u = cur + sc + time_h[w]
+                    tau = INF
+                    if u < INF:  # as in splice: an unreachable leg leaves u inf or NaN
+                        lo, rest, slope, ret, ret_slope, err, scale = pieces[
+                            bisect_right(los, u) - 1] if piece is None else piece
+                        d = u - lo
+                        cost += cost_h[w] + rest + slope * d
+                        late = ret + ret_slope * d - horizon
+                        over = over_w + (load + demand)
+                        tau = SCREEN_TOL * (err + scale * u + cost)
+                        if late > -tau or over > -load_tol:
+                            excess = (late if late > 0.0 else 0.0) + (over if over > 0.0 else 0.0)
+                            cost += lam * excess
+                            tau += lam * ((tau if late > -tau else 0.0) + SCREEN_TOL * excess
+                                          + (load_tol if over > -load_tol else 0.0))
                     if not tau < INF:
                         cost, tau = self.splice_walk(table, pos, single, pos, lam), 0.0
                     delta = cost - base
@@ -508,12 +544,32 @@ class RouteEvaluator:
         near = [c for c in near if not c[0] > bound]
         if len(near) == 1:
             return near[0][2:]
-        near.sort(key=operator.itemgetter(2))  # back to (candidate, position, orientation)
         walked = [(self.splice_walk(candidates[ri], pos, single, pos, lam) - bases[ri]
                    if delta is None else delta, ri, pos, single)
                   for _, delta, ri, pos, single in near]
         _, ri, pos, single = min(walked, key=lambda c: c[0])  # the first strict minimum
         return ri, pos, single
+
+    def totals(self, route: Sequence[int]) -> RouteTotals:
+        """``route`` with the total and violation of its walk from the origin,
+        and its load: its demands added in route order, as the walk adds them."""
+        return RouteTotals(route, *self.walk(self.origin, route),
+                           ordered_sum(self.rows[tid][6] for tid in route))
+
+    def inserted(self, priced, pos: int, oid: int) -> RouteTotals:
+        """``priced`` (a :class:`RouteTotals` or :class:`RouteTable`) with
+        ``oid`` put in at ``pos``, priced without a walk: T + D, L + d and
+        max(0, L + d - Q) as :meth:`cheapest_insertion` reads them, which
+        on an :attr:`exact` instance are the walk's floats."""
+        route, rows, cost = priced.route, self.rows, self.sp_cost
+        tail, head, c_min, _, _, _, demand = rows[oid]
+        v = rows[route[pos - 1]][1] if pos else self.depot
+        w = rows[route[pos]][0] if pos < len(route) else self.depot
+        load = priced.load + demand
+        over = load - self.capacity
+        return RouteTotals([*route[:pos], oid, *route[pos:]],
+                           priced.total + (cost[v][tail] + c_min + cost[head][w] - cost[v][w]),
+                           over if over > 0.0 else 0.0, load)
 
     def splice_walk(self, table: RouteTable, i: int, tasks: Sequence[int], j: int,
                     lam: float) -> float:

@@ -81,8 +81,9 @@ def test_solve_with_golden_section_prints_its_recorded_output(capsys):
 
 def test_solve_crossover_only_prints_its_recorded_output(capsys):
     """Without local search every child is priced from crossover's route
-    tables: a generated long-route instance (10 generations, pls 0, seed
-    0) prints the recorded plan and costs byte for byte."""
+    totals, kept up without walks on this exact instance: a generated
+    long-route instance (10 generations, pls 0, seed 0) prints the recorded
+    plan and costs byte for byte."""
     code, out, err = run_cli(
         capsys, "solve", "--instance", str(DATA / "long-routes-0.dat"),
         "--generations", "10", "--pls", "0", "--seed", "0",
@@ -110,6 +111,17 @@ def test_solve_on_a_static_instance_prints_its_recorded_output(capsys):
     code, out, err = run_cli(capsys, "solve", "--instance", GDB1, "--seed", "0")
     assert (code, err) == (0, "")
     assert out == (DATA / "gdb1-static-solve-seed0.txt").read_text()
+
+
+def test_solve_on_a_static_instance_with_fractional_costs_prints_its_recorded_output(capsys):
+    """gdb1 with every required-edge cost + 0.1 is static but not exact, so
+    crossover's repair takes the general loop over route tables: seed 0 at
+    the CLI defaults prints the output recorded before the exact loop was
+    added, byte for byte."""
+    code, out, err = run_cli(capsys, "solve", "--instance", str(DATA / "gdb1-tenth.dat"),
+                             "--seed", "0")
+    assert (code, err) == (0, "")
+    assert out == (DATA / "gdb1-tenth-solve-seed0.txt").read_text()
 
 
 def test_solve_solomon_with_truncation(capsys):

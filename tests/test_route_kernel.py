@@ -8,10 +8,11 @@ screen of ``RouteEvaluator.splice`` must be within its tau of the walk
 of the route it prices; cheapest insertion, the move scans and the split
 must choose what walking every whole candidate route chooses, cheapest
 insertion without a ``splice`` call or a walk of a lone candidate (and
-on a static instance as its general loop does on a copy with a horizon,
-and with the answer and walks of its static loop before that loop skipped
-the routes whose bound rules them out),
-and crossover's child must carry the prices ``assess`` gives it; local
+on an exact instance with no walk at all, as its general loop does on a
+copy with a horizon, and with the answer of the static loop that screened
+every route before routes were skipped), exactness must be worked out
+from the input alone, and crossover's child must carry the prices
+``assess`` gives it; local
 search, which skips the moves its record holds as failed, must match the
 same search without a record; the solution checks must walk each route
 once and agree with the reference checks; and the search built on them
@@ -274,9 +275,9 @@ def test_screened_cheapest_insertion_matches_whole_route_reference(case_routes, 
     assert [t.route for t in tables] == want
 
 
-def _counted(ev):
-    """Count calls of ``ev``'s splice kernels, in a dict by name."""
-    calls = {"splice": 0, "splice_walk": 0}
+def _counted(ev, names=("splice", "splice_walk")):
+    """Count calls of ``ev``'s kernels ``names``, in a dict by name."""
+    calls = dict.fromkeys(names, 0)
     for name in calls:
         def counted(*args, name=name, kernel=getattr(ev, name)):
             calls[name] += 1
@@ -307,7 +308,7 @@ def _survivors(ev, candidates, tid, lam):
 def test_cheapest_insertion_calls_no_splice_and_walks_no_lone_candidate():
     """Crossover's insertion screens each cut in its own pass, never through
     ``splice``; a lone candidate that could be least is not walked, and each
-    of two or more is."""
+    of two or more is.  On an exact instance nothing is walked."""
     survivor_counts = []
     for name in sorted(CASES):
         inst, sp, reference = CASES[name]
@@ -320,8 +321,12 @@ def test_cheapest_insertion_calls_no_splice_and_walks_no_lone_candidate():
             tables = [ev.table(list(r)) for r in routes]
             for tid in missing:
                 lam = float(rng.uniform(0.5, 50.0))
-                survivors = _survivors(reference, tables + [ev.empty], tid, lam)
                 calls.update(splice=0, splice_walk=0)
+                if ev.exact:  # the tables become totals, which splice cannot read
+                    _cheapest_insertion(tables, tid, ev, lam)
+                    assert calls == {"splice": 0, "splice_walk": 0}
+                    continue
+                survivors = _survivors(reference, tables + [ev.empty], tid, lam)
                 _cheapest_insertion(tables, tid, ev, lam)
                 assert calls["splice"] == 0
                 if survivors == 1:
@@ -346,7 +351,7 @@ def test_the_static_loop_is_taken_by_static_instances_alone():
 def test_static_insertions_match_the_general_loop(name):
     """A copy of a static instance with a horizon no route reaches takes the
     general loop, and inserts every task of a removed route where the
-    static loop does, into tables with the same floats."""
+    exact loop does, into routes with the same totals and violations."""
     inst, sp, ev = CASES[name]
     general = RouteEvaluator(dataclasses.replace(inst, horizon=1e6), sp)
     assert ev.static and not general.static
@@ -379,7 +384,8 @@ class _LoggedWalks(RouteEvaluator):
 
 
 class _Watched(list):
-    """A table's prefix states that note in ``passes`` each pass over them."""
+    """A table's route or prefix states that note in ``passes`` each pass
+    over them: the exact loop reads the route, the general loop the states."""
 
     def __init__(self, states, passes, ri):
         super().__init__(states)
@@ -394,7 +400,8 @@ def _skipping_run(ev, candidates, tid, lam):
     """``cheapest_insertion``'s answer and walks, then the unskipped static
     loop's, and the indices of the candidates whose cuts were screened."""
     passes = set()
-    watched = [t._replace(prefixes=_Watched(t.prefixes, passes, ri))
+    watched = [t._replace(route=_Watched(t.route, passes, ri),
+                          prefixes=_Watched(t.prefixes, passes, ri))
                for ri, t in enumerate(candidates)]
     ev.walked = []
     got = ev.cheapest_insertion(watched, tid, lam), ev.walked
@@ -419,32 +426,40 @@ def _overflowing_routes(draw):
 @settings(max_examples=300, deadline=None)
 @given(_overflowing_routes(), _LAMBDAS)
 def test_static_skips_change_no_answer_and_no_walk(case, lam):
-    """Skipping the routes whose bound exceeds the running bound returns what
-    the unskipped static loop returns, after the same walks in order."""
+    """Skipping the routes whose bound exceeds the least delta so far returns
+    what the unskipped static loop returns, and on these exact instances
+    nothing is walked."""
     ev, candidates, tid = case
+    assert ev.exact
     got, want, _ = _skipping_run(ev, candidates, tid, lam)
-    assert got == want
+    assert got[0] == want[0] and got[1] == []
+
+
+def _walked_deltas(ev, table, tid, lam):
+    """The walked delta of each insertion of ``tid`` into ``table``."""
+    base = table.penalized(lam)
+    return [RouteEvaluator.splice_walk(ev, table, pos, (oid,), pos, lam) - base
+            for pos in range(len(table.route) + 1) for oid in ev.instance.orientations(tid)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(_overflowing_routes(), _LAMBDAS)
 def test_every_skipped_screen_is_above_the_final_bound(case, lam):
-    """Each screen of a route left unscreened, priced by ``splice``, has
-    delta - tau above the least delta + tau of all screens: it could
-    neither have lowered the bound nor been the least delta."""
+    """Each insertion into a route left unscreened has a walked delta above
+    the least walked delta of all: it could neither have won nor tied."""
     ev, candidates, tid = case
     _, _, passes = _skipping_run(ev, candidates, tid, lam)
-    bound = min(high for t in candidates for _, high in _screen_bounds(ev, t, tid, lam))
+    least = min(min(_walked_deltas(ev, t, tid, lam)) for t in candidates)
     for ri, table in enumerate(candidates):
         if ri not in passes:
-            assert all(low > bound for low, _ in _screen_bounds(ev, table, tid, lam))
+            assert all(delta > least for delta in _walked_deltas(ev, table, tid, lam))
 
 
 @pytest.mark.parametrize("name", sorted(_LOGGED))
 def test_crossover_repairs_skip_routes_and_match_the_unskipped_loop(name):
     """Every task of a removed route put back into a seeded plan, at a
-    penalty that makes full routes dear: the same answers and walks as the
-    unskipped loop, and some routes are not screened at all."""
+    penalty that makes full routes dear: the same answers as the unskipped
+    loop, no walk, and some routes are not screened at all."""
     ev = _LOGGED[name]
     inst, sp = ev.instance, CASES[name][1]
     skipped = 0
@@ -456,7 +471,7 @@ def test_crossover_repairs_skip_routes_and_match_the_unskipped_loop(name):
         for tid in missing:
             candidates = tables + [ev.empty]
             got, want, passes = _skipping_run(ev, candidates, tid, 50.0)
-            assert got == want
+            assert got[0] == want[0] and got[1] == []
             skipped += len(candidates) - len(passes)
             ri, pos, single = got[0]
             if ri == len(tables):
@@ -490,21 +505,24 @@ def test_a_full_route_whose_penalty_outweighs_the_fresh_route_is_skipped():
     assert passes == {1}
 
 
-def test_a_route_within_tau_of_the_bound_is_screened():
-    """lam puts the full route's cheapest screen (delta = lam) between the
-    fresh route's delta + tau and that plus its own tau: the two could tie,
-    so both are walked, although lam alone exceeds the bound."""
+def test_a_route_whose_bound_ties_the_least_delta_is_screened():
+    """At lam = 3 the full route's bound, and its delta between tasks 2 and
+    3, equal the fresh route's delta (3): the full route is screened and,
+    put first, wins the tie with nothing walked; put after the fresh
+    route, it loses it.  At lam = 3.5 its bound is above 3, and it is
+    skipped."""
     ev = _triangle_instance(1.0)
     full = ev.table([2, 3])
-    _, tau_fresh = ev.splice(ev.empty, 0, (1,), 0, 3.0)
-    _, tau_full = ev.splice(full, 1, (1,), 1, 3.0)
-    lam = 3.0 + tau_fresh + (tau_full + SCREEN_TOL * full.penalized(3.0)) / 2
-    (_, bound), = _screen_bounds(ev, ev.empty, 1, lam)
-    low_full = min(low for low, _ in _screen_bounds(ev, full, 1, lam))
-    assert not low_full > bound and lam > bound  # within tau, above the bound
-    got, want, passes = _skipping_run(ev, [full, ev.empty], 1, lam)
-    assert got == want and len(got[1]) == 2
+    assert ev.detour_floors[1][0] == 0.0 and full.violation == 0.0
+    got, want, passes = _skipping_run(ev, [full, ev.empty], 1, 3.0)
+    assert got[0] == want[0] == (0, 1, (1,)) and got[1] == []
     assert passes == {0, 1}
+    got, want, passes = _skipping_run(ev, [ev.empty, full], 1, 3.0)
+    assert got[0] == want[0] == (0, 0, (1,)) and got[1] == []
+    assert passes == {0, 1}
+    got, want, passes = _skipping_run(ev, [full, ev.empty], 1, 3.5)
+    assert got[0] == want[0] == (1, 0, (1,)) and got[1] == []
+    assert passes == {1}
 
 
 def test_nothing_is_skipped_where_costs_break_the_triangle_inequality():
@@ -518,7 +536,7 @@ def test_nothing_is_skipped_where_costs_break_the_triangle_inequality():
     full = ev.table([3, 2])
     assert ev.detour_floors[1][0] == -48.0 and full.violation == 0.0
     got, want, passes = _skipping_run(ev, [full, ev.empty], 1, 60.0)
-    assert got == want and got[0] == (0, 0, (1,))
+    assert got[0] == want[0] == (0, 0, (1,)) and got[1] == []
     assert passes == {0, 1}
 
 
@@ -609,6 +627,121 @@ def test_crossover_prices_its_child_as_assess_does(case_plan, lam, seed, data):
     other = data.draw(_plan_of(inst))
     child = crossover(plan, other, rng_for(seed), ev, lam)
     assert child == assess(ev, child.plan)
+
+
+def _tied_instance(seed):
+    """A random static CARP instance with every edge cost and demand 1 or
+    2 and capacity 4: many insertions tie, and a few tasks fill a route."""
+    rng = rng_for(seed)
+    f = random_static_file(rng, n_vertices=9, n_extra_edges=6, n_required=12, capacity=4.0,
+                           name=f"tied{seed}")
+    f = dataclasses.replace(
+        f,
+        required_edges=tuple((i, j, float(rng.integers(1, 3)), float(rng.integers(1, 3)))
+                             for i, j, _, _ in f.required_edges),
+        non_required_edges=tuple((i, j, float(rng.integers(1, 3)))
+                                 for i, j, _ in f.non_required_edges))
+    inst = instance_io.carp_to_instance(f)
+    return inst, shortest_paths(inst)
+
+
+_EXACT = {**{name: CASES[name][:2] for name in ("gdb1", "long-routes-0")},
+          **{f"tied{seed}": _tied_instance(seed) for seed in range(4)}}
+
+
+@st.composite
+def _exact_partial_plan(draw):
+    """(instance, shortest paths, routes, task ID): a partial plan of an
+    exact instance, many of whose routes are over capacity, and a task it
+    does not serve."""
+    inst, sp = _EXACT[draw(st.sampled_from(sorted(_EXACT)))]
+    plan = draw(_plan_of(inst, max_tasks=min(30, inst.num_required - 1)))
+    served = {inst.pair_root(tid) for tid in plan if tid}
+    tid = draw(st.sampled_from([root for root in inst.roots if root not in served]))
+    return inst, sp, [list(route) for route in split_routes(plan)], tid
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exact_partial_plan(), _LAMBDAS)
+def test_exact_insertion_matches_whole_route_reference_and_walks_nothing(case, lam):
+    """On an exact instance crossover's insertion chooses what walking every
+    whole candidate route chooses, ties included, and prices the route it
+    changes with the floats of its walk, without a walk."""
+    inst, sp, routes, tid = case
+    ev, reference = RouteEvaluator(inst, sp), RouteEvaluator(inst, sp)
+    assert ev.exact
+    priced = [ev.totals(route) for route in routes]
+    calls = _counted(ev, ("walk", "splice", "splice_walk", "splice_table"))
+    _cheapest_insertion(priced, tid, ev, lam)
+    assert calls == {"walk": 0, "splice": 0, "splice_walk": 0, "splice_table": 0}
+    want = [list(route) for route in routes]
+    reference_cheapest_insertion(want, tid, reference, inst, lam)
+    assert [p.route for p in priced] == want
+    for p in priced:
+        total, violation = reference.walk(reference.origin, p.route)
+        assert (p.total.hex(), p.violation.hex()) == (total.hex(), violation.hex())
+
+
+def _exactness_cases():
+    """Instances and whether each is exact: a plain CARP file is, and
+    anything with a ramp, a horizon, a non-integral cost, demand or
+    capacity, an infinite leg or magnitudes past the bound is not."""
+    replace = dataclasses.replace
+    _, gdb1 = instance_io.parse_carp((DATA / "gdb1.dat").read_text())
+    _, tenth = instance_io.parse_carp((DATA / "gdb1-tenth.dat").read_text())
+    n = len(gdb1.tasks)  # task IDs: (n + 1) * capacity must stay below 2**53
+
+    def scaled(factor):
+        return replace(gdb1, arcs=tuple(replace(arc, travel_cost=arc.travel_cost * factor)
+                                        for arc in gdb1.arcs))
+
+    first = gdb1.arcs[0]
+    return {
+        "gdb1": (gdb1, True),
+        "long-routes-0": (CASES["long-routes-0"][0], True),
+        "tied0": (_EXACT["tied0"][0], True),
+        "one arc cost + 0.1": (replace(gdb1, arcs=(
+            replace(first, travel_cost=first.travel_cost + 0.1), *gdb1.arcs[1:])), False),
+        "gdb1-tenth": (tenth, False),
+        "a demand of 1.5": (replace(gdb1, tasks={
+            **gdb1.tasks, 1: replace(gdb1.tasks[1], demand=1.5)}), False),
+        "capacity 5.5": (replace(gdb1, capacity=5.5), False),
+        "an isolated vertex": (replace(gdb1, num_vertices=gdb1.num_vertices + 1), False),
+        "2LP": (instance_io.generate_td(gdb1, "2lp", (), 3)[0], False),
+        "3LP k = 0": (CASES["gdb1-3lp-k0"][0], False),
+        "3LP k = 2": (CASES["gdb1-3lp-k2.0"][0], False),
+        "r101_25": (CASES["r101_25"][0], False),
+        "capacity below the bound": (replace(gdb1, capacity=float((2 ** 53 - 1) // (n + 1))),
+                                     True),
+        "capacity at the bound": (replace(gdb1, capacity=float(2 ** 53 // (n + 1) + 1)), False),
+        "costs times 2**40": (scaled(2.0 ** 40), True),
+        "costs times 2**47": (scaled(2.0 ** 47), False),
+    }
+
+
+_EXACTNESS = _exactness_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_EXACTNESS))
+def test_exactness_is_worked_out_from_the_input(name):
+    inst, exact = _EXACTNESS[name]
+    ev = RouteEvaluator(inst, shortest_paths(inst))
+    assert ev.exact is exact
+    assert (ev.detour_floors is not None) is exact
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_EXACT)), _LAMBDAS, st.integers(0, 2 ** 32 - 1), st.data())
+def test_crossover_children_on_exact_instances_carry_their_walks_floats(name, lam, seed, data):
+    """A child priced from its routes' totals, kept up without walks, has the
+    total and violation of :func:`assess`, bit for bit."""
+    inst, sp = _EXACT[name]
+    ev = RouteEvaluator(inst, sp)
+    plan, other = data.draw(_plan_of(inst)), data.draw(_plan_of(inst))
+    child = crossover(plan, other, rng_for(seed), ev, lam)
+    want = assess(ev, child.plan)
+    assert (child.total_cost.hex(), child.violation.hex()) == (
+        want.total_cost.hex(), want.violation.hex())
 
 
 @settings(max_examples=100, deadline=None)
