@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
@@ -54,30 +54,19 @@ class ScalarObjective:
         return self.fn(t)
 
 
-class _RouteObjective(ScalarObjective):
-    """A route's cost as an objective, priced by one :meth:`RouteEvaluator.departure_cost`.
-
-    The route's legs are read at the first evaluation, not here, so an
-    unknown task is named where the route is first priced; the slope
-    changes are computed on demand, as gss and ncs never ask for them.
-    """
-
-    def __init__(self, evaluator: RouteEvaluator, route: tuple[int, ...]):
-        self.evaluator = evaluator
-        self.route = route
-        self.slope_changes = partial(evaluator.slope_changes, route)
-        self.evaluations = 0
-
-    @cached_property
-    def fn(self) -> Callable[[float], float]:
-        return self.evaluator.departure_cost(self.route)
-
-
 def route_objective(
     route: Sequence[int], instance: Instance, sp: ShortestPaths
 ) -> ScalarObjective:
-    """Route cost (deadhead included) as a function of the departure time."""
-    return _RouteObjective(RouteEvaluator(instance, sp), tuple(route))
+    """Route cost (deadhead included) as a function of the departure time.
+
+    The route is walked once here, so an unknown task is named before any
+    evaluation; the slope changes are computed on demand, as gss and ncs
+    never ask for them.
+    """
+    evaluator = RouteEvaluator(instance, sp)
+    evaluator.walk(evaluator.origin, route)
+    return ScalarObjective(evaluator.departure_cost(route),
+                           partial(evaluator.slope_changes, tuple(route)))
 
 
 @dataclass(frozen=True)
@@ -318,7 +307,7 @@ def optimize_departures(
     evaluator = RouteEvaluator(instance, sp)
     departures: list[float] = []
     for route in routes:
-        obj = _RouteObjective(evaluator, route)
+        obj = ScalarObjective(evaluator.departure_cost(route))
         if kind.k <= 1.0:
             t_star, _ = gss(obj, 0.0, horizon, GSS_EPS * horizon)
         else:

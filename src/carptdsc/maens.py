@@ -16,8 +16,8 @@ violations are penalized with an adaptive coefficient; the final answer is
 the best feasible plan found.
 
 Crossover's insertions (``RouteEvaluator.cheapest_insertion``) and the
-moves screen candidates with ``RouteEvaluator.splice``'s arithmetic and walk
-each one a screen cannot settle, so every decision is the one walking every
+moves screen candidates with ``RouteEvaluator.splice`` and walk each one a
+screen cannot settle, so every decision is the one walking every
 candidate gives; no route score is cached.  An insertion walks no lone
 candidate that could be least, and a child with inserted tasks is priced
 from its route tables, with the floats :func:`assess` gives.  On an exact

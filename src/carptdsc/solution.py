@@ -11,14 +11,14 @@ costs and shortest-path travel times.  An arc's travel cost is a field of
 its own: the DAT and Solomon readers set it to the travel time, but an
 arc may take 12 time units and cost 0.  ``RouteEvaluator.walk`` is the
 one forward pass for stage 1 and the solution checks (one walk per route),
-and ``splice`` screens stage-1 candidates within a bound of it, as
-``cheapest_insertion`` does for both orientations of a task at each cut of
-each route.  On an exact instance (a plain CARP file: no ramp, no
-horizon, integer costs, demands and capacity, and sums below 2**53),
-``cheapest_insertion`` prices each insertion from the route's total and
-load alone, with the walk's float and no walk, and skips each route whose
-capacity penalty plus the task's least detour is above the least delta so
-far.  Stage 2 prices a route with
+and ``splice`` screens stage-1 candidates within a bound of it: the
+moves' and ``cheapest_insertion``'s, which calls it for each orientation
+of a task at each cut of each route.  On an exact instance (a plain CARP
+file: no ramp, no horizon, integer costs, demands and capacity, and sums
+below 2**53), ``cheapest_insertion`` prices each insertion from the
+route's total and load alone, with the walk's float and no walk, and
+skips each route whose capacity penalty plus the task's least detour is
+above the least delta so far.  Stage 2 prices a route with
 ``departure_cost``, a scalar pass over legs read once per route, and
 ``total`` is that pass at one departure.
 ``evaluate``, ``evaluate_route`` and ``profile`` serve only the benchmark
@@ -168,18 +168,19 @@ class RouteEvaluator:
 
     :meth:`walk` is the route kernel: stage 1 scores routes with it, and
     :meth:`walks` walks each route of a solution once for the checks;
-    :meth:`splice` screens a changed route within a bound of it, and
-    :meth:`cheapest_insertion` screens every insertion of one task.  On an
-    :attr:`exact` instance it prices each insertion exactly from a route's
-    total and load (:class:`RouteTotals`, kept up by :meth:`totals` and
-    :meth:`inserted`), walks nothing, and skips the routes
-    :attr:`detour_floors` and the capacity penalty rule out.  Stage 2
-    prices with :meth:`departure_cost`, a faster scalar pass over legs read
-    once per route that adds services and deadhead in one running sum (so
-    it can differ from a walk in the last bits); :meth:`total` is that pass
-    at one departure.  :meth:`evaluate`, a view over a walk, and
-    :meth:`profile`, ``total`` vectorized, serve only the benchmark harness
-    and the tests.
+    :meth:`splice` screens a changed route within a bound of it, for the
+    moves and for :meth:`cheapest_insertion`, which screens every
+    insertion of one task.  On an :attr:`exact` instance
+    :meth:`cheapest_insertion` prices each insertion exactly from a
+    route's total and load (:class:`RouteTotals`, kept up by
+    :meth:`totals` and :meth:`inserted`), calls no :meth:`splice`, walks
+    nothing, and skips the routes :attr:`detour_floors` and the capacity
+    penalty rule out.  Stage 2 prices with :meth:`departure_cost`, a
+    faster scalar pass over legs read once per route that adds services
+    and deadhead in one running sum (so it can differ from a walk in the
+    last bits); :meth:`total` is that pass at one departure.
+    :meth:`evaluate`, a view over a walk, and :meth:`profile`, ``total``
+    vectorized, serve only the benchmark harness and the tests.
     """
 
     def __init__(self, instance: Instance, sp: ShortestPaths):
@@ -279,15 +280,9 @@ class RouteEvaluator:
             tail, head, c_min, bt, et, k, demand = rows[route[m]]
             leg_t, leg_c = sp_time[head][w], sp_cost[head][w]
             new_los, new = [], []
-            if not k and len(los) == 1:  # a constant service cost shifts the one piece back
-                lo, cost, slope, ret, ret_slope, err, scale = pieces[0]
-                x = c_min + leg_t
-                cost, ret = c_min + leg_c + cost + slope * (x - lo), ret + ret_slope * (x - lo)
-                new_los, new = [0.0], [(0.0, cost, slope, ret, ret_slope,
-                                        err + cost + ret + 2.0 * scale * x, scale)]
             # (start, end, σ, pivot) of each part of u >= 0 where the service cost is linear
             for a, b, sigma, pivot in (((0.0, bt, -k, bt), (bt, et, 0.0, bt), (et, INF, k, et))
-                                       if k else () if new else ((0.0, INF, 0.0, 0.0),)):
+                                       if k else ((0.0, INF, 0.0, 0.0),)):
                 f, abs_sigma, abs_f = 1.0 + sigma, abs(sigma), abs(1.0 + sigma)
                 x_a = a + (c_min + sigma * (a - pivot)) + leg_t
                 q_a = bisect_right(los, x_a) - 1
@@ -444,15 +439,13 @@ class RouteEvaluator:
         plus a total stays finite, so every delta is.
 
         On any other instance each candidate is a :class:`RouteTable`, and
-        each of its cuts is read once and screens every orientation with
-        :meth:`splice`'s arithmetic, walked with tau 0 where ``splice``
-        walks.  Each screen that could tie the least delta is walked; a
-        lone such screen wins unwalked, since a minimum of one cannot
-        change.
+        each orientation at each of its cuts is screened by one
+        :meth:`splice`.  Each screen that could tie the least delta is
+        walked; a lone such screen wins unwalked, since a minimum of one
+        cannot change.
         """
-        rows = self.rows
         if self.exact:
-            cost, depot, capacity = self.sp_cost, self.depot, self.capacity
+            rows, cost, depot, capacity = self.rows, self.sp_cost, self.depot, self.capacity
             g, demand_lo = self.detour_floors[tid]
             orients = []  # each orientation's (oid, tail, c_min, demand, leg costs from its head)
             for oid in self.instance.orientations(tid):
@@ -488,13 +481,7 @@ class RouteEvaluator:
                     if next_tid:
                         v = rows[next_tid][1]
             return at
-        sp_time, sp_cost = self.sp_time, self.sp_cost
-        horizon, load_tol = self.horizon, self.load_tol
-        # each orientation's ((oid,), tail, c_min, bt, et, k, demand, legs from its head)
-        orients = []
-        for oid in self.instance.orientations(tid):
-            tail, head, c_min, bt, et, k, demand = rows[oid]
-            orients.append(((oid,), tail, c_min, bt, et, k, demand, sp_time[head], sp_cost[head]))
+        splice, singles = self.splice, [(oid,) for oid in self.instance.orientations(tid)]
         bases = [table.penalized(lam) for table in candidates]
         # bound: the least screen + tau so far, so no delta is below it; a
         # candidate whose screen - tau exceeds it cannot be the minimum
@@ -502,38 +489,9 @@ class RouteEvaluator:
         near = []  # (screen - tau, delta or None if screened, candidate, position, (oid,))
         for ri, (table, base) in enumerate(zip(candidates, bases)):
             base_tol = SCREEN_TOL * base
-            for pos, ((start, services, deadhead, v, load), (w, over_w, los, pieces)) in \
-                    enumerate(zip(table.prefixes, table.suffixes)):
-                time_v, cost_v = sp_time[v], sp_cost[v]
-                prefix_cost = services + deadhead
-                piece = pieces[0] if len(los) == 1 else None
-                for single, tail, c_min, bt, et, k, demand, time_h, cost_h in orients:
-                    cost = prefix_cost + cost_v[tail]
-                    cur = start + time_v[tail]
-                    if cur < bt:
-                        sc = c_min + k * (bt - cur)
-                    elif cur > et:
-                        sc = c_min + k * (cur - et)
-                    else:
-                        sc = c_min
-                    cost += sc
-                    u = cur + sc + time_h[w]
-                    tau = INF
-                    if u < INF:  # as in splice: an unreachable leg leaves u inf or NaN
-                        lo, rest, slope, ret, ret_slope, err, scale = pieces[
-                            bisect_right(los, u) - 1] if piece is None else piece
-                        d = u - lo
-                        cost += cost_h[w] + rest + slope * d
-                        late = ret + ret_slope * d - horizon
-                        over = over_w + (load + demand)
-                        tau = SCREEN_TOL * (err + scale * u + cost)
-                        if late > -tau or over > -load_tol:
-                            excess = (late if late > 0.0 else 0.0) + (over if over > 0.0 else 0.0)
-                            cost += lam * excess
-                            tau += lam * ((tau if late > -tau else 0.0) + SCREEN_TOL * excess
-                                          + (load_tol if over > -load_tol else 0.0))
-                    if not tau < INF:
-                        cost, tau = self.splice_walk(table, pos, single, pos, lam), 0.0
+            for pos in range(len(table.prefixes)):
+                for single in singles:
+                    cost, tau = splice(table, pos, single, pos, lam)
                     delta = cost - base
                     if tau:
                         tau += base_tol

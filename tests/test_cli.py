@@ -124,6 +124,16 @@ def test_solve_on_a_static_instance_with_fractional_costs_prints_its_recorded_ou
     assert out == (DATA / "gdb1-tenth-solve-seed0.txt").read_text()
 
 
+def test_solve_on_a_solomon_instance_prints_its_recorded_output(capsys):
+    """r101_25 has one orientation per task and non-integral Euclidean legs,
+    so crossover's repair screens every cut of every route table: seed 0
+    at the CLI defaults prints the recorded plan, departures and costs
+    byte for byte."""
+    code, out, err = run_cli(capsys, "solve", "--instance", R101, "--seed", "0")
+    assert (code, err) == (0, "")
+    assert out == (DATA / "r101_25-solve-seed0.txt").read_text()
+
+
 def test_solve_solomon_with_truncation(capsys):
     code, out, _ = run_cli(
         capsys, "solve", "--instance", R101, "--max-customers", "8",

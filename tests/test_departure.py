@@ -256,13 +256,10 @@ def test_grid_oracle_on_a_route_prices_only_around_slope_changes():
 
 @pytest.mark.parametrize("route", [(99999,), (1, 99999)])
 def test_grid_oracle_on_a_route_names_an_unknown_task(route):
-    # the slope changes are read from the route's table, which checks every
-    # task, before the first task's depot leg
+    # the route is walked when its objective is made, before any evaluation
     inst, _ = generate_td(GDB1, "3lp", (2.0,), 3)
-    obj = route_objective(route, inst, shortest_paths(inst))
     with pytest.raises(PlanError, match="^unknown or depot task ID 99999 in route$"):
-        grid_oracle(obj, 0.0, inst.horizon, 1.0)
-    assert obj.evaluations == 0
+        route_objective(route, inst, shortest_paths(inst))
 
 
 def test_grid_oracle_on_a_route_at_a_billion_steps_is_quick():

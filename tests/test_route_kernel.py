@@ -7,13 +7,12 @@ a recorded prefix state must equal a walk of the whole route; every
 screen of ``RouteEvaluator.splice`` must be within its tau of the walk
 of the route it prices; cheapest insertion, the move scans and the split
 must choose what walking every whole candidate route chooses, cheapest
-insertion without a ``splice`` call or a walk of a lone candidate (and
-on an exact instance with no walk at all, as its general loop does on a
-copy with a horizon, and with the answer of the static loop that screened
-every route before routes were skipped), exactness must be worked out
-from the input alone, and crossover's child must carry the prices
-``assess`` gives it; local
-search, which skips the moves its record holds as failed, must match the
+insertion with one ``splice`` per cut and orientation and no walk of a
+lone candidate (and on an exact instance with no walk at all, as its
+general loop does on a copy with a horizon, and with the answer of the
+static loop that screened every route before routes were skipped),
+exactness must be worked out from the input alone, and crossover's child
+must carry the prices ``assess`` gives it; local search, which skips the moves its record holds as failed, must match the
 same search without a record; the solution checks must walk each route
 once and agree with the reference checks; and the search built on them
 must reproduce pinned plans.
@@ -305,10 +304,11 @@ def _survivors(ev, candidates, tid, lam):
     return sum(not low > bound for low, _ in screens)
 
 
-def test_cheapest_insertion_calls_no_splice_and_walks_no_lone_candidate():
-    """Crossover's insertion screens each cut in its own pass, never through
-    ``splice``; a lone candidate that could be least is not walked, and each
-    of two or more is.  On an exact instance nothing is walked."""
+def test_cheapest_insertion_splices_each_cut_once_and_walks_no_lone_candidate():
+    """Crossover's insertion screens each cut of each candidate, in each
+    orientation, with one ``splice``; a lone candidate that could be least
+    is not walked, and each of two or more is.  On an exact instance
+    nothing is spliced or walked."""
     survivor_counts = []
     for name in sorted(CASES):
         inst, sp, reference = CASES[name]
@@ -326,9 +326,10 @@ def test_cheapest_insertion_calls_no_splice_and_walks_no_lone_candidate():
                     _cheapest_insertion(tables, tid, ev, lam)
                     assert calls == {"splice": 0, "splice_walk": 0}
                     continue
+                cuts = sum(len(t.route) + 1 for t in tables) + 1  # the fresh route has one
                 survivors = _survivors(reference, tables + [ev.empty], tid, lam)
                 _cheapest_insertion(tables, tid, ev, lam)
-                assert calls["splice"] == 0
+                assert calls["splice"] == cuts * len(inst.orientations(tid))
                 if survivors == 1:
                     assert calls["splice_walk"] == 0
                 else:
@@ -384,8 +385,10 @@ class _LoggedWalks(RouteEvaluator):
 
 
 class _Watched(list):
-    """A table's route or prefix states that note in ``passes`` each pass
-    over them: the exact loop reads the route, the general loop the states."""
+    """A table's route or suffix functions that note in ``passes`` each pass
+    over them and each indexed read: the exact loop iterates over the
+    route, the general loop reads the suffix function of each cut through
+    ``splice``."""
 
     def __init__(self, states, passes, ri):
         super().__init__(states)
@@ -395,13 +398,17 @@ class _Watched(list):
         self.passes.add(self.ri)
         return super().__iter__()
 
+    def __getitem__(self, index):
+        self.passes.add(self.ri)
+        return super().__getitem__(index)
+
 
 def _skipping_run(ev, candidates, tid, lam):
     """``cheapest_insertion``'s answer and walks, then the unskipped static
     loop's, and the indices of the candidates whose cuts were screened."""
     passes = set()
     watched = [t._replace(route=_Watched(t.route, passes, ri),
-                          prefixes=_Watched(t.prefixes, passes, ri))
+                          suffixes=_Watched(t.suffixes, passes, ri))
                for ri, t in enumerate(candidates)]
     ev.walked = []
     got = ev.cheapest_insertion(watched, tid, lam), ev.walked
