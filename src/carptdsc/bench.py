@@ -286,15 +286,16 @@ def read_report(text: str) -> ExperimentReport:
     if not lines or lines[0][1] != REPORT_TAG:
         raise ValueError(f"missing report tag (want {REPORT_TAG!r})")
     header: dict[str, str] = {}
-    numbers = {"runs": 0, "base_seed": 0}
-    runs_by_instance: dict[str, list[RunRecord]] = {}  # in first-mention order
-    declared: set[str] = set()  # names of the instance lines read so far
+    numbers: dict[str, int] = {}  # runs and base_seed
+    # each instance's runs with their line numbers, in first-mention order
+    runs_by_instance: dict[str, list[tuple[int, RunRecord]]] = {}
+    declared: dict[str, int] = {}  # the line number of each instance line read so far
     for number, line in lines[1:]:
         if line.startswith("instance "):
             name = line[len("instance "):].split(" : ")[0]
             if name in declared:
                 raise ValueError(f"report line {number}: instance {name!r} is declared twice")
-            declared.add(name)
+            declared[name] = number
             runs_by_instance.setdefault(name, [])
         elif line.startswith("run "):
             parts = line.split()
@@ -305,18 +306,16 @@ def read_report(text: str) -> ExperimentReport:
                     raise ValueError("non-finite cost or seconds")
             except (IndexError, ValueError):
                 raise ValueError(f"report line {number}: want {RUN_LINE!r}, got {line!r}") from None
-            runs_by_instance.setdefault(name, []).append(
-                RunRecord(
-                    seed=seed,
-                    cost=value,
-                    seconds=seconds,
-                    # reports written before reasons were kept have none
-                    error=(" ".join(parts[5:]) or "recorded-failure") if value is None else "",
-                )
-            )
+            runs_by_instance.setdefault(name, []).append((number, RunRecord(
+                seed=seed,
+                cost=value,
+                seconds=seconds,
+                # reports written before reasons were kept have none
+                error=(" ".join(parts[5:]) or "recorded-failure") if value is None else "",
+            )))
         else:
             key, _, value = (part.strip() for part in line.partition(":"))
-            if key in numbers:
+            if key in ("runs", "base_seed"):
                 try:
                     numbers[key] = int(value)
                 except ValueError:
@@ -325,13 +324,25 @@ def read_report(text: str) -> ExperimentReport:
                     ) from None
             else:
                 header[key] = value
+    for key in ("runs", "base_seed"):
+        if key not in numbers:
+            raise ValueError(f"report has no '{key} : <integer>' line")
+    for name, numbered in runs_by_instance.items():
+        if not numbered:
+            raise ValueError(f"report line {declared[name]}: instance {name!r} has no run lines")
+        for end, (number, _) in enumerate(numbered, start=1):
+            try:  # statistics.fmean sums with fsum, in order: name the run it overflows at
+                math.fsum(rec.cost for _, rec in numbered[:end] if rec.cost is not None)
+                math.fsum(rec.seconds for _, rec in numbered[:end])
+            except OverflowError:
+                raise ValueError(f"report line {number}: the costs or seconds of instance "
+                                 f"{name!r} sum past the float range") from None
     return ExperimentReport(
         algorithm=header.get("algorithm", "?"),
         runs=numbers["runs"],
         base_seed=numbers["base_seed"],
-        results=tuple(
-            InstanceResult(name=n, runs=tuple(runs)) for n, runs in runs_by_instance.items()
-        ),
+        results=tuple(InstanceResult(name=name, runs=tuple(rec for _, rec in numbered))
+                      for name, numbered in runs_by_instance.items()),
     )
 
 

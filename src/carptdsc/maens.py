@@ -15,14 +15,13 @@ the builder plus a minimum-cost splitting pass.  Capacity and horizon
 violations are penalized with an adaptive coefficient; the final answer is
 the best feasible plan found.
 
-Crossover's insertions (``RouteEvaluator.cheapest_insertion``) and the
-moves screen candidates with ``RouteEvaluator.splice`` and walk each one a
-screen cannot settle, so every decision is the one walking every
-candidate gives; no route score is cached.  An insertion walks no lone
-candidate that could be least, and a child with inserted tasks is priced
-from its route tables, with the floats :func:`assess` gives.  On an exact
-instance (``RouteEvaluator.exact``) crossover keeps no table: each
-insertion is priced exactly from a route's total and load, with no walk.
+Crossover's insertions (``RouteEvaluator.cheapest_insertion``) walk each
+candidate from its cut's prefix state, or on an exact instance price it
+exactly from a route's total and load; a child with inserted tasks is
+priced from its routes' totals, with the floats :func:`assess` gives.
+Only the moves screen, with ``RouteEvaluator.splice``, and walk each
+candidate a screen cannot settle, so every decision is the one walking
+every candidate gives; no route score is cached.
 One local search keeps a record of the moves it found cannot improve,
 keyed by the contents of the routes they change, and skips them until one
 of those routes changes: a skipped move could not have been accepted, and
@@ -211,17 +210,14 @@ def init_individual(
 def _cheapest_insertion(routes: list, tid: int, ev: RouteEvaluator, lam: float) -> None:
     """Insert ``tid`` (or its inverse) where it increases cost least.
 
-    ``routes`` holds :meth:`RouteEvaluator.table` of each route, or on an
-    exact instance (:attr:`RouteEvaluator.exact`) its
-    :meth:`RouteEvaluator.totals`; the place is
-    :meth:`RouteEvaluator.cheapest_insertion`'s among them and a fresh route
-    (the empty route), last.  On an exact instance the route it lands in is
-    priced by :meth:`RouteEvaluator.inserted`, with no table.
+    ``routes`` holds :meth:`RouteEvaluator.totals` of each route; the place
+    is :meth:`RouteEvaluator.cheapest_insertion`'s among them and a fresh
+    route (the empty route), last.  The route it lands in is priced by
+    :meth:`RouteEvaluator.inserted`.
     """
     candidates = routes + [ev.empty]
     ri, pos, single = ev.cheapest_insertion(candidates, tid, lam)
-    candidates[ri] = (ev.inserted(candidates[ri], pos, single[0]) if ev.exact
-                      else ev.splice_table(candidates[ri], pos, single, pos))
+    candidates[ri] = ev.inserted(candidates[ri], pos, single[0])
     routes[:] = [t for t in candidates if t.route]
 
 
@@ -241,8 +237,7 @@ def crossover(
     their cheapest positions.  The child may violate capacity; that is
     left to the penalty mechanism.  ``lam`` weighs the violation in the
     insertion costs.  The child is priced as :func:`assess` prices it, from
-    its route tables when a task was inserted, or, on an exact instance,
-    from each route's totals and load.
+    its routes' totals when a task was inserted.
     """
     instance = ev.instance
     routes1 = split_routes(parent1)
@@ -270,12 +265,10 @@ def crossover(
     missing = [root for root in instance.roots if root not in seen]
     if not missing:
         return assess(ev, join_routes(routes))
-    price = ev.totals if ev.exact else ev.table
-    priced = [price(route) for route in routes]
+    priced = [ev.totals(route) for route in routes]
     for idx in rng.permutation(len(missing)):
         _cheapest_insertion(priced, missing[idx], ev, lam)
-    # a table's walk continued the stored prefix states, and totals are kept
-    # exactly, so each total and violation is a walk of the route from the origin
+    # walks went on from stored prefix states and exact totals are a walk's floats
     return Individual(plan=join_routes([p.route for p in priced]),
                       total_cost=ordered_sum(p.total for p in priced),
                       violation=ordered_sum(p.violation for p in priced))

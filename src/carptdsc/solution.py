@@ -10,19 +10,16 @@ beginning of service is the departure time plus all preceding service
 costs and shortest-path travel times.  An arc's travel cost is a field of
 its own: the DAT and Solomon readers set it to the travel time, but an
 arc may take 12 time units and cost 0.  ``RouteEvaluator.walk`` is the
-one forward pass for stage 1 and the solution checks (one walk per route),
-and ``splice`` screens stage-1 candidates within a bound of it: the
-moves' and ``cheapest_insertion``'s, which calls it for each orientation
-of a task at each cut of each route.  On an exact instance (a plain CARP
-file: no ramp, no horizon, integer costs, demands and capacity, and sums
-below 2**53), ``cheapest_insertion`` prices each insertion from the
-route's total and load alone, with the walk's float and no walk, and
-skips each route whose capacity penalty plus the task's least detour is
-above the least delta so far.  Stage 2 prices a route with
-``departure_cost``, a scalar pass over legs read once per route, and
-``total`` is that pass at one departure.
-``evaluate``, ``evaluate_route`` and ``profile`` serve only the benchmark
-harness and the tests.
+one forward pass for stage 1 and the solution checks (one walk per route).
+Crossover's ``cheapest_insertion`` walks each insertion from its cut's
+prefix state, or on an exact instance (a plain CARP file: no ramp, no
+horizon, integer costs, demands and capacity, and sums below 2**53)
+prices it from the route's total and load alone, with the walk's float.
+Only the moves screen: ``splice`` prices their candidates within a bound
+of a walk.  Stage 2 prices a route with ``departure_cost``, a scalar pass
+over legs read once per route, and ``total`` is that pass at one
+departure.  ``evaluate``, ``evaluate_route`` and ``profile`` serve only
+the benchmark harness and the tests.
 """
 
 from __future__ import annotations
@@ -67,14 +64,14 @@ class RouteTable(NamedTuple):
 
 
 class RouteTotals(NamedTuple):
-    """A route's total, violation and load: all that
-    :meth:`RouteEvaluator.cheapest_insertion` reads of a candidate on an
-    exact instance (see :attr:`RouteEvaluator.exact`)."""
+    """A route's total, violation and load, and its prefix states unless the
+    instance is exact: what :meth:`RouteEvaluator.cheapest_insertion` reads."""
 
     route: Sequence[int]
     total: float
     violation: float
     load: float
+    prefixes: Optional[list[RouteState]] = None
 
     penalized = RouteTable.penalized
 
@@ -167,20 +164,17 @@ class RouteEvaluator:
     loops.  Evaluation is a pure function of (route, departure time).
 
     :meth:`walk` is the route kernel: stage 1 scores routes with it, and
-    :meth:`walks` walks each route of a solution once for the checks;
+    :meth:`walks` walks each route of a solution once for the checks.
     :meth:`splice` screens a changed route within a bound of it, for the
-    moves and for :meth:`cheapest_insertion`, which screens every
-    insertion of one task.  On an :attr:`exact` instance
-    :meth:`cheapest_insertion` prices each insertion exactly from a
-    route's total and load (:class:`RouteTotals`, kept up by
-    :meth:`totals` and :meth:`inserted`), calls no :meth:`splice`, walks
-    nothing, and skips the routes :attr:`detour_floors` and the capacity
-    penalty rule out.  Stage 2 prices with :meth:`departure_cost`, a
-    faster scalar pass over legs read once per route that adds services
-    and deadhead in one running sum (so it can differ from a walk in the
-    last bits); :meth:`total` is that pass at one departure.
-    :meth:`evaluate`, a view over a walk, and :meth:`profile`, ``total``
-    vectorized, serve only the benchmark harness and the tests.
+    moves alone.  :meth:`cheapest_insertion` walks or, on an :attr:`exact`
+    instance, prices exactly every insertion of one task into the
+    :class:`RouteTotals` that :meth:`totals` and :meth:`inserted` keep up.
+    Stage 2 prices with :meth:`departure_cost`, a faster scalar pass over
+    legs read once per route that adds services and deadhead in one
+    running sum (so it can differ from a walk in the last bits);
+    :meth:`total` is that pass at one departure.  :meth:`evaluate`, a view
+    over a walk, and :meth:`profile`, ``total`` vectorized, serve only the
+    benchmark harness and the tests.
     """
 
     def __init__(self, instance: Instance, sp: ShortestPaths):
@@ -198,8 +192,6 @@ class RouteEvaluator:
                   task.cost_fn.et, task.cost_fn.k, task.demand)
             for tid, task in instance.tasks.items()
         }
-        # every task k = 0 and no horizon: the first condition of exact
-        self.static = self.horizon == INF and not any(row[5] for row in self.rows.values())
         # a fresh route is a splice into the empty route, whose suffix is the return
         self.empty = RouteTable((), [self.origin], [(self.depot, -instance.capacity, [0.0], [
             (0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0)])], *self.walk(self.origin, ()))
@@ -354,9 +346,9 @@ class RouteEvaluator:
     def exact(self) -> bool:
         """Whether :meth:`cheapest_insertion` can price this instance exactly.
 
-        It holds when the instance is :attr:`static`, every leg is finite,
-        every arc travel cost, c_min, demand and the capacity is an
-        integer, and, for N task IDs, c the largest leg cost, m the largest
+        It holds when every task has k = 0, there is no horizon, every leg
+        is finite, every arc travel cost, c_min, demand and the capacity is
+        an integer, and, for N task IDs, c the largest leg cost, m the largest
         c_min and Q the capacity, (N + 3)·(c + m) < 2**53 and
         (N + 1)·Q < 2**53.  Every integer below 2**53 in magnitude is a
         float, and a sum or difference of two such is exact while its
@@ -384,7 +376,8 @@ class RouteEvaluator:
         rows = self.rows.values()
         integers = [arc.travel_cost for arc in self.instance.arcs]
         integers += [row[2] for row in rows] + [row[6] for row in rows] + [self.capacity]
-        if not (self.static and all(float(x).is_integer() for x in integers)
+        if not (self.horizon == INF and not any(row[5] for row in rows)
+                and all(float(x).is_integer() for x in integers)
                 and np.isfinite(self.sp_time).all() and np.isfinite(self.sp_cost).all()):
             return False
         largest = int(np.max(self.sp_cost)) + int(max(row[2] for row in rows))
@@ -419,12 +412,13 @@ class RouteEvaluator:
         strict minimum of the walked deltas in (candidate, position,
         orientation) order, as if every insertion was walked.
 
-        On an :attr:`exact` instance a candidate is read for its route,
-        total T, violation and load L only (a :class:`RouteTotals` or a
-        :class:`RouteTable`), and nothing is walked.  An orientation of demand d put in between
-        vertices v and w adds D = c[v][tail] + c_min + c[head][w] - c[v][w],
-        and its delta is ((T + D) + λ·e') - base, for e' = max(0, L + d - Q)
-        and base = T + λ·violation.  T + D and e' are the walk's total and
+        On an :attr:`exact` instance a candidate (a :class:`RouteTotals` or a
+        :class:`RouteTable`) is read for its route, total T, violation and
+        load L only, and nothing is walked.  An orientation of demand d put
+        in between vertices v and w adds
+        D = c[v][tail] + c_min + c[head][w] - c[v][w], and its delta is
+        ((T + D) + λ·e') - base, for e' = max(0, L + d - Q) and
+        base = T + λ·violation.  T + D and e' are the walk's total and
         violation (see :attr:`exact`), whose penalized cost is
         (T + D) + λ·e': so each delta is the walk's float, and the least
         (delta, candidate, position, orientation) wins.  Candidates are
@@ -438,12 +432,11 @@ class RouteEvaluator:
         it: at least 0, and small enough that λ times a load (below 2**53)
         plus a total stays finite, so every delta is.
 
-        On any other instance each candidate is a :class:`RouteTable`, and
-        each orientation at each of its cuts is screened by one
-        :meth:`splice`.  Each screen that could tie the least delta is
-        walked; a lone such screen wins unwalked, since a minimum of one
-        cannot change.
+        On any other instance each orientation at each cut is walked on from
+        the cut's prefix state.  Nothing is screened: a route is read for
+        one insertion before it changes.
         """
+        best, at = INF, None  # the least delta so far and its (candidate, position, (oid,))
         if self.exact:
             rows, cost, depot, capacity = self.rows, self.sp_cost, self.depot, self.capacity
             g, demand_lo = self.detour_floors[tid]
@@ -458,7 +451,6 @@ class RouteEvaluator:
                 visits.append((((route.total + g) + lam * (over if over > 0.0 else 0.0)) - base,
                                ri))
             visits.sort()
-            best, at = INF, None  # the least delta so far and its (candidate, position, (oid,))
             for low, ri in visits:
                 if low > best:  # so is every later bound, and every delta of those routes
                     break
@@ -481,45 +473,39 @@ class RouteEvaluator:
                     if next_tid:
                         v = rows[next_tid][1]
             return at
-        splice, singles = self.splice, [(oid,) for oid in self.instance.orientations(tid)]
-        bases = [table.penalized(lam) for table in candidates]
-        # bound: the least screen + tau so far, so no delta is below it; a
-        # candidate whose screen - tau exceeds it cannot be the minimum
-        bound = INF
-        near = []  # (screen - tau, delta or None if screened, candidate, position, (oid,))
-        for ri, (table, base) in enumerate(zip(candidates, bases)):
-            base_tol = SCREEN_TOL * base
-            for pos in range(len(table.prefixes)):
-                for single in singles:
-                    cost, tau = splice(table, pos, single, pos, lam)
-                    delta = cost - base
-                    if tau:
-                        tau += base_tol
-                    if delta + tau < bound:
-                        bound = delta + tau
-                    if not delta - tau > bound:  # a screen that is NaN is walked
-                        near.append((delta - tau, None if tau else delta, ri, pos, single))
-        near = [c for c in near if not c[0] > bound]
-        if len(near) == 1:
-            return near[0][2:]
-        walked = [(self.splice_walk(candidates[ri], pos, single, pos, lam) - bases[ri]
-                   if delta is None else delta, ri, pos, single)
-                  for _, delta, ri, pos, single in near]
-        _, ri, pos, single = min(walked, key=lambda c: c[0])  # the first strict minimum
-        return ri, pos, single
+        walk, oids = self.walk, self.instance.orientations(tid)
+        for ri, priced in enumerate(candidates):
+            base, route = priced.penalized(lam), priced.route
+            for pos, state in enumerate(priced.prefixes):
+                rest = route[pos:]
+                for oid in oids:
+                    total, violation = walk(state, (oid, *rest))
+                    delta = (total + lam * violation) - base
+                    if delta < best or at is None:
+                        best, at = delta, (ri, pos, (oid,))
+        return at
 
-    def totals(self, route: Sequence[int]) -> RouteTotals:
-        """``route`` with the total and violation of its walk from the origin,
-        and its load: its demands added in route order, as the walk adds them."""
-        return RouteTotals(route, *self.walk(self.origin, route),
-                           ordered_sum(self.rows[tid][6] for tid in route))
+    def totals(self, route: Sequence[int],
+               prefixes: Optional[list[RouteState]] = None) -> RouteTotals:
+        """``route`` with the total, violation and load of its walk on from
+        ``prefixes``, the prefix states of its first tasks (the origin alone
+        by default).  The walk appends the others; they are kept unless the
+        instance is :attr:`exact`."""
+        prefixes = [self.origin] if prefixes is None else prefixes
+        total, violation = self.walk(prefixes[-1], route[len(prefixes) - 1:], prefixes)
+        return RouteTotals(route, total, violation, prefixes[-1][4],
+                           None if self.exact else prefixes)
 
     def inserted(self, priced, pos: int, oid: int) -> RouteTotals:
         """``priced`` (a :class:`RouteTotals` or :class:`RouteTable`) with
-        ``oid`` put in at ``pos``, priced without a walk: T + D, L + d and
-        max(0, L + d - Q) as :meth:`cheapest_insertion` reads them, which
-        on an :attr:`exact` instance are the walk's floats."""
-        route, rows, cost = priced.route, self.rows, self.sp_cost
+        ``oid`` put in at ``pos``, walked on from prefix state ``pos``.  On an
+        :attr:`exact` instance it is priced without a walk: T + D, L + d
+        and max(0, L + d - Q) as :meth:`cheapest_insertion` reads them,
+        which are the walk's floats."""
+        route = priced.route
+        if not self.exact:
+            return self.totals([*route[:pos], oid, *route[pos:]], priced.prefixes[:pos + 1])
+        rows, cost = self.rows, self.sp_cost
         tail, head, c_min, _, _, _, demand = rows[oid]
         v = rows[route[pos - 1]][1] if pos else self.depot
         w = rows[route[pos]][0] if pos < len(route) else self.depot

@@ -331,7 +331,7 @@ def reference_static_insertion(ev, candidates, tid, lam):
     every cut of every candidate in index order: its static loop before it
     skipped any route.  Walks go through ``ev.splice_walk``, so a caller can
     count them."""
-    assert ev.static
+    assert ev.horizon == math.inf and not any(row[5] for row in ev.rows.values())
     orients = []
     for oid in ev.instance.orientations(tid):
         tail, head, c_min, _, _, _, demand = ev.rows[oid]

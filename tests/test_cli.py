@@ -115,20 +115,32 @@ def test_solve_on_a_static_instance_prints_its_recorded_output(capsys):
 
 def test_solve_on_a_static_instance_with_fractional_costs_prints_its_recorded_output(capsys):
     """gdb1 with every required-edge cost + 0.1 is static but not exact, so
-    crossover's repair takes the general loop over route tables: seed 0 at
-    the CLI defaults prints the output recorded before the exact loop was
-    added, byte for byte."""
+    crossover's repair takes the general loop, which walks every cut: seed
+    0 at the CLI defaults prints the output recorded before the exact loop
+    was added, byte for byte."""
     code, out, err = run_cli(capsys, "solve", "--instance", str(DATA / "gdb1-tenth.dat"),
                              "--seed", "0")
     assert (code, err) == (0, "")
     assert out == (DATA / "gdb1-tenth-solve-seed0.txt").read_text()
 
 
+def test_solve_on_long_time_dependent_routes_prints_its_recorded_output(capsys):
+    """long-routes-0 3LP k = 2 (gen-seed 0, 5 generations, seed 0) runs
+    crossover's time-dependent repair on routes of 10-17 tasks with ramps,
+    and prints the recorded plan, departures and costs byte for byte."""
+    code, out, err = run_cli(
+        capsys, "solve", "--instance", str(DATA / "long-routes-0.dat"), "--family", "3lp",
+        "--slope-set", "2", "--gen-seed", "0", "--generations", "5", "--seed", "0",
+    )
+    assert (code, err) == (0, "")
+    assert out == (DATA / "long-routes-0-3lp-k2-solve-seed0.txt").read_text()
+
+
 def test_solve_on_a_solomon_instance_prints_its_recorded_output(capsys):
     """r101_25 has one orientation per task and non-integral Euclidean legs,
-    so crossover's repair screens every cut of every route table: seed 0
-    at the CLI defaults prints the recorded plan, departures and costs
-    byte for byte."""
+    so crossover's repair walks every cut of every route: seed 0 at the
+    CLI defaults prints the recorded plan, departures and costs byte for
+    byte."""
     code, out, err = run_cli(capsys, "solve", "--instance", R101, "--seed", "0")
     assert (code, err) == (0, "")
     assert out == (DATA / "r101_25-solve-seed0.txt").read_text()
@@ -494,6 +506,50 @@ def test_stats_names_a_bad_header_line(tmp_path, capsys):
     assert code == 1
     assert "report line 3: want 'runs : <integer>', got 'runs : two'" in err
 
+
+
+@pytest.mark.parametrize("runs", [
+    "run gdb1 0 1e308 0.5\nrun gdb1 1 1e308 0.5\n",
+    "run gdb1 0 320.0 1e308\nrun gdb1 1 failed 1e308 boom\n",
+])
+def test_stats_names_the_run_whose_value_overflows_a_mean(tmp_path, capsys, runs):
+    """Two finite costs or seconds at 1e308 sum past the float range: the
+    error names the second one's line, not ``intermediate overflow in fsum``."""
+    path = tmp_path / "r.txt"
+    path.write_text(
+        "carptdsc-report v1\nalgorithm : a\nruns : 2\nbase_seed : 0\n"
+        f"instance gdb1 : ave 320.0 std 0.0 best 320.0 ave_time 0.5\n{runs}"
+    )
+    code, _, err = run_cli(capsys, "stats", str(path), str(path))
+    assert code == 1
+    assert err == ("error: report line 7: the costs or seconds of instance 'gdb1' sum past "
+                   "the float range\n")
+
+
+def test_stats_names_an_instance_line_without_runs(tmp_path, capsys):
+    path = tmp_path / "r.txt"
+    path.write_text(
+        "carptdsc-report v1\nalgorithm : a\nruns : 1\nbase_seed : 0\n"
+        "instance gdb1 : ave 320.0 std 0.0 best 320.0 ave_time 0.5\nrun gdb1 0 320.0 0.5\n"
+        "instance other : ave 1.0 std 0.0 best 1.0 ave_time 0.5\n"
+    )
+    code, _, err = run_cli(capsys, "stats", str(path), str(path))
+    assert code == 1
+    assert err == "error: report line 7: instance 'other' has no run lines\n"
+
+
+@pytest.mark.parametrize("key", ["runs", "base_seed"])
+def test_stats_names_a_missing_header_line(tmp_path, capsys, key):
+    """A report without ``runs :`` or ``base_seed :`` used to read as 0."""
+    header = "".join(f"{k} : 1\n" for k in ("runs", "base_seed") if k != key)
+    path = tmp_path / "r.txt"
+    path.write_text(
+        f"carptdsc-report v1\nalgorithm : a\n{header}"
+        "instance gdb1 : ave 320.0 std 0.0 best 320.0 ave_time 0.5\nrun gdb1 1 320.0 0.5\n"
+    )
+    code, _, err = run_cli(capsys, "stats", str(path), str(path))
+    assert code == 1
+    assert err == f"error: report has no '{key} : <integer>' line\n"
 
 NO_TASKS_DAT = """NAME : empty
 VERTICES : 2

@@ -6,13 +6,13 @@ and ``evaluate`` the same arrival times and cost; a walk that starts from
 a recorded prefix state must equal a walk of the whole route; every
 screen of ``RouteEvaluator.splice`` must be within its tau of the walk
 of the route it prices; cheapest insertion, the move scans and the split
-must choose what walking every whole candidate route chooses, cheapest
-insertion with one ``splice`` per cut and orientation and no walk of a
-lone candidate (and on an exact instance with no walk at all, as its
-general loop does on a copy with a horizon, and with the answer of the
-static loop that screened every route before routes were skipped),
-exactness must be worked out from the input alone, and crossover's child
-must carry the prices ``assess`` gives it; local search, which skips the moves its record holds as failed, must match the
+must choose what walking every whole candidate route chooses, crossover
+with no route table and no ``splice`` (and on an exact instance with no
+walk at all, as its general loop does on a copy with a horizon, and with
+the answer of the static loop that screened every route before routes
+were skipped), exactness must be worked out from the input alone, and
+crossover's child must carry the prices ``assess`` gives it; local
+search, which skips the moves its record holds as failed, must match the
 same search without a record; the solution checks must walk each route
 once and agree with the reference checks; and the search built on them
 must reproduce pinned plans.
@@ -58,7 +58,7 @@ from carptdsc.maens import (
     _split_sequence,
     assess,
 )
-from carptdsc.solution import SCREEN_TOL, PlanError
+from carptdsc.solution import PlanError
 
 from conftest import DATA, random_static_file, rng_for
 from oracles import (
@@ -74,9 +74,10 @@ from oracles import (
 
 
 def _cases():
-    """Static gdb1 and long-routes-0 take cheapest insertion's static loop;
+    """Static gdb1 and long-routes-0 take cheapest insertion's exact loop;
     gdb1 3LP k = 0 has no ramp but a horizon (714) that can bind, so it
-    takes the general loop with every other case."""
+    takes the general loop with every other case.  long-routes-0 3LP k = 2
+    has routes of 10-17 tasks with ramps."""
     _, static = instance_io.parse_carp((DATA / "gdb1.dat").read_text())
     cases = {"gdb1": static}
     for k in (0.3, 1.0, 2.0, 3.0):
@@ -84,6 +85,8 @@ def _cases():
     cases["gdb1-3lp-k0"], _ = instance_io.generate_td(static, "3lp", (0.0,), 3)
     cases["r101_25"] = load_instance_text((DATA / "r101_25.txt").read_text())
     _, cases["long-routes-0"] = instance_io.parse_carp((DATA / "long-routes-0.dat").read_text())
+    cases["long-routes-0-3lp-k2"], _ = instance_io.generate_td(cases["long-routes-0"], "3lp",
+                                                               (2.0,), 0)
     out = {}
     for name, inst in cases.items():
         sp = shortest_paths(inst)
@@ -161,12 +164,12 @@ def test_cheapest_insertion_matches_whole_route_reference(name):
         cuts = sorted(int(c) for c in rng.choice(len(rest), size=3, replace=False))
         routes = [rest[a:b] for a, b in zip([0] + cuts, cuts + [len(rest)]) if rest[a:b]]
         lam = float(rng.uniform(0.5, 50.0))
-        tables = [ev.table(list(r)) for r in routes]
+        priced = [ev.totals(list(r)) for r in routes]
         want = [list(r) for r in routes]
         for tid in missing:
-            _cheapest_insertion(tables, tid, ev, lam)
+            _cheapest_insertion(priced, tid, ev, lam)
             reference_cheapest_insertion(want, tid, ev, inst, lam)
-            assert [t.route for t in tables] == want
+            assert [p.route for p in priced] == want
 
 
 def _splices(route, kind, oid, other):
@@ -248,10 +251,10 @@ def test_cheapest_insertion_among_long_suffixes_matches_whole_route_reference(lo
             tid = route[len(route) // 2]  # taken out of its route, then put back
             want = [[t for t in r if t != tid] if rj == ri else list(r)
                     for rj, r in enumerate(routes)]
-            tables = [ev.table(r) for r in want]
-            _cheapest_insertion(tables, inst.pair_root(tid), ev, 3.0)
+            priced = [ev.totals(r) for r in want]
+            _cheapest_insertion(priced, inst.pair_root(tid), ev, 3.0)
             reference_cheapest_insertion(want, inst.pair_root(tid), ev, inst, 3.0)
-            assert [t.route for t in tables] == want
+            assert [p.route for p in priced] == want
 
 
 @st.composite
@@ -267,14 +270,14 @@ def _case_routes(draw, max_routes=4):
 @given(_case_routes(), _LAMBDAS)
 def test_screened_cheapest_insertion_matches_whole_route_reference(case_routes, lam):
     (inst, sp, ev), routes, tid = case_routes
-    tables = [ev.table(list(r)) for r in routes]
+    priced = [ev.totals(list(r)) for r in routes]
     want = [list(r) for r in routes]
-    _cheapest_insertion(tables, tid, ev, lam)
+    _cheapest_insertion(priced, tid, ev, lam)
     reference_cheapest_insertion(want, tid, ev, inst, lam)
-    assert [t.route for t in tables] == want
+    assert [p.route for p in priced] == want
 
 
-def _counted(ev, names=("splice", "splice_walk")):
+def _counted(ev, names):
     """Count calls of ``ev``'s kernels ``names``, in a dict by name."""
     calls = dict.fromkeys(names, 0)
     for name in calls:
@@ -285,67 +288,31 @@ def _counted(ev, names=("splice", "splice_walk")):
     return calls
 
 
-def _screen_bounds(ev, table, tid, lam):
-    """delta - tau and delta + tau of each screen of ``table`` by ``splice``,
-    tau as ``cheapest_insertion`` widens it by the base's tolerance."""
-    base = table.penalized(lam)
-    for pos in range(len(table.route) + 1):
-        for oid in ev.instance.orientations(tid):
-            value, tau = ev.splice(table, pos, (oid,), pos, lam)
-            tau += SCREEN_TOL * base if tau else 0.0
-            yield value - base - tau, value - base + tau
-
-
-def _survivors(ev, candidates, tid, lam):
-    """How many candidates one :meth:`RouteEvaluator.splice` per candidate
-    leaves within tau of the least screen + tau: those that could be least."""
-    screens = [screen for table in candidates for screen in _screen_bounds(ev, table, tid, lam)]
-    bound = min(high for _, high in screens)
-    return sum(not low > bound for low, _ in screens)
-
-
-def test_cheapest_insertion_splices_each_cut_once_and_walks_no_lone_candidate():
-    """Crossover's insertion screens each cut of each candidate, in each
-    orientation, with one ``splice``; a lone candidate that could be least
-    is not walked, and each of two or more is.  On an exact instance
-    nothing is spliced or walked."""
-    survivor_counts = []
+def test_crossover_calls_no_table_or_splice_kernel():
+    """Crossover's repair walks each insertion from its cut's prefix state,
+    or on an exact instance prices it from route totals: on every case it
+    builds no route table and screens nothing."""
+    kernels = ("table", "splice_table", "splice", "splice_walk")
     for name in sorted(CASES):
-        inst, sp, reference = CASES[name]
+        inst, sp, _ = CASES[name]
         ev = RouteEvaluator(inst, sp)
-        calls = _counted(ev)
+        calls = _counted(ev, (*kernels, "inserted"))
         for seed in range(6):
             rng = rng_for(seed)
-            routes = split_routes(init_individual(inst, sp, rng))
-            missing = [inst.pair_root(tid) for tid in routes.pop(int(rng.integers(len(routes))))]
-            tables = [ev.table(list(r)) for r in routes]
-            for tid in missing:
-                lam = float(rng.uniform(0.5, 50.0))
-                calls.update(splice=0, splice_walk=0)
-                if ev.exact:  # the tables become totals, which splice cannot read
-                    _cheapest_insertion(tables, tid, ev, lam)
-                    assert calls == {"splice": 0, "splice_walk": 0}
-                    continue
-                cuts = sum(len(t.route) + 1 for t in tables) + 1  # the fresh route has one
-                survivors = _survivors(reference, tables + [ev.empty], tid, lam)
-                _cheapest_insertion(tables, tid, ev, lam)
-                assert calls["splice"] == cuts * len(inst.orientations(tid))
-                if survivors == 1:
-                    assert calls["splice_walk"] == 0
-                else:
-                    assert calls["splice_walk"] >= survivors
-                survivor_counts.append(survivors)
-    assert 1 in survivor_counts and max(survivor_counts) > 1
+            plans = [init_individual(inst, sp, rng) for _ in range(2)]
+            crossover(*plans, rng, ev, float(rng.uniform(0.5, 50.0)))
+        assert calls.pop("inserted"), name  # some child had tasks put back
+        assert calls == dict.fromkeys(kernels, 0), name
 
 
 def test_the_static_loop_is_taken_by_static_instances_alone():
     """Every task k = 0 and no horizon: a static CARP file, nothing else."""
     _, static = instance_io.parse_carp((DATA / "gdb1.dat").read_text())
     two_segment, _ = instance_io.generate_td(static, "2lp", (), 3)
-    assert CASES["gdb1"][2].static and CASES["long-routes-0"][2].static
-    assert not RouteEvaluator(two_segment, CASES["gdb1"][1]).static
-    for name in ("gdb1-3lp-k0", "gdb1-3lp-k2.0", "r101_25"):
-        assert not CASES[name][2].static, name
+    assert CASES["gdb1"][2].exact and CASES["long-routes-0"][2].exact
+    assert not RouteEvaluator(two_segment, CASES["gdb1"][1]).exact
+    for name in ("gdb1-3lp-k0", "gdb1-3lp-k2.0", "r101_25", "long-routes-0-3lp-k2"):
+        assert not CASES[name][2].exact, name
 
 
 @pytest.mark.parametrize("name", ["gdb1", "long-routes-0"])
@@ -355,7 +322,7 @@ def test_static_insertions_match_the_general_loop(name):
     exact loop does, into routes with the same totals and violations."""
     inst, sp, ev = CASES[name]
     general = RouteEvaluator(dataclasses.replace(inst, horizon=1e6), sp)
-    assert ev.static and not general.static
+    assert ev.exact and not general.exact
 
     def tabled(tables):
         return [(t.route, t.total.hex(), t.violation.hex()) for t in tables]
@@ -385,10 +352,9 @@ class _LoggedWalks(RouteEvaluator):
 
 
 class _Watched(list):
-    """A table's route or suffix functions that note in ``passes`` each pass
-    over them and each indexed read: the exact loop iterates over the
-    route, the general loop reads the suffix function of each cut through
-    ``splice``."""
+    """A table's route that notes in ``passes`` each pass over it and each
+    indexed read: the exact loop iterates over the route, the general
+    loop slices it at each cut."""
 
     def __init__(self, states, passes, ri):
         super().__init__(states)
@@ -407,9 +373,7 @@ def _skipping_run(ev, candidates, tid, lam):
     """``cheapest_insertion``'s answer and walks, then the unskipped static
     loop's, and the indices of the candidates whose cuts were screened."""
     passes = set()
-    watched = [t._replace(route=_Watched(t.route, passes, ri),
-                          suffixes=_Watched(t.suffixes, passes, ri))
-               for ri, t in enumerate(candidates)]
+    watched = [t._replace(route=_Watched(t.route, passes, ri)) for ri, t in enumerate(candidates)]
     ev.walked = []
     got = ev.cheapest_insertion(watched, tid, lam), ev.walked
     ev.walked = []
@@ -549,16 +513,18 @@ def test_nothing_is_skipped_where_costs_break_the_triangle_inequality():
 
 def test_nothing_is_skipped_when_a_vertex_is_unreachable():
     """A static instance with an isolated vertex has an infinite leg, so no
-    route is skipped, even where the same tables skip some without it."""
+    route is skipped, even where the same tables skip some without it: the
+    general loop walks every cut, and calls no ``splice_walk``."""
     inst, sp, _ = CASES["gdb1"]
     isolated = dataclasses.replace(inst, num_vertices=inst.num_vertices + 1)
     ev = _LoggedWalks(isolated, shortest_paths(isolated))
-    assert ev.static and ev.detour_floors is None
+    assert ev.horizon == math.inf and not any(row[5] for row in ev.rows.values())
+    assert not ev.exact and ev.detour_floors is None
     routes = split_routes(init_individual(inst, sp, rng_for(0)))
     tid = inst.pair_root(routes.pop()[0])
     candidates = [ev.table(r) for r in routes] + [ev.empty]
     got, want, passes = _skipping_run(ev, candidates, tid, 2.0 ** 20)
-    assert got == want and passes == set(range(len(candidates)))
+    assert got[0] == want[0] and got[1] == [] and passes == set(range(len(candidates)))
     reachable = _LOGGED["gdb1"]
     _, _, passes = _skipping_run(reachable, [reachable.table(r) for r in routes]
                                  + [reachable.empty], tid, 2.0 ** 20)
