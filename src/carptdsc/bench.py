@@ -285,7 +285,7 @@ def read_report(text: str) -> ExperimentReport:
     lines = [(i, l.strip()) for i, l in enumerate(text.splitlines(), start=1) if l.strip()]
     if not lines or lines[0][1] != REPORT_TAG:
         raise ValueError(f"missing report tag (want {REPORT_TAG!r})")
-    header: dict[str, str] = {}
+    header: dict[str, tuple[str, int]] = {}  # key: (value, line)
     numbers: dict[str, int] = {}  # runs and base_seed
     # each instance's runs with their line numbers, in first-mention order
     runs_by_instance: dict[str, list[tuple[int, RunRecord]]] = {}
@@ -315,6 +315,9 @@ def read_report(text: str) -> ExperimentReport:
             )))
         else:
             key, _, value = (part.strip() for part in line.partition(":"))
+            if key in header:
+                raise ValueError(f"report line {number}: {key!r} repeats line {header[key][1]}")
+            header[key] = (value, number)
             if key in ("runs", "base_seed"):
                 try:
                     numbers[key] = int(value)
@@ -322,8 +325,6 @@ def read_report(text: str) -> ExperimentReport:
                     raise ValueError(
                         f"report line {number}: want '{key} : <integer>', got {line!r}"
                     ) from None
-            else:
-                header[key] = value
     for key in ("runs", "base_seed"):
         if key not in numbers:
             raise ValueError(f"report has no '{key} : <integer>' line")
@@ -338,7 +339,7 @@ def read_report(text: str) -> ExperimentReport:
                 raise ValueError(f"report line {number}: the costs or seconds of instance "
                                  f"{name!r} sum past the float range") from None
     return ExperimentReport(
-        algorithm=header.get("algorithm", "?"),
+        algorithm=header.get("algorithm", ("?",))[0],
         runs=numbers["runs"],
         base_seed=numbers["base_seed"],
         results=tuple(InstanceResult(name=name, runs=tuple(rec for _, rec in numbered))

@@ -95,6 +95,13 @@ def _int(text: str, lineno: int, what: str) -> int:
     return int(value)
 
 
+def _first(seen: dict, key, value, lineno: int, what: str) -> None:
+    """Record ``key``'s ``value`` and line in ``seen``; a key given twice names both lines."""
+    if key in seen:
+        raise ParseError(f"line {lineno}: {what} repeats line {seen[key][1]}")
+    seen[key] = (value, lineno)
+
+
 def _cost_fn(where: str, **fields: float) -> ServiceCostFunction:
     """A task's cost function; a field it rejects is a ParseError naming ``where``."""
     try:
@@ -127,7 +134,7 @@ def read_carp(text: str) -> StaticInstanceFile:
             elif key == "NON_REQUIRED_EDGE_LIST":
                 section = "non_required"
             else:
-                header[key] = (value, lineno)
+                _first(header, key, value, lineno, key)
                 section = None
             continue
         m = _EDGE_RE.match(line)
@@ -409,7 +416,7 @@ def read_annotation(text: str) -> TdAnnotation:
     if not lines or lines[0][1] != ANNOTATION_TAG:
         raise ParseError(f"missing or unsupported format tag (want {ANNOTATION_TAG!r})")
     header: dict[str, tuple[str, int]] = {}  # key: (value, line)
-    records: list[tuple[int, float, float, float]] = []
+    tasks: dict[int, tuple[tuple[int, float, float, float], int]] = {}  # ID: (record, line)
     for n, line in lines[1:]:
         if line.startswith("task "):
             parts = line.split()
@@ -419,10 +426,11 @@ def read_annotation(text: str) -> TdAnnotation:
             c_min, bt, et = (_num(parts[i], n, parts[i - 1]) for i in (3, 5, 7))
             # checked where its line is known; apply_annotation adds the slope k
             _cost_fn(f"line {n}: task {tid}", c_min=c_min, bt=bt, et=et)
-            records.append((tid, c_min, bt, et))
+            _first(tasks, tid, (tid, c_min, bt, et), n, f"task {tid}")
         else:
-            key, _, value = line.partition(":")
-            header[key.strip()] = (value.strip(), n)
+            key, _, value = (part.strip() for part in line.partition(":"))
+            _first(header, key, value, n, key)
+    records = [record for record, _ in tasks.values()]
     for key in ("family", "k", "horizon", "seed", "tasks"):
         if key not in header:
             raise ParseError(f"annotation missing field {key!r}")

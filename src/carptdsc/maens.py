@@ -15,13 +15,14 @@ the builder plus a minimum-cost splitting pass.  Capacity and horizon
 violations are penalized with an adaptive coefficient; the final answer is
 the best feasible plan found.
 
-Crossover's insertions (``RouteEvaluator.cheapest_insertion``) walk each
-candidate from its cut's prefix state, or on an exact instance price it
-exactly from a route's total and load; a child with inserted tasks is
-priced from its routes' totals, with the floats :func:`assess` gives.
-Only the moves screen, with ``RouteEvaluator.splice``, and walk each
-candidate a screen cannot settle, so every decision is the one walking
-every candidate gives; no route score is cached.
+Crossover and the moves keep one ``RouteTable`` per route, and a child or
+a local search's result is priced from those (:func:`individual_of`), with
+the floats :func:`assess` gives.  Crossover's insertions
+(``RouteEvaluator.cheapest_insertion``) walk each candidate from its cut's
+prefix state, or on an exact instance price it exactly from a route's
+total and load.  Only the moves screen, with ``RouteEvaluator.splice``,
+and walk each candidate a screen cannot settle, so every decision is the
+one walking every candidate gives; no route score is cached.
 One local search keeps a record of the moves it found cannot improve,
 keyed by the contents of the routes they change, and skips them until one
 of those routes changes: a skipped move could not have been accepted, and
@@ -117,6 +118,13 @@ def assess(ev: RouteEvaluator, plan: RoutingPlan) -> Individual:
     return Individual(plan=plan, total_cost=total, violation=violation)
 
 
+def individual_of(records: Sequence[RouteTable]) -> Individual:
+    """The plan of ``records``' routes, priced as :func:`assess` adds its walks."""
+    return Individual(plan=join_routes([r.route for r in records]),
+                      total_cost=ordered_sum(r.total for r in records),
+                      violation=ordered_sum(r.violation for r in records))
+
+
 def select_next_task(
     instance: Instance,
     candidates: Sequence[int],
@@ -210,8 +218,8 @@ def init_individual(
 def _cheapest_insertion(routes: list, tid: int, ev: RouteEvaluator, lam: float) -> None:
     """Insert ``tid`` (or its inverse) where it increases cost least.
 
-    ``routes`` holds :meth:`RouteEvaluator.totals` of each route; the place
-    is :meth:`RouteEvaluator.cheapest_insertion`'s among them and a fresh
+    ``routes`` holds each route's record; the place is
+    :meth:`RouteEvaluator.cheapest_insertion`'s among them and a fresh
     route (the empty route), last.  The route it lands in is priced by
     :meth:`RouteEvaluator.inserted`.
     """
@@ -236,8 +244,8 @@ def crossover(
     first occurrence, and tasks lost in the exchange are reinserted at
     their cheapest positions.  The child may violate capacity; that is
     left to the penalty mechanism.  ``lam`` weighs the violation in the
-    insertion costs.  The child is priced as :func:`assess` prices it, from
-    its routes' totals when a task was inserted.
+    insertion costs.  The child is priced from its routes' records, which
+    hold the floats :func:`assess` gives.
     """
     instance = ev.instance
     routes1 = split_routes(parent1)
@@ -250,7 +258,7 @@ def crossover(
     routes = routes1[:r1] + [routes1[r1][:c1] + routes2[r2][c2:]] + routes2[r2 + 1:]
 
     seen: set[int] = set()
-    deduped: list[list[int]] = []
+    records = []  # each route's record, without its repeated tasks
     for route in routes:
         kept = []
         for tid in route:
@@ -259,19 +267,13 @@ def crossover(
                 seen.add(root)
                 kept.append(tid)
         if kept:
-            deduped.append(kept)
-    routes = deduped
+            records.append(ev.totals(kept))
 
     missing = [root for root in instance.roots if root not in seen]
-    if not missing:
-        return assess(ev, join_routes(routes))
-    priced = [ev.totals(route) for route in routes]
-    for idx in rng.permutation(len(missing)):
-        _cheapest_insertion(priced, missing[idx], ev, lam)
+    for idx in rng.permutation(len(missing)):  # an empty permutation draws nothing
+        _cheapest_insertion(records, missing[idx], ev, lam)
     # walks went on from stored prefix states and exact totals are a walk's floats
-    return Individual(plan=join_routes([p.route for p in priced]),
-                      total_cost=ordered_sum(p.total for p in priced),
-                      violation=ordered_sum(p.violation for p in priced))
+    return individual_of(records)
 
 
 class _Record:
@@ -490,8 +492,8 @@ def local_search(
     random order) to convergence, applies merge-split once, and, if that
     helped, converges the basic moves again.  Every scan of the call
     shares one :class:`_Record` of the moves found not to improve.  The
-    result never has a worse penalized cost at ``lam`` than the input, and
-    coverage is preserved.
+    result is priced from the tables the moves kept; it never has a worse
+    penalized cost at ``lam`` than the input, and coverage is preserved.
     """
     tables = [ev.table(list(route)) for route in split_routes(individual.plan)]
     record = _Record()
@@ -512,7 +514,7 @@ def local_search(
     if _merge_split(tables, ev, lam, rng):
         converge_basic(max(1, LS_MAX_SWEEPS - used))
 
-    result = assess(ev, join_routes([table.route for table in tables]))
+    result = individual_of(tables)
     if result.penalized(lam) <= individual.penalized(lam):
         return result
     return individual  # accept-only moves make this unreachable; safety net

@@ -16,10 +16,11 @@ prefix state, or on an exact instance (a plain CARP file: no ramp, no
 horizon, integer costs, demands and capacity, and sums below 2**53)
 prices it from the route's total and load alone, with the walk's float.
 Only the moves screen: ``splice`` prices their candidates within a bound
-of a walk.  Stage 2 prices a route with ``departure_cost``, a scalar pass
-over legs read once per route, and ``total`` is that pass at one
-departure.  ``evaluate``, ``evaluate_route`` and ``profile`` serve only
-the benchmark harness and the tests.
+of a walk.  Both keep one ``RouteTable`` per route.  Stage 2 prices a
+route with ``departure_cost``, a scalar pass over legs read once per route,
+and ``total`` is that pass at one departure.  ``evaluate``,
+``evaluate_route`` and ``profile`` serve only the benchmark harness and
+the tests.
 """
 
 from __future__ import annotations
@@ -45,35 +46,19 @@ SCREEN_TOL = 1e-9  # relative rounding bound of a splice screen (tau per unit of
 
 
 class RouteTable(NamedTuple):
-    """A route's prefix states and suffix functions (see RouteEvaluator.table)."""
+    """A route with its walk's total, violation and load, and its prefix states
+    and suffix functions (see RouteEvaluator.splice_table) or None if not kept."""
 
     route: Sequence[int]
-    prefixes: list[RouteState]
-    suffixes: list  # the suffix function of each route[j:]
+    prefixes: Optional[list[RouteState]]
+    suffixes: Optional[list]  # the suffix function of each route[j:]
     total: float
     violation: float
+    load: float
 
     def penalized(self, lam: float) -> float:
         """The route's cost with its violation weighed by the penalty coefficient ``lam``."""
         return self.total + lam * self.violation
-
-    @property
-    def load(self) -> float:
-        """The route's load, as its walk added it up."""
-        return self.prefixes[-1][4]
-
-
-class RouteTotals(NamedTuple):
-    """A route's total, violation and load, and its prefix states unless the
-    instance is exact: what :meth:`RouteEvaluator.cheapest_insertion` reads."""
-
-    route: Sequence[int]
-    total: float
-    violation: float
-    load: float
-    prefixes: Optional[list[RouteState]] = None
-
-    penalized = RouteTable.penalized
 
 
 class PlanError(ValueError):
@@ -168,7 +153,8 @@ class RouteEvaluator:
     :meth:`splice` screens a changed route within a bound of it, for the
     moves alone.  :meth:`cheapest_insertion` walks or, on an :attr:`exact`
     instance, prices exactly every insertion of one task into the
-    :class:`RouteTotals` that :meth:`totals` and :meth:`inserted` keep up.
+    :class:`RouteTable` records (no suffix functions) that :meth:`totals`
+    and :meth:`inserted` keep up.
     Stage 2 prices with :meth:`departure_cost`, a faster scalar pass over
     legs read once per route that adds services and deadhead in one
     running sum (so it can differ from a walk in the last bits);
@@ -194,7 +180,7 @@ class RouteEvaluator:
         }
         # a fresh route is a splice into the empty route, whose suffix is the return
         self.empty = RouteTable((), [self.origin], [(self.depot, -instance.capacity, [0.0], [
-            (0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0)])], *self.walk(self.origin, ()))
+            (0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0)])], *self.walk(self.origin, ()), 0.0)
 
     def walk(
         self,
@@ -294,7 +280,7 @@ class RouteEvaluator:
                     new.append((u, cost, sigma + f * slope, ret, f * ret_slope,
                                 err + cost + ret + (scale + new_scale) * x, new_scale))
             suffixes[m] = (w, over, los, pieces) = (tail, over + demand, new_los, new)
-        return RouteTable(route, prefixes, suffixes, total, violation)
+        return RouteTable(route, prefixes, suffixes, total, violation, prefixes[-1][4])
 
     def splice(self, table: RouteTable, i: int, tasks: Sequence[int], j: int,
                lam: float) -> tuple[float, float]:
@@ -405,17 +391,16 @@ class RouteEvaluator:
             floors[tid] = (min(detours[oid] for oid in oids), min(self.rows[oid][6] for oid in oids))
         return floors
 
-    def cheapest_insertion(self, candidates: Sequence, tid: int,
+    def cheapest_insertion(self, candidates: Sequence[RouteTable], tid: int,
                            lam: float) -> tuple[int, int, tuple[int]]:
         """Where one orientation of ``tid`` raises a candidate's penalized cost
         at ``lam`` least: (candidate index, position, (oid,)), the first
         strict minimum of the walked deltas in (candidate, position,
         orientation) order, as if every insertion was walked.
 
-        On an :attr:`exact` instance a candidate (a :class:`RouteTotals` or a
-        :class:`RouteTable`) is read for its route, total T, violation and
-        load L only, and nothing is walked.  An orientation of demand d put
-        in between vertices v and w adds
+        On an :attr:`exact` instance a candidate is read for its route,
+        total T, violation and load L only, and nothing is walked.  An
+        orientation of demand d put in between vertices v and w adds
         D = c[v][tail] + c_min + c[head][w] - c[v][w], and its delta is
         ((T + D) + λ·e') - base, for e' = max(0, L + d - Q) and
         base = T + λ·violation.  T + D and e' are the walk's total and
@@ -486,22 +471,22 @@ class RouteEvaluator:
         return at
 
     def totals(self, route: Sequence[int],
-               prefixes: Optional[list[RouteState]] = None) -> RouteTotals:
-        """``route`` with the total, violation and load of its walk on from
-        ``prefixes``, the prefix states of its first tasks (the origin alone
-        by default).  The walk appends the others; they are kept unless the
-        instance is :attr:`exact`."""
+               prefixes: Optional[list[RouteState]] = None) -> RouteTable:
+        """The record of ``route``, with no suffix functions, of its walk on
+        from ``prefixes``, the prefix states of its first tasks (the origin
+        alone by default).  The walk appends the others; they are kept
+        unless the instance is :attr:`exact`."""
         prefixes = [self.origin] if prefixes is None else prefixes
         total, violation = self.walk(prefixes[-1], route[len(prefixes) - 1:], prefixes)
-        return RouteTotals(route, total, violation, prefixes[-1][4],
-                           None if self.exact else prefixes)
+        return RouteTable(route, None if self.exact else prefixes, None, total, violation,
+                          prefixes[-1][4])
 
-    def inserted(self, priced, pos: int, oid: int) -> RouteTotals:
-        """``priced`` (a :class:`RouteTotals` or :class:`RouteTable`) with
-        ``oid`` put in at ``pos``, walked on from prefix state ``pos``.  On an
-        :attr:`exact` instance it is priced without a walk: T + D, L + d
-        and max(0, L + d - Q) as :meth:`cheapest_insertion` reads them,
-        which are the walk's floats."""
+    def inserted(self, priced: RouteTable, pos: int, oid: int) -> RouteTable:
+        """The record of ``priced``'s route with ``oid`` put in at ``pos``, as
+        :meth:`totals` keeps it, walked on from prefix state ``pos``.  On an
+        :attr:`exact` instance it is priced without a walk or prefix states:
+        T + D, L + d and max(0, L + d - Q) as :meth:`cheapest_insertion`
+        reads them, which are the walk's floats."""
         route = priced.route
         if not self.exact:
             return self.totals([*route[:pos], oid, *route[pos:]], priced.prefixes[:pos + 1])
@@ -511,9 +496,9 @@ class RouteEvaluator:
         w = rows[route[pos]][0] if pos < len(route) else self.depot
         load = priced.load + demand
         over = load - self.capacity
-        return RouteTotals([*route[:pos], oid, *route[pos:]],
-                           priced.total + (cost[v][tail] + c_min + cost[head][w] - cost[v][w]),
-                           over if over > 0.0 else 0.0, load)
+        return RouteTable([*route[:pos], oid, *route[pos:]], None, None,
+                          priced.total + (cost[v][tail] + c_min + cost[head][w] - cost[v][w]),
+                          over if over > 0.0 else 0.0, load)
 
     def splice_walk(self, table: RouteTable, i: int, tasks: Sequence[int], j: int,
                     lam: float) -> float:
@@ -666,7 +651,7 @@ def check_feasibility(
     returns = tuple(trail[-1][0] + sp_time[trail[-1][3]][evaluator.depot]
                     for _, _, trail in walks)
     # legs and service costs are >= 0, so each route's last service start is
-    # its latest; t > H also covers an infinite t, after which starts may be NaN
+    # its latest; each check fails a NaN, so an infinite or NaN t breaks both
     last_starts = [trail[-2][0] + sp_time[trail[-2][3]][rows[route[-1]][0]]
                    for route, _, trail in walks]
     return FeasibilityReport(
@@ -675,9 +660,9 @@ def check_feasibility(
         all_tasks_served=len(roots) == instance.num_required,
         # the walk adds each route's demands in route order
         capacity_respected=not any(trail[-1][4] > instance.capacity for _, _, trail in walks),
-        horizon_tasks=not any(t < 0 or t > horizon or start > horizon
-                              for (_, t, _), start in zip(walks, last_starts)),
-        horizon_return=not any(r > horizon for r in returns),
+        horizon_tasks=all(0.0 <= t <= horizon and start <= horizon
+                          for (_, t, _), start in zip(walks, last_starts)),
+        horizon_return=all(r <= horizon for r in returns),
         returns=returns,
     )
 

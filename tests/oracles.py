@@ -509,7 +509,8 @@ def reference_check_feasibility(solution, instance, sp):
     """Every constraint of ``solution``, each on its own pass: a check walk of
     every route, a first-orientation record per task pair, a demand sum in
     route order, and the arrival times of ``RouteEvaluator.evaluate`` at
-    max(t, 0), each departure, service start and return held to [0, H]."""
+    max(t, 0), each departure, service start and return held to [0, H]; a
+    NaN is not in it."""
     evaluator = RouteEvaluator(instance, sp)
     routes = split_routes(solution.plan)
     if len(routes) != len(solution.departures):
@@ -535,7 +536,7 @@ def reference_check_feasibility(solution, instance, sp):
         if load > instance.capacity:
             capacity_ok = False
         arrivals = evaluator.evaluate(route, max(t, 0.0)).arrival_times
-        if t < 0 or any(a > instance.horizon for a in arrivals[:-1]):
+        if not (0.0 <= t and all(a <= instance.horizon for a in arrivals[:-1])):
             horizon_tasks_ok = False
         returns.append(arrivals[-1])
     return FeasibilityReport(
@@ -544,6 +545,6 @@ def reference_check_feasibility(solution, instance, sp):
         all_tasks_served=len(seen_pairs) == instance.num_required,
         capacity_respected=capacity_ok,
         horizon_tasks=horizon_tasks_ok,
-        horizon_return=not any(r > instance.horizon for r in returns),
+        horizon_return=all(r <= instance.horizon for r in returns),
         returns=tuple(returns),
     )

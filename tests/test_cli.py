@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from carptdsc.bench import RunConfig, prepare_instance, solve_once_detailed
+from carptdsc.bench import (
+    RunConfig, average_pdr, compare_reports, prepare_instance, read_report, serialize_report,
+    solve_once_detailed,
+)
 from carptdsc.cli import main
 from carptdsc.instance import InstanceError
 from carptdsc.instance_io import (
@@ -18,6 +21,7 @@ from conftest import DATA
 
 GDB1 = str(DATA / "gdb1.dat")
 R101 = str(DATA / "r101_25.txt")
+LONG_ROUTES = str(DATA / "long-routes-0.dat")
 
 
 def run_cli(capsys, *argv):
@@ -56,94 +60,57 @@ def test_solve_warns_about_an_infeasible_final_plan(capsys):
     assert (code, err) == (0, "")
 
 
-def test_solve_prints_its_recorded_output(capsys):
-    """Both stages are deterministic per seed: gdb1 3LP k = 2 (gen-seed 3,
-    seed 0) prints the recorded plan, departures and costs byte for byte."""
-    code, out, err = run_cli(
-        capsys, "solve", "--instance", GDB1, "--family", "3lp", "--slope-set", "2",
-        "--gen-seed", "3", "--seed", "0",
-    )
+# Both stages are deterministic per seed, so each case prints its recorded
+# plan, departures and costs byte for byte: (argv after "solve", file).
+RECORDED_SOLVES = [
+    # gdb1 3LP k = 2 (gen-seed 3, seed 0): stage 2 by NCS
+    (["--instance", GDB1, "--family", "3lp", "--slope-set", "2", "--gen-seed", "3",
+      "--seed", "0"], "gdb1-3lp-k2-solve-seed0.txt"),
+    # stage 2 by golden-section search: gdb1 3LP k = 1 (gen-seed 3, seed 0)
+    (["--instance", GDB1, "--family", "3lp", "--slope-set", "1", "--gen-seed", "3",
+      "--seed", "0"], "gdb1-3lp-k1-solve-seed0.txt"),
+    # without local search every child is priced from crossover's route
+    # records, kept up without walks on this exact instance: a generated
+    # long-route instance (10 generations, pls 0, seed 0)
+    (["--instance", LONG_ROUTES, "--generations", "10", "--pls", "0", "--seed", "0"],
+     "long-routes-0-solve-seed0.txt"),
+    # a static long-route instance with local search on (5 generations, seed
+    # 0) runs crossover's repair and the moves on routes of 10-16 tasks
+    (["--instance", LONG_ROUTES, "--generations", "5", "--seed", "0"],
+     "long-routes-0-solve-ls-seed0.txt"),
+    # static gdb1 (seed 0, the CLI defaults) runs crossover and local search
+    # on an instance with no ramp and no horizon
+    (["--instance", GDB1, "--seed", "0"], "gdb1-static-solve-seed0.txt"),
+    # gdb1 with every required-edge cost + 0.1 is static but not exact, so
+    # crossover's repair takes the general loop, which walks every cut: seed
+    # 0 at the CLI defaults prints the output recorded before the exact loop
+    # was added
+    (["--instance", str(DATA / "gdb1-tenth.dat"), "--seed", "0"],
+     "gdb1-tenth-solve-seed0.txt"),
+    # long-routes-0 3LP k = 2 (gen-seed 0, 5 generations, seed 0) runs
+    # crossover's time-dependent repair on routes of 10-17 tasks with ramps
+    (["--instance", LONG_ROUTES, "--family", "3lp", "--slope-set", "2", "--gen-seed", "0",
+      "--generations", "5", "--seed", "0"], "long-routes-0-3lp-k2-solve-seed0.txt"),
+    # r101_25 has one orientation per task and non-integral Euclidean legs,
+    # so crossover's repair walks every cut of every route: seed 0 at the
+    # CLI defaults
+    (["--instance", R101, "--seed", "0"], "r101_25-solve-seed0.txt"),
+]
+
+
+@pytest.mark.parametrize("argv,recorded", RECORDED_SOLVES, ids=[
+    "gdb1-3lp-k2", "gdb1-3lp-k1-golden-section", "long-routes-crossover-only",
+    "long-routes-local-search", "gdb1-static", "gdb1-tenth", "long-routes-3lp-k2", "r101_25"])
+def test_solve_prints_each_recorded_output(capsys, argv, recorded):
+    code, out, err = run_cli(capsys, "solve", *argv)
     assert (code, err) == (0, "")
-    assert out == (DATA / "gdb1-3lp-k2-solve-seed0.txt").read_text()
+    assert out == (DATA / recorded).read_text()
 
 
-def test_solve_with_golden_section_prints_its_recorded_output(capsys):
-    """Stage 2 by golden-section search is deterministic too: gdb1 3LP
-    k = 1 (gen-seed 3, seed 0) prints the recorded plan, departures and
-    costs byte for byte."""
-    code, out, err = run_cli(
-        capsys, "solve", "--instance", GDB1, "--family", "3lp", "--slope-set", "1",
-        "--gen-seed", "3", "--seed", "0",
-    )
-    assert (code, err) == (0, "")
-    assert out == (DATA / "gdb1-3lp-k1-solve-seed0.txt").read_text()
-
-
-def test_solve_crossover_only_prints_its_recorded_output(capsys):
-    """Without local search every child is priced from crossover's route
-    totals, kept up without walks on this exact instance: a generated
-    long-route instance (10 generations, pls 0, seed 0) prints the recorded
-    plan and costs byte for byte."""
-    code, out, err = run_cli(
-        capsys, "solve", "--instance", str(DATA / "long-routes-0.dat"),
-        "--generations", "10", "--pls", "0", "--seed", "0",
-    )
-    assert (code, err) == (0, "")
-    assert out == (DATA / "long-routes-0-solve-seed0.txt").read_text()
-
-
-def test_solve_with_local_search_on_long_routes_prints_its_recorded_output(capsys):
-    """A static long-route instance with local search on (5 generations,
-    seed 0) runs crossover's repair and the moves on routes of 10-16
-    tasks, and prints the recorded plan and costs byte for byte."""
-    code, out, err = run_cli(
-        capsys, "solve", "--instance", str(DATA / "long-routes-0.dat"),
-        "--generations", "5", "--seed", "0",
-    )
-    assert (code, err) == (0, "")
-    assert out == (DATA / "long-routes-0-solve-ls-seed0.txt").read_text()
-
-
-def test_solve_on_a_static_instance_prints_its_recorded_output(capsys):
-    """Static gdb1 (seed 0, the CLI defaults) runs crossover and local search
-    on an instance with no ramp and no horizon, and prints the recorded
-    plan and costs byte for byte."""
-    code, out, err = run_cli(capsys, "solve", "--instance", GDB1, "--seed", "0")
-    assert (code, err) == (0, "")
-    assert out == (DATA / "gdb1-static-solve-seed0.txt").read_text()
-
-
-def test_solve_on_a_static_instance_with_fractional_costs_prints_its_recorded_output(capsys):
-    """gdb1 with every required-edge cost + 0.1 is static but not exact, so
-    crossover's repair takes the general loop, which walks every cut: seed
-    0 at the CLI defaults prints the output recorded before the exact loop
-    was added, byte for byte."""
-    code, out, err = run_cli(capsys, "solve", "--instance", str(DATA / "gdb1-tenth.dat"),
-                             "--seed", "0")
-    assert (code, err) == (0, "")
-    assert out == (DATA / "gdb1-tenth-solve-seed0.txt").read_text()
-
-
-def test_solve_on_long_time_dependent_routes_prints_its_recorded_output(capsys):
-    """long-routes-0 3LP k = 2 (gen-seed 0, 5 generations, seed 0) runs
-    crossover's time-dependent repair on routes of 10-17 tasks with ramps,
-    and prints the recorded plan, departures and costs byte for byte."""
-    code, out, err = run_cli(
-        capsys, "solve", "--instance", str(DATA / "long-routes-0.dat"), "--family", "3lp",
-        "--slope-set", "2", "--gen-seed", "0", "--generations", "5", "--seed", "0",
-    )
-    assert (code, err) == (0, "")
-    assert out == (DATA / "long-routes-0-3lp-k2-solve-seed0.txt").read_text()
-
-
-def test_solve_on_a_solomon_instance_prints_its_recorded_output(capsys):
-    """r101_25 has one orientation per task and non-integral Euclidean legs,
-    so crossover's repair walks every cut of every route: seed 0 at the
-    CLI defaults prints the recorded plan, departures and costs byte for
-    byte."""
-    code, out, err = run_cli(capsys, "solve", "--instance", R101, "--seed", "0")
-    assert (code, err) == (0, "")
-    assert out == (DATA / "r101_25-solve-seed0.txt").read_text()
+def test_every_recorded_solve_output_has_its_case():
+    """A recorded ``solve`` output that no case reads would pin nothing here."""
+    assert sorted(path.name for path in DATA.glob("*-solve-*.txt")) == sorted(
+        recorded for _, recorded in RECORDED_SOLVES)
 
 
 def test_solve_solomon_with_truncation(capsys):
@@ -551,6 +518,19 @@ def test_stats_names_a_missing_header_line(tmp_path, capsys, key):
     assert code == 1
     assert err == f"error: report has no '{key} : <integer>' line\n"
 
+
+def test_stats_names_a_repeated_header_line(tmp_path, capsys):
+    """A second ``runs :`` line used to replace the first."""
+    path = tmp_path / "r.txt"
+    path.write_text(
+        "carptdsc-report v1\nalgorithm : a\nruns : 1\nbase_seed : 0\nruns : 5\n"
+        "instance gdb1 : ave 320.0 std 0.0 best 320.0 ave_time 0.5\nrun gdb1 0 320.0 0.5\n"
+    )
+    code, _, err = run_cli(capsys, "stats", str(path), str(path))
+    assert code == 1
+    assert err == "error: report line 5: 'runs' repeats line 3\n"
+
+
 NO_TASKS_DAT = """NAME : empty
 VERTICES : 2
 REQUIRED_EDGES : 0
@@ -772,6 +752,13 @@ TOO_LARGE = ("arc travel times, arc travel costs and task service costs at their
     (_instance(GDB1, ("VERTICES : 12", "VERTICES : 13")),
      "12 distinct vertices referenced, header says 13"),
     (lambda tmp_path: _oracle("1", plan="0 1.5 0"), "--plan takes whole task IDs, got '1.5'"),
+    # each reader used to keep the last of a repeated key
+    (_instance(GDB1, ("CAPACITY : 5", "CAPACITY : 5\nCAPACITY : 50")),
+     "line 8: CAPACITY repeats line 7"),
+    (_annotation(("tasks : 44", "tasks : 45"),
+                 (TASK_5, TASK_5 + "\n" + TASK_5.replace("c_min 19.0", "c_min 1.0"))),
+     "line 12: task 5 repeats line 11"),
+    (_annotation(("k : 2.0", "k : 2.0\nk : 3.0")), "line 4: k repeats line 3"),
 ], ids=["max-customers-on-dat", "vertices-nan", "depot-inf", "required-edges-fraction",
         "customer-number-nan", "annotation-task-id-fraction", "annotation-c-min-text",
         "edge-cost-nan", "annotation-bt-after-et", "customer-ready-after-due",
@@ -780,7 +767,8 @@ TOO_LARGE = ("arc travel times, arc travel costs and task service costs at their
         "gen-seed-without-family", "slope-set-with-2lp", "annotation-huge-horizon-and-windows",
         "annotation-huge-horizon", "annotation-family-unknown", "annotation-family-disagrees",
         "annotation-k-minus-inf", "customer-coordinate-inf", "vertex-no-edge-touches",
-        "oracle-plan-fraction"])
+        "oracle-plan-fraction", "capacity-repeated", "annotation-task-repeated",
+        "annotation-k-repeated"])
 def test_malformed_input_files_name_their_field(tmp_path, capsys, argv, message):
     with _answers_within_10_s("this case"):
         code, out, err = run_cli(capsys, *argv(tmp_path))
@@ -808,6 +796,24 @@ FUZZ_VALUES = ("0", "-1", "1e308", "nan", "inf", "-inf", "", "x")
 NUMBER = re.compile(r"\d+(?:\.\d+)?(?:e[+-]?\d+)?")
 
 
+def _mutated(text, rng):
+    """``text`` with one number changed to one of ``FUZZ_VALUES``, or one line
+    dropped, duplicated or truncated; and what was done."""
+    if rng.random() < 0.5:
+        m = rng.choice(list(NUMBER.finditer(text)))
+        value = rng.choice(FUZZ_VALUES)
+        return (text[:m.start()] + value + text[m.end():],
+                f"{m.group()!r} at offset {m.start()} -> {value!r}")
+    lines = text.splitlines(keepends=True)
+    i = rng.randrange(len(lines))
+    what, lines[i] = rng.choice((
+        ("dropped", ""),
+        ("duplicated", lines[i] * 2),
+        ("truncated", lines[i][:rng.randrange(len(lines[i]))]),
+    ))
+    return "".join(lines), f"line {i + 1} {what}"
+
+
 def test_mutated_input_files_solve_or_fail_to_load(tmp_path):
     """A seeded mutation fuzzer over the three input formats.
 
@@ -823,22 +829,7 @@ def test_mutated_input_files_solve_or_fail_to_load(tmp_path):
     rng = random.Random(0)
     for case in range(2000):
         source = rng.choice(list(sources))
-        text = sources[source]
-        if rng.random() < 0.5:
-            m = rng.choice(list(NUMBER.finditer(text)))
-            value = rng.choice(FUZZ_VALUES)
-            what = f"{m.group()!r} at offset {m.start()} -> {value!r}"
-            text = text[:m.start()] + value + text[m.end():]
-        else:
-            lines = text.splitlines(keepends=True)
-            i = rng.randrange(len(lines))
-            what, lines[i] = rng.choice((
-                ("dropped", ""),
-                ("duplicated", lines[i] * 2),
-                ("truncated", lines[i][:rng.randrange(len(lines[i]))]),
-            ))
-            what = f"line {i + 1} {what}"
-            text = "".join(lines)
+        text, what = _mutated(sources[source], rng)
         mutated.write_text(text)
         if source == "gdb1.ann":
             config = RunConfig(instances=(GDB1,), algorithm="init-only", annotation=str(mutated))
@@ -850,3 +841,32 @@ def test_mutated_input_files_solve_or_fail_to_load(tmp_path):
             except (ParseError, InstanceError):
                 continue
             solve_once_detailed(inst, config, 0)
+
+
+def test_mutated_reports_read_or_fail_with_a_value_error(tmp_path):
+    """The same seeded mutations of a report that ``bench`` wrote, with failed
+    runs (every ``init-only`` run on r101_25, and an island the depot cannot
+    reach).  Each copy must read and pass through ``compare_reports`` and
+    ``average_pdr``, or fail with a ValueError; the report itself reads back
+    unchanged."""
+    island = _edited(tmp_path, GDB1, [
+        ("NAME : gdb1", "NAME : island"), ("VERTICES : 12", "VERTICES : 14"),
+        ("REQUIRED_EDGES : 22", "REQUIRED_EDGES : 23"),
+        ("NON_REQUIRED_EDGE_LIST :", "( 13, 14) cost 5 demand 1\nNON_REQUIRED_EDGE_LIST :")])
+    path = tmp_path / "report.txt"
+    assert main(["bench", "--instance", GDB1, "--instance", R101, "--instance", island,
+                 "--algorithm", "init-only", "--runs", "3", "--out", str(path)]) == 0
+    text = path.read_text()
+    report = read_report(text)
+    assert serialize_report(report) == text
+    rng = random.Random(0)
+    for case in range(2000):
+        mutated, what = _mutated(text, rng)
+        with _answers_within_10_s(f"case {case}: {what}"):
+            try:
+                other = read_report(mutated)
+                compare_reports(other, report)
+                compare_reports(report, other)
+                average_pdr(other, {"gdb1": 316.0})
+            except ValueError:
+                continue

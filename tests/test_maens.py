@@ -22,7 +22,7 @@ from carptdsc import (
 from carptdsc import maens
 from carptdsc.maens import _Record, _scan_insertion, assess
 from carptdsc.solution import RouteEvaluator
-from carptdsc.instance_io import generate_td
+from carptdsc.instance_io import generate_td, parse_carp
 
 from conftest import (
     make_tie_instance,
@@ -206,6 +206,30 @@ def test_local_search_never_worsens():
         assert (out.total_cost + 50.0 * out.violation
                 <= ind.total_cost + 50.0 * ind.violation + 1e-9)
         assert coverage_ok(out.plan, inst)
+
+
+def test_local_search_prices_its_result_from_its_tables(gdb1_text, monkeypatch):
+    """The result is priced from the tables the moves kept, with no walk of
+    its plan: with ``assess`` raising, its total and violation are still the
+    floats that walking it gives, bit for bit."""
+    def walked_again(ev, plan):
+        raise AssertionError("local_search walked its plan again")
+
+    _, gdb1 = parse_carp(gdb1_text)
+    cases = [random_static_instance(rng_for(77))[0], gdb1,
+             generate_td(gdb1, "3lp", (2.0,), 3)[0], generate_td(gdb1, "3lp", (0.5,), 0)[0]]
+    for inst in cases:
+        sp = shortest_paths(inst)
+        ev = RouteEvaluator(inst, sp)
+        for seed in range(3):
+            ind = assess(ev, init_individual(inst, sp, rng_for(seed)))
+            with monkeypatch.context() as patched:
+                patched.setattr(maens, "assess", walked_again)
+                out = local_search(ind, rng_for(seed), ev, 2.0)
+            want = assess(ev, out.plan)
+            assert out.penalized(2.0) <= ind.penalized(2.0)
+            assert (out.total_cost.hex(), out.violation.hex()) == (
+                want.total_cost.hex(), want.violation.hex())
 
 
 def make_one_way_pair_instance(inverses=True):

@@ -889,7 +889,7 @@ def test_solution_costs_reject_unknown_gdb1_ids(tid):
 def _case_solution(draw):
     """((instance, shortest paths, evaluator), solution): 1-6 routes of 1-8
     tasks with repeats and inverse twins, departing before 0, inside [0, H],
-    at H, past H or at infinity."""
+    at H, past H, at infinity or at NaN."""
     case = CASES[draw(st.sampled_from(sorted(CASES)))]
     inst = case[0]
     horizon = inst.horizon if inst.horizon < math.inf else 1e3
@@ -899,7 +899,8 @@ def _case_solution(draw):
         if draw(st.booleans()):  # the twin of a task already served
             tid = draw(st.sampled_from(route))
             route.append(inst.tasks[tid].inverse_id or tid)
-    departures = st.one_of(st.sampled_from([0.0, -1.0, horizon, 1.5 * horizon, math.inf]),
+    departures = st.one_of(st.sampled_from([0.0, -1.0, horizon, 1.5 * horizon, math.inf,
+                                            math.nan]),
                            st.floats(0.0, horizon), st.floats(-5.0, 2.0 * horizon))
     return case, Solution(join_routes(routes), tuple(draw(departures) for _ in routes))
 

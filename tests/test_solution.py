@@ -253,6 +253,12 @@ def test_feasibility_holds_an_infinite_departure_past_the_horizon():
     rep = check_feasibility(sol, inst, sp)
     assert not rep.horizon_tasks
     assert repr(rep) == repr(reference_check_feasibility(sol, inst, sp))
+    # a NaN departure (ncs can return one) fails every comparison, so it is
+    # neither on time nor back by the horizon
+    sol = Solution((0, 1, 2, 3, 0), (math.nan,))
+    rep = check_feasibility(sol, inst, sp)
+    assert rep.broken == ("horizon_tasks", "horizon_return")
+    assert repr(rep) == repr(reference_check_feasibility(sol, inst, sp))
 
 
 def test_feasibility_horizon_split(fig4):
